@@ -41,7 +41,8 @@ queries() keys map to SURVEY.md §2 operators:
 Rows-only (no_oracle) queries are exactly the inherently-approximate or
 non-SQL ops: LSH-recall-dependent pair sets, IVF, HLL, winnowing digests,
 engine-internal size accounting, iterative BPE training.  The FIRST 50
-entries of queries() — the driver's checked window — are all oracled.
+entries of queries() — the checked window — are oracled except the rows-only
+BPE pair (bpe_vocab_merges, bpe_tokenize_docs).
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ SF1 = "/root/testdata/sf0.001"
 
 
 def entry() -> Any:
-    """Flagship: salted partitioned encode of the sf0.001 source-code-shaped
-    corpus + documents, with lineage checkpoints; returns per-partition
-    metrics (rows >= 0, stable schema)."""
+    """Flagship: map-only partitioned encode of a synthetic source-code
+    corpus (each partition one contiguous input fragment, sorted in-task),
+    with lineage checkpoints; returns per-partition metrics (rows >= 0,
+    stable schema)."""
     import shutil
 
     import ray.data as rd

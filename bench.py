@@ -1,6 +1,6 @@
 """Benchmark harness — prints ONE JSON line with headline + per-query times.
 
-Headline pipeline: salted partitioned encode of the deterministic synthetic
+Headline pipeline: map-only partitioned encode of the deterministic synthetic
 source-code corpus (BASELINE.json input_hint shape) with lineage checkpoints,
 then decode-verify.  Also times documents-table encode and (when present)
 the training-data ops.
@@ -81,14 +81,13 @@ def run_bench() -> dict:
     # understates the parallel encode's scaling
     from parquet_go_ray.pipelines.encode_pipeline import _plan_codecs
 
-    if cfg.plan_codecs_globally and not cfg.per_column_codec:
-        cfg = _plan_codecs(ds, cfg)
+    plan = _plan_codecs(ds, cfg) if cfg.plan_codecs_globally else {}
     # untimed warm-up: spawn + import + warm the worker pool (steady-state
     # throughput is what the 100 TB run sees; cold import is a one-off)
     from parquet_go_ray.pipelines.encode_pipeline import encode_dataset
 
     encode_dataset(
-        rd.read_parquet(corpus, override_num_blocks=64).limit(60000), cfg
+        rd.read_parquet(corpus, override_num_blocks=64).limit(60000), cfg, plan=plan
     ).count()
     # best-of-2: this host's memory subsystem swings 2-4x between runs
     # (shared hypervisor, see BASELINE.md) — one cold sample misrepresents
@@ -98,7 +97,9 @@ def run_bench() -> dict:
         shutil.rmtree(out, ignore_errors=True)
         ds_a = rd.read_parquet(corpus, override_num_blocks=64)
         t0 = time.time()
-        metrics = encode_partitioned(ds_a, out, cfg, total_bytes=total_bytes).to_pandas()
+        metrics = encode_partitioned(
+            ds_a, out, cfg, total_bytes=total_bytes, plan=plan
+        ).to_pandas()
         t_run = time.time() - t0
         t_enc = t_run if t_enc is None else min(t_enc, t_run)
     queries["encode_code_corpus"] = round(t_enc, 3)

@@ -510,9 +510,6 @@ def encode_any_chunk(arr, cfg: EngineConfig = DEFAULT, outer: str = "none") -> d
     schema/schemahandler.go:343-386); here each nesting level is its own
     recursively-encoded child chunk and validity travels as levels."""
     from .selector import select_codec
-    from .stages.common import retain_malloc_arena
-
-    retain_malloc_arena()  # idempotent; buffer-reuse scaling (common.py)
 
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()

@@ -22,20 +22,11 @@ class EngineConfig:
     size_tolerance: float = 1.30  # hard guard: candidates more than 30% above
                                   # the smallest trial size are never eligible,
                                   # no matter how fast
-    cost_model: str = "static"    # "static": codec cost = calibrated constants
-                                  # (tools/calibrate_cost.py) -> selection is a
-                                  # pure function of the DATA, identical every
-                                  # run.  "measured": cost = trial-encode time
-                                  # normalized by a live memcpy baseline —
-                                  # adapts to unknown hardware but on this
-                                  # 2-4x-phase-swinging host it flipped codec
-                                  # choices run-to-run (size_vs_reference 0.50
-                                  # vs 0.593 on identical code + input)
     speed_weight: float = 0.7e-4  # cost-weighted pick among eligibles:
                                   # score = ratio + speed_weight * slowdown,
                                   # where slowdown is the STATIC calibrated
                                   # codec cost in memcpy-multiples (see
-                                  # cost_model / selector._STATIC_*).
+                                  # selector._STATIC_*).
                                   # Semantics: one memcpy-multiple of encode
                                   # time must save speed_weight fraction of
                                   # raw size.  At 0.7e-4 the zstd-class
@@ -68,32 +59,8 @@ class EngineConfig:
     batch_size_rows: int = 8192      # rows per encode batch (chunk granularity;
                                      # sized so a chunk stays cache-resident)
     target_chunk_bytes: int = 64 << 20
-    salt_buckets: int | None = None  # repo salting fan-out; None = full spread
-                                     # (= partitions): near-uniform partition
-                                     # load (measured -31%% wall for ~2%% ratio
-                                     # on the code corpus); set small to favor
-                                     # repo locality over balance
     partitions: int | None = None    # override output partition count
     sort_within_partition: bool = True  # sort by (repo, path) to help delta_ba
-    pack_shuffle: bool = False       # serialize each (block x part) cell into one
-                                     # compressed Arrow IPC blob BEFORE the groupby
-                                     # exchange: the all-to-all then moves a few
-                                     # thousand ~3x-smaller blobs instead of every
-                                     # raw row (Spark-style shuffle compression,
-                                     # re-expressed inside the Dataset API).  On a
-                                     # multi-node cluster the exchange is network-
-                                     # bound and this wins ~3x on shuffle bytes; on
-                                     # this single-node sandbox the object store is
-                                     # shared memory and the extra (de)serialization
-                                     # pass measurably LOSES (A/B: 8.1 vs 7.3 s at
-                                     # 596 MB) — so default off, enable for real
-                                     # network-bound clusters
-    pack_codec: str = "lz4"          # IPC body compression for packed cells
-    shuffle_strategy: str = "HASH_SHUFFLE"  # groupby exchange: HASH_SHUFFLE
-                                     # streams through aggregator actors (no
-                                     # sort barrier) and measured ~5x lower
-                                     # run-to-run variance than push-based
-                                     # sort on this host at equal best case
     bloom_bits_per_value: int = 0    # >0: per-chunk Bloom filter over int/
                                      # string values in the chunk header
                                      # (equality scans prune chunks whose

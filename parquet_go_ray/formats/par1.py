@@ -826,9 +826,6 @@ def write_par1(
     statistics cannot.
 
     Returns the footer dict."""
-    from ..stages.common import retain_malloc_arena
-
-    retain_malloc_arena()  # idempotent; buffer-reuse scaling (common.py)
     assert data_page_version in (1, 2), data_page_version
     if level_encoding not in ("rle", "bit_packed"):
         raise ValueError(f"level_encoding {level_encoding!r}")
@@ -1486,9 +1483,6 @@ def read_par1(
     writer recorded one (pyarrow: `write_page_checksum=True`; this engine:
     always) and raises on mismatch — mirrors pyarrow's opt-in
     `page_checksum_verification` default."""
-    from ..stages.common import retain_malloc_arena
-
-    retain_malloc_arena()  # idempotent; buffer-reuse scaling (common.py)
     fmd = read_par1_meta(path)
     nodes = _schema_tree(fmd)
     want = [n for n in nodes if columns is None or n.name in columns]
@@ -1961,9 +1955,6 @@ def read_par1_pruned(
     distributed scan splits one huge file by).  Returns (table, stats) with
     stats = {row_groups_total, row_groups_read, pages_total,
     pages_decoded}."""
-    from ..stages.common import retain_malloc_arena
-
-    retain_malloc_arena()  # idempotent; buffer-reuse scaling (common.py)
     fmd = read_par1_meta(path)
     node_list = _schema_tree(fmd)
     nodes = {n.name: n for n in node_list}

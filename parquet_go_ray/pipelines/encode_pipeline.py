@@ -1,31 +1,34 @@
 """The flagship pipeline: Parquet source-code table -> encoded column chunks.
 
-Ray-Data shape (SURVEY §3.3 "Ray Data equivalent of the whole lifecycle"):
+Ray-Data shape — map-only, no hash exchange:
 
     read_parquet(columns=needed)
-      -> map_batches(add salted (repo,lang) partition key)   [stateless, arrow]
-      -> groupby(__part).map_groups(PartitionEncoder)        [the one shuffle]
+      -> repartition(num_parts)        [split: contiguous, equal row counts]
+      -> map_batches(encode_partition, batch_size=None)   [one task/fragment]
            - local sort by (repo, path)  (helps DELTA_BYTE_ARRAY/dicts;
              local pc.sort_indices, never a global sort)
+           - part id = digest of (fragment index, sorted rows); a part
+             already on disk returns at once (resume)
            - slice into ~batch_size_rows chunks
-           - encode columns via auto-selector
+           - encode columns with the pre-planned codecs
            - write part dir atomically (chunks.parquet + lineage.json)
       -> small metrics rows only (blobs never return to the driver)
 
-Skew: the partition key is hash(repo) salted into `salt_buckets` sub-buckets
-(default: full spread over every partition — measured 31% wall reduction vs
-8-way salting at a ~2% compression-ratio cost, since the within-partition
-sort re-clusters repos anyway; north rule: "explicit salting to defuse
-giant-repo skew").  Resume: partitions already on disk are
-filtered BEFORE the shuffle, so a rerun only pays for missing partitions.
+The split repartition gives every fragment the same rows and the same
+index whatever the input's block layout (order is preserved), so a part id
+is stable across resume attempts; only `num_parts` persists in
+`_plan.json`.  A salted hash exchange bought no compression
+here: the in-fragment sort re-clusters repos as well as a repo-keyed
+shuffle does (7.196 vs 7.198 on a 100k-row corpus, 16 parts).
 
-The no-shuffle variant (`encode_dataset`) maps batches straight through the
-ChunkEncoder — used for round-trip correctness queries where partitioning is
-irrelevant.
+The no-partition variant (`encode_dataset`) maps batches straight through
+the ChunkEncoder — used for round-trip correctness queries where
+partitioning is irrelevant.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -41,34 +44,27 @@ from ..stages.encode import encode_table
 from ..state import lineage as lin
 
 
-def _plan_codecs(ds: rd.Dataset, cfg: EngineConfig) -> EngineConfig:
-    """Plan codecs ONCE on a driver-side sample and broadcast the choices.
+def _plan_codecs(ds: rd.Dataset, cfg: EngineConfig) -> dict:
+    """Plan codecs ONCE on a sample, in the calling process; returns
+    {column: (codec, outer)} for `encode_table(plan=...)`.
 
     Per-chunk trial encoding is numpy-allocation-heavy and anti-scales on
     memory-bound hosts; a single plan keeps per-task work dominated by the C
     kernels (memcpy/zstd/snappy/sha), which parallelize.  The per-chunk
     reference-policy floor still guards mispredictions (chunks where the
-    planned codec loses fall back to plain/dict+snappy)."""
-    import dataclasses
+    planned codec loses fall back to plain/dict+snappy).
 
+    Sets preserve_order on `ds`: otherwise take_batch returns whichever
+    blocks finish FIRST, and a load-dependent sample can flip near-tied codec
+    choices between runs (observed: content zstd7 vs zstd9, a 3% output-size
+    swing on identical input)."""
     from ..selector import select_codec
 
-    # deterministic sample: without preserve_order, take_batch returns
-    # whichever blocks finish FIRST, and a load-dependent sample can flip
-    # near-tied codec choices between runs (observed: content zstd7 vs zstd9,
-    # a 3% output-size swing on identical input).  Set it on the dataset's
-    # own captured context (the global flag alone does not affect `ds`).
-    ds_ctx = getattr(ds, "context", None)
-    if ds_ctx is not None:
-        prev_order = ds_ctx.execution_options.preserve_order
-        ds_ctx.execution_options.preserve_order = True
+    ds.context.execution_options.preserve_order = True
     try:
         sample = ds.take_batch(cfg.plan_sample_rows, batch_format="pyarrow")
     except ValueError:  # empty dataset: nothing to plan, per-chunk selection
-        return cfg
-    finally:
-        if ds_ctx is not None:
-            ds_ctx.execution_options.preserve_order = prev_order
+        return {}
     if cfg.sort_within_partition and {"repo", "path"} <= set(sample.column_names):
         # partitions are sorted before encoding — plan on sorted data so
         # order-sensitive codecs (delta_ba, rle) see realistic stats
@@ -93,134 +89,67 @@ def _plan_codecs(ds: rd.Dataset, cfg: EngineConfig) -> EngineConfig:
         values = col.drop_null() if col.null_count else col
         codec, outer, _ = select_codec(values, cfg, column=name)
         plan[name] = (codec, outer)
-    return dataclasses.replace(cfg, per_column_codec=plan)
+    return plan
 
 
-def add_partition_key(num_parts: int, salt_buckets: int):
-    """Vectorized salted partition key: hash(repo) -> part, with hot repos
-    fanned out over salt_buckets sub-partitions by a content-derived salt."""
+def _part_id(fragment: pa.Table) -> int:
+    """Non-negative 63-bit part id from the fragment's POSITION and CONTENT.
 
-    def fn(batch: pa.Table) -> pa.Table:
-        from ..stages.common import polars_mod as _pm
+    Position is the map task's index: the split emits its non-empty
+    fragments first and in input order (empty ones, when rows < num_parts,
+    go last and never reach the UDF), so the index depends only on the row
+    count and num_parts.  It keeps identical fragments apart — a table of
+    two equal halves, a constant column.  Content is the sha1 of the
+    fragment's Arrow IPC serialization, as write_par1_dataset names its
+    parts: a resume over changed input re-encodes a fragment instead of
+    skipping it."""
+    import hashlib
 
-        pl = _pm()
+    from ray.data._internal.execution.interfaces import TaskContext
 
-        # polars hash is vectorized C over the Arrow buffers — never convert
-        # string columns to Python objects in this hot path.  Tables without
-        # the code-corpus (repo, path) key partition by their first column.
-        if "repo" in batch.column_names and "path" in batch.column_names:
-            df = pl.from_arrow(batch.select(["repo", "path"]))
-            h = df["repo"].hash(seed=17).to_numpy().astype(np.uint64)
-            ph = df["path"].hash(seed=29).to_numpy().astype(np.uint64)
-        else:
-            key = batch.column_names[0]
-            df = pl.from_arrow(batch.select([key]))
-            h = df[key].hash(seed=17).to_numpy().astype(np.uint64)
-            ph = df[key].hash(seed=29).to_numpy().astype(np.uint64)
-        # salt: spread each repo over salt_buckets sub-partitions by path hash
-        salt = ph % np.uint64(max(salt_buckets, 1))
-        with np.errstate(over="ignore"):
-            part = (h * np.uint64(1000003) + salt) % np.uint64(num_parts)
-        return batch.append_column("__part", pa.array(part.astype(np.int64)))
+    from .native_io import _ipc_content_tag
 
-    return fn
+    ordinal = TaskContext.get_current().task_idx
+    key = f"{ordinal}:{_ipc_content_tag(fragment.combine_chunks())}"
+    return int(hashlib.sha1(key.encode()).hexdigest()[:16], 16) >> 1
 
 
-def pack_cells(num_parts: int, salt_buckets: int, codec: str = "lz4"):
-    """Partition-key assignment fused with shuffle-side packing.
-
-    Each (input block x partition) cell is serialized ONCE into a compressed
-    Arrow IPC blob, so the groupby exchange moves a few thousand compressed
-    blobs instead of every raw row: the sort machinery's per-row gather cost
-    collapses and the bytes crossing the object store shrink ~3x (measured:
-    the Sort operator fell from 16 s to ~2 s on the 596 MB corpus).  The
-    blobs are unpacked inside `encode_partition` — rows never touch the
-    driver."""
-    assign = add_partition_key(num_parts, salt_buckets)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        # IpcWriteOptions holds C state and cannot be pickled: build per call
-        opts = pa.ipc.IpcWriteOptions(compression=None if codec in (None, "none") else codec)
-        batch = assign(batch)
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "__part": pa.array([], pa.int64()),
-                    "__rows": pa.array([], pa.int64()),
-                    "__blob": pa.array([], pa.large_binary()),
-                }
-            )
-        part = np.asarray(batch["__part"])
-        raw = batch.drop_columns(["__part"])
-        order = np.argsort(part, kind="stable")
-        sp = part[order]
-        bounds = np.flatnonzero(sp[1:] != sp[:-1]) + 1
-        parts_out, rows_out, blobs = [], [], []
-        for run in np.split(order, bounds):
-            sub = raw.take(pa.array(run, pa.int64()))
-            sink = pa.BufferOutputStream()
-            with pa.ipc.new_stream(sink, sub.schema, options=opts) as w:
-                w.write_table(sub)
-            parts_out.append(int(part[run[0]]))
-            rows_out.append(sub.num_rows)
-            blobs.append(sink.getvalue().to_pybytes())
-        return pa.table(
-            {
-                "__part": pa.array(parts_out, pa.int64()),
-                "__rows": pa.array(rows_out, pa.int64()),
-                "__blob": pa.array(blobs, pa.large_binary()),
-            }
-        )
-
-    return fn
-
-
-def unpack_cells(group: pa.Table) -> pa.Table:
-    """Rebuild a partition's raw table from its packed IPC cells."""
-    col = group["__blob"].combine_chunks()
-    tables = []
-    for i in range(len(col)):
-        buf = col[i].as_buffer()  # zero-copy view into the block
-        tables.append(pa.ipc.open_stream(buf).read_all())
-    return pa.concat_tables(tables).combine_chunks()
-
-
-def encode_partition(group: pa.Table, cfg: EngineConfig, out_dir: str | None) -> pa.Table:
-    """map_groups body: one group = one output partition.
+def encode_partition(
+    fragment: pa.Table, cfg: EngineConfig, out_dir: str | None, plan: dict | None = None
+) -> pa.Table:
+    """map_batches body: one input fragment = one output partition.
 
     Deliberately a plain FUNCTION, not an actor: all dictionary/FSST state is
     chunk-local (SURVEY §7.3), so the stage is stateless and runs on Ray's
     persistent task workers — no per-execution actor cold-start (measured:
     30 actors importing numpy/pyarrow inside the timed window inverted the
     8->32 CPU scaling curve)."""
-    part = int(group["__part"][0].as_py())
-    if "__blob" in group.column_names:
-        group = unpack_cells(group)
-    else:
-        group = group.drop_columns(["__part"])
-    if cfg.sort_within_partition and {"repo", "path"} <= set(group.column_names):
+    if cfg.sort_within_partition and {"repo", "path"} <= set(fragment.column_names):
         idx = pc.sort_indices(
-            group.select(["repo", "path"]),
+            fragment.select(["repo", "path"]),
             sort_keys=[("repo", "ascending"), ("path", "ascending")],
         )
-        group = group.take(idx)
+        fragment = fragment.take(idx)
+    part = _part_id(fragment)
+    if out_dir is not None and lin.is_done(out_dir, part):
+        return _METRICS_SCHEMA.empty_table()
     t0 = time.time()
     chunk_tables = []
     bs = cfg.batch_size_rows
-    for lo in range(0, max(group.num_rows, 1), bs):
-        piece = group.slice(lo, bs)
+    for lo in range(0, max(fragment.num_rows, 1), bs):
+        piece = fragment.slice(lo, bs)
         if piece.num_rows == 0:
             continue
-        chunk_tables.append(encode_table(piece, cfg, part=part))
+        chunk_tables.append(encode_table(piece, cfg, part=part, plan=plan))
     chunks = (
         pa.concat_tables(chunk_tables)
         if chunk_tables
-        else encode_table(group, cfg, part=part).slice(0, 0)
+        else encode_table(fragment, cfg, part=part, plan=plan).slice(0, 0)
     )
     wall = time.time() - t0
     metrics = {
         "part": part,
-        "rows": int(group.num_rows),
+        "rows": int(fragment.num_rows),
         "raw_bytes": int(sum(chunks["raw_bytes"].to_pylist())),
         "enc_bytes": int(sum(chunks["enc_bytes"].to_pylist())),
         "ref_bytes": int(sum(chunks["ref_bytes"].to_pylist())),
@@ -231,103 +160,38 @@ def encode_partition(group: pa.Table, cfg: EngineConfig, out_dir: str | None) ->
         codecs = dict(zip(*np.unique(np.asarray(chunks["codec"]), return_counts=True))) if chunks.num_rows else {}
         lineage = dict(metrics, codecs={k: int(v) for k, v in codecs.items()})
         lin.write_partition(out_dir, part, chunks, lineage)
-        return pa.Table.from_pylist([metrics])
+        return pa.Table.from_pylist([metrics], schema=_METRICS_SCHEMA)
     return chunks
 
 
 def _task_cpus(cfg: EngineConfig) -> int:
-    """Per-encode-task CPU reservation sized so the number of CONCURRENT
-    encode slots scales with the cluster (~ncpu/4 slots after the hash
-    aggregators take their ncpu/4), instead of a fixed num_cpus=4 that
-    left an 8-CPU session with a single slot (aggregators 2 + one 4-CPU
-    task = 6 of 8; the second task never fit) and serialized the whole
-    encode there.  The deliberate under-subscription — more reserved CPUs
-    than the single-threaded task uses — still protects the memory bus at
-    32 CPUs (~8 concurrent allocation-heavy encoders, measured optimum)."""
+    """Per-encode-task CPU reservation: `cfg.cpus_per_encode_task`, capped
+    at half the cluster so at least two encode slots run concurrently (a
+    fixed num_cpus=4 once left an 8-CPU session a single slot and
+    serialized the whole encode).  The deliberate under-subscription — more
+    reserved CPUs than the single-threaded task uses — protects the memory
+    bus on large hosts: 8 concurrent encoders at 32 CPUs."""
     import ray as _ray
 
     try:
         total = int(_ray.cluster_resources().get("CPU", cfg.cpus_per_encode_task))
     except Exception:
         total = cfg.cpus_per_encode_task
-    avail = max(1, total - total // 4)  # hash-shuffle aggregator reservation
-    # ~ncpu/5 slots: A/B at 32 CPUs measured 6 slots at 6.8-7.4 s vs
-    # 8 slots at 10.3-13.5 s — the extra concurrency saturates the bus
-    # PGR_SLOT_DIV: tuning surface for the slots-vs-reservation tradeoff.
-    # Re-A/B'd after threaded outer compression landed (slices fill the
-    # reservation): div=4 (8 slots) 9.0/11.0 s vs div=5 (6 slots)
-    # 9.7/10.5 s at 32 CPUs — a wash inside host noise; the tuned 5 stays.
-    import os as _os
-
-    target_slots = max(2, total // int(_os.environ.get("PGR_SLOT_DIV", "5")))
-    fair = max(1, avail // target_slots)
-    return max(1, min(cfg.cpus_per_encode_task, fair, total // 2 or 1))
+    # A/B at 32 CPUs after threaded outer compression landed (slices fill
+    # the reservation): 8 slots 9.0/11.0 s vs 6 slots 9.7/10.5 s — a wash
+    # inside host noise.
+    return max(1, min(cfg.cpus_per_encode_task, total // 2))
 
 
-def encode_dataset(ds: rd.Dataset, cfg: EngineConfig = DEFAULT) -> rd.Dataset:
-    """No-shuffle encode: each Ray block batch -> one chunk set (stateless
+def encode_dataset(ds: rd.Dataset, cfg: EngineConfig = DEFAULT, plan: dict | None = None) -> rd.Dataset:
+    """No-partition encode: each Ray block batch -> one chunk set (stateless
     task pool; chunk-local codec state needs no actors)."""
-    import functools
-
     return ds.map_batches(
-        functools.partial(_encode_batch, cfg=cfg),
+        functools.partial(encode_table, cfg=cfg, plan=plan),
         batch_format="pyarrow",
         batch_size=cfg.batch_size_rows,
         num_cpus=_task_cpus(cfg),
     )
-
-
-def _encode_batch(batch: pa.Table, cfg: EngineConfig) -> pa.Table:
-    return encode_table(batch, cfg)
-
-
-_HASH_SHUFFLE_KNOBS = (
-    "default_hash_shuffle_parallelism",
-    "max_hash_shuffle_aggregators",
-    "hash_shuffle_operator_actor_num_cpus_per_partition_override",
-    "hash_aggregate_operator_actor_num_cpus_per_partition_override",
-)
-
-
-def _budget_hash_shuffle(dc, ncpu: int, num_parts: int) -> None:
-    """Pin the hash-shuffle aggregator pool to HALF the logical cluster.
-
-    Ray sizes aggregator CPU from the PHYSICAL host config (32 cores here),
-    not the ray.init(num_cpus=...) session, and defaults to 200 shuffle
-    partitions: a 4-CPU test session then gets an aggregator pool demanding
-    16 CPUs, the upstream map tasks starve, and the whole suite deadlocks.
-    Budget instead from the real cluster size and OUR partition count:
-    shuffle partitions = the groupby's group count (extra partitions would
-    just be empty), pool total = ncpu/4 regardless of partition count.
-    ncpu/4 — not /2 — because a plan can chain TWO hash shuffles (the
-    near-dup pipelines do: band exchange then pair exchange) and each gets
-    its own aggregator pool; at /2 the two pools reserved the whole cluster
-    and the upstream map tasks starved (observed live in driver_sim)."""
-    nparts = max(1, num_parts)
-    # assigning unknown attrs on DataContext silently CREATES them, so an
-    # AttributeError guard would be dead code and a renamed knob would no-op
-    # the deadlock protection without signal — gate on hasattr and warn
-    missing = [k for k in _HASH_SHUFFLE_KNOBS if not hasattr(dc, k)]
-    if missing:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "hash-shuffle knobs %s absent on this Ray's DataContext; "
-            "aggregator budgeting disabled (small sessions may starve)",
-            missing,
-        )
-        return
-    dc.default_hash_shuffle_parallelism = nparts
-    dc.max_hash_shuffle_aggregators = min(64, max(2, ncpu), nparts)
-    # PGR_AGG_DIV: tuning surface for the aggregator-pool share (re-A/B'd
-    # after the round-5 kernel levers shrank encode CPU ~35%: div 3 vs 4
-    # interleaved at 32 CPUs was a wash, 4 kept)
-    import os as _os
-
-    agg_div = float(_os.environ.get("PGR_AGG_DIV", "4"))
-    per_part = (ncpu / agg_div) / nparts
-    dc.hash_shuffle_operator_actor_num_cpus_per_partition_override = per_part
-    dc.hash_aggregate_operator_actor_num_cpus_per_partition_override = per_part
 
 
 def encode_partitioned(
@@ -336,44 +200,24 @@ def encode_partitioned(
     cfg: EngineConfig = DEFAULT,
     num_parts: int | None = None,
     total_bytes: int | None = None,
+    plan: dict | None = None,
 ) -> rd.Dataset:
-    """Salted-shuffle encode with per-partition checkpoints; returns the
-    metrics dataset (blobs go to out_dir) or the chunk dataset if out_dir is
-    None."""
+    """Map-only partitioned encode with per-partition checkpoints; returns
+    the metrics dataset (blobs go to out_dir) or the chunk dataset if
+    out_dir is None.  `plan` is a `_plan_codecs` result computed ahead of
+    time; None plans here when `cfg.plan_codecs_globally`."""
     import os as _os
 
     import ray as _ray
-    from ray.data import DataContext as _DC
 
-    # HASH_SHUFFLE streams the exchange through aggregator actors with no
-    # sort barrier.  Round-2 A/B on the sharded 596 MB corpus: hash
-    # 8.7/9.3/9.5 s vs push-based sort 9.7/29.8/46.5 s — equal best case,
-    # ~5x lower variance (the sort path's allocation-heavy reduce is
-    # hypersensitive to this host's slow memory phases).  Stability also
-    # directly tightens the two-level scaling measurement.
-    try:
-        ncpu = int(_ray.cluster_resources().get("CPU", 0)) or (_os.cpu_count() or 8)
-    except Exception:
-        ncpu = _os.cpu_count() or 8
-    # a Dataset CAPTURES a DataContext copy at creation: mutating only the
-    # global context after `read_parquet` silently leaves this dataset on the
-    # default sort path (observed: best-of-2 was unknowingly A/B-ing sort vs
-    # hash depending on creation order).  Mutate the dataset's OWN captured
-    # context — derived datasets (map_batches/groupby below) share that same
-    # object, so the whole job sees the knobs, while datasets created later
-    # in the process are untouched (a 3-partition test encode must not pin
-    # global shuffle parallelism to 3 for every subsequent unrelated groupby).
-    dc = getattr(ds, "context", None) or _DC.get_current()
-    try:
-        from ray.data.context import ShuffleStrategy
-
-        dc.shuffle_strategy = getattr(ShuffleStrategy, cfg.shuffle_strategy)
-    except (ImportError, AttributeError):  # older ray
-        dc.use_push_based_shuffle = True
     if num_parts is None:
         if cfg.partitions:
             num_parts = cfg.partitions
         else:
+            try:
+                ncpu = int(_ray.cluster_resources().get("CPU", 0)) or (_os.cpu_count() or 8)
+            except Exception:
+                ncpu = _os.cpu_count() or 8
             if total_bytes is None:
                 total_bytes = ds.size_bytes() or (64 << 20)
             # enough partitions to cap chunk memory AND keep every core busy,
@@ -381,81 +225,26 @@ def encode_partitioned(
             by_size = int(total_bytes // cfg.target_chunk_bytes)
             by_cpu = min(2 * ncpu, int(total_bytes // (8 << 20)))
             num_parts = max(1, by_size, by_cpu)
-    salt_planned = cfg.salt_buckets if cfg.salt_buckets is not None else num_parts
     if out_dir is not None:
-        # the row -> part mapping must be IDENTICAL across resume attempts:
-        # num_parts/salt derive from live cluster CPUs + size estimates, so
-        # a resume on different hardware would remap rows and silently skip
-        # those whose new part id collides with an already-done checkpoint.
-        # The plan persists before any partition encodes; resumes reuse it.
+        # fragments — and so part ids — depend on num_parts, which derives
+        # from live cluster CPUs + size estimates: a resume on different
+        # hardware must reuse the original split, or every fragment would
+        # re-encode under new ids beside the old ones.  The plan persists
+        # before any partition encodes; resumes reuse it.
         existing = lin.read_plan(out_dir)
         if existing is not None:
             num_parts = int(existing["num_parts"])
-            salt_planned = int(existing["salt"])
         else:
-            lin.write_plan(out_dir, {"num_parts": num_parts, "salt": salt_planned})
-    _budget_hash_shuffle(dc, ncpu, num_parts)
-    if cfg.plan_codecs_globally and not cfg.per_column_codec:
-        cfg = _plan_codecs(ds, cfg)
-    salt = salt_planned
-    if cfg.pack_shuffle:
-        ds = ds.map_batches(
-            pack_cells(num_parts, salt, cfg.pack_codec), batch_format="pyarrow"
-        )
-    else:
-        ds = ds.map_batches(add_partition_key(num_parts, salt), batch_format="pyarrow")
-    if out_dir is not None:
-        done = lin.done_parts(out_dir)
-        if done and set(range(num_parts)) <= done:
-            # fully resumed: nothing left to encode.  Short-circuit BEFORE the
-            # groupby — a hash-shuffle exchange over an empty dataset parks on
-            # min_hash_shuffle_aggregator_wait_time (~300 s) waiting for
-            # aggregator input that never comes.
-            return rd.from_arrow(
-                pa.table(
-                    {
-                        "part": pa.array([], pa.int64()),
-                        "rows": pa.array([], pa.int64()),
-                        "raw_bytes": pa.array([], pa.int64()),
-                        "enc_bytes": pa.array([], pa.int64()),
-                        "ref_bytes": pa.array([], pa.int64()),
-                        "chunks": pa.array([], pa.int64()),
-                        "encode_sec": pa.array([], pa.float64()),
-                    }
-                )
-            )
-        if done:
-            done_arr = np.array(sorted(done), dtype=np.int64)
-
-            def drop_done(batch: pa.Table) -> pa.Table:
-                mask = ~np.isin(np.asarray(batch["__part"]), done_arr)
-                return batch.filter(pa.array(mask))
-
-            # resume-only: materialize the REMAINING rows (bounded by the
-            # unfinished work set) so the emptiness check is free — a
-            # not-done partition can still hold zero rows (sparse key
-            # space), and a zero-block hash-shuffle exchange dies on a
-            # fabricated schema-less empty block
-            ds = ds.map_batches(drop_done, batch_format="pyarrow").materialize()
-            if ds.count() == 0:
-                return rd.from_arrow(_METRICS_SCHEMA.empty_table())
-    import functools
-
-    # map_groups == repartition(keys, sort) + map_batches(batch_size=None),
-    # but its wrapper yields NOTHING for an empty shuffle partition, so Ray
-    # fabricates a schema-less empty block and the executor warns on every
-    # such RefBundle.  Express the same plan directly: our block fn splits
-    # key runs itself and emits TYPED empties for empty partitions.
-    try:
-        shuffled = ds.repartition(num_parts, keys=["__part"], sort=True)
-    except TypeError:  # older ray: no keys= support; fall back to map_groups
-        return ds.groupby("__part").map_groups(
-            functools.partial(encode_partition, cfg=cfg, out_dir=out_dir),
-            batch_format="pyarrow",
-            num_cpus=_task_cpus(cfg),
-        )
-    return shuffled.map_batches(
-        functools.partial(_encode_groups_block, cfg=cfg, out_dir=out_dir),
+            lin.write_plan(out_dir, {"num_parts": num_parts})
+    # fragments are row ranges of the input ORDER, and a part id includes
+    # its fragment's index: pin the order on the dataset's own captured
+    # context (the global flag alone does not affect `ds`; derived datasets
+    # share this object), also when `plan` comes precomputed.
+    ds.context.execution_options.preserve_order = True
+    if plan is None:
+        plan = _plan_codecs(ds, cfg) if cfg.plan_codecs_globally and not cfg.per_column_codec else {}
+    return ds.repartition(num_parts).map_batches(
+        functools.partial(encode_partition, cfg=cfg, out_dir=out_dir, plan=plan),
         batch_format="pyarrow",
         batch_size=None,
         num_cpus=_task_cpus(cfg),
@@ -473,43 +262,6 @@ _METRICS_SCHEMA = pa.schema(
         ("encode_sec", pa.float64()),
     ]
 )
-
-_CHUNK_SCHEMA = pa.schema(
-    [
-        ("chunk_id", pa.string()),
-        ("part", pa.int64()),
-        ("column", pa.string()),
-        ("codec", pa.string()),
-        ("outer", pa.string()),
-        ("rows", pa.int64()),
-        ("nulls", pa.int64()),
-        ("raw_bytes", pa.int64()),
-        ("enc_bytes", pa.int64()),
-        ("ref_bytes", pa.int64()),
-        ("sha256", pa.string()),
-        ("blob", pa.large_binary()),
-    ]
-)
-
-
-def _encode_groups_block(
-    block: pa.Table, cfg: EngineConfig, out_dir: str | None
-) -> pa.Table:
-    """One sorted shuffle partition -> encode each __part run; typed empty
-    for empty partitions (keeps every block schema identical)."""
-    empty = _METRICS_SCHEMA.empty_table() if out_dir is not None else _CHUNK_SCHEMA.empty_table()
-    if block.num_rows == 0:
-        return empty
-    parts = np.asarray(block["__part"])
-    bounds = np.flatnonzero(parts[1:] != parts[:-1]) + 1
-    starts = np.concatenate(([0], bounds, [len(parts)]))
-    outs = []
-    for a, b in zip(starts[:-1], starts[1:]):
-        if b > a:
-            outs.append(encode_partition(block.slice(a, b - a), cfg, out_dir))
-    if not outs:
-        return empty
-    return pa.concat_tables(outs).cast(empty.schema)
 
 
 def decode_partitions(out_dir: str, parts: list[int] | None = None) -> rd.Dataset:

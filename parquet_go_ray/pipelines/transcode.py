@@ -1,7 +1,9 @@
 """Transcode pipelines closing the reference's reader/writer loop
 (reference: NewParquetWriter writer/writer.go:58-114 + NewParquetReader
 reader/reader.go:41-89): standard Parquet in -> encoded chunk checkpoints ->
-standard Parquet back out, all streaming."""
+standard Parquet back out.  Neither direction has a hash exchange: the
+encode splits the input into contiguous fragments (see encode_pipeline),
+and the decode reassembles chunks within blocks."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .encode_pipeline import decode_partitions, encode_partitioned
 
 
 def parquet_to_chunks(src, out_dir: str, cfg: EngineConfig = DEFAULT, **kw) -> rd.Dataset:
-    """read_parquet -> salted partitioned encode -> chunk checkpoints."""
+    """read_parquet -> map-only partitioned encode -> chunk checkpoints."""
     return encode_partitioned(_read_parquet_any(src), out_dir, cfg, **kw)
 
 

@@ -252,27 +252,20 @@ def select_codec(
             "column upstream"
         )
     best_ratio = min(r[0] for r in results)
-    # cost-weighted pick: score = ratio + speed_weight * slowdown.
-    #   static (default): slowdown from the calibrated constant table above —
-    #     selection is a deterministic function of the data, so the output
-    #     size cannot flip with the host's memory-bandwidth phase.
-    #   measured: slowdown = encode_sec / memcpy_sec on this sample, both
-    #     timed now (host-phase-NORMALIZED but still sample-noisy).
-    # size_tolerance remains a hard guard so the cost term can never pick a
-    # grossly larger codec; the per-chunk reference floor still bounds the
-    # final size from above.
+    # cost-weighted pick: score = ratio + speed_weight * slowdown, with the
+    # slowdown from the calibrated constant table above — selection is a
+    # deterministic function of the data, so the output size cannot flip
+    # with the host's memory-bandwidth phase.  size_tolerance remains a hard
+    # guard so the cost term can never pick a grossly larger codec; the
+    # per-chunk reference floor still bounds the final size from above.
     tol = best_ratio * cfg.size_tolerance
     eligible = [r for r in results if r[0] <= tol]
-    if cfg.cost_model == "static":
-        eligible.sort(
-            key=lambda r: (
-                r[0] + cfg.speed_weight * _static_slowdown(r[2], r[3], values.type, stats),
-                r[0],
-            )
+    eligible.sort(
+        key=lambda r: (
+            r[0] + cfg.speed_weight * _static_slowdown(r[2], r[3], values.type, stats),
+            r[0],
         )
-    else:
-        memcpy_bps = _memcpy_bps(sample)
-        eligible.sort(key=lambda r: (r[0] + cfg.speed_weight * r[1] * memcpy_bps, r[0]))
+    )
     _, _, codec, outer = eligible[0]
     stats["trial_ratios"] = ratios
     stats["trial_ns_per_byte"] = times
@@ -281,29 +274,6 @@ def select_codec(
         # chunk encoder doesn't redo the work
         stats["full_payload"] = payload_cache[codec]
     return codec, outer, stats
-
-
-def _memcpy_bps(sample: pa.Array) -> float:
-    """Memcpy throughput (bytes/sec) measured RIGHT NOW on this sample's
-    value buffer — the normalizer that makes codec-cost scoring independent
-    of the host's current memory-bandwidth phase."""
-    import time as _time
-
-    buf = max(
-        (b for b in sample.buffers() if b is not None),
-        key=lambda b: b.size,
-        default=None,
-    )
-    if buf is None or buf.size < 4096:
-        return 4e9  # too small to time; a nominal host speed
-    data = np.frombuffer(buf, dtype=np.uint8)
-    best = None
-    for _ in range(3):
-        t0 = _time.perf_counter()
-        data.copy()
-        dt = _time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return data.size / max(best, 1e-9)
 
 
 def _zlevel(outer: str, cfg: EngineConfig) -> int:

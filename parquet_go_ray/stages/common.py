@@ -7,49 +7,6 @@ import functools
 import pandas as pd
 import pyarrow as pa
 
-_ARENA_RETAINED: bool | None = None
-
-
-def retain_malloc_arena(
-    mmap_threshold: int = 256 << 20, trim_threshold: int = 256 << 20
-) -> bool:
-    """OPT-IN (PGR_ARENA=1): keep freed large allocations in the glibc arena
-    instead of returning them to the kernel (mallopt M_MMAP_THRESHOLD /
-    M_TRIM_THRESHOLD), so fresh np.empty per chunk reuses hot arena pages —
-    buffer reuse without threading scratch buffers through every kernel.
-
-    Default OFF after two independent interleaved A/Bs on the real headline
-    encode (see BASELINE.md "Allocation-churn"): the pure fresh-allocation
-    microbench gains 2.7x absolute and 1.63x aggregate 8->32-proc scaling
-    from arena retention, but the real pipeline's medians got WORSE and
-    noisier (retained 13.4 s vs default 8.7 s, 3x3 interleaved) — the encode
-    path is C-kernel/compression bound, and retained per-worker arenas only
-    raise RSS on this memory-bus-limited host.  The hook stays wired at
-    every encode/decode stage entry so a memory-rich multi-node deployment
-    can flip it with one env var.
-
-    Idempotent and safe: no-ops (returning False) on non-glibc platforms."""
-    global _ARENA_RETAINED
-    if _ARENA_RETAINED is not None:
-        return _ARENA_RETAINED
-    import os
-
-    if os.environ.get("PGR_ARENA", "0") != "1":  # opt-in, see docstring
-        _ARENA_RETAINED = False
-        return False
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL("libc.so.6")
-        # mallopt param ids (glibc malloc.h): M_TRIM_THRESHOLD=-1, M_MMAP_THRESHOLD=-3
-        ok = bool(libc.mallopt(-3, mmap_threshold)) and bool(
-            libc.mallopt(-1, trim_threshold)
-        )
-        _ARENA_RETAINED = ok
-    except Exception:
-        _ARENA_RETAINED = False
-    return _ARENA_RETAINED
-
 
 def pandas_to_arrow(df: pd.DataFrame) -> pa.Table:
     """pandas -> metadata-free Arrow.  Ray's own pandas->arrow block

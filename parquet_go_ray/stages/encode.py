@@ -32,15 +32,14 @@ META_COLS = ["chunk_id", "part", "column", "codec", "outer", "rows", "nulls",
              "raw_bytes", "enc_bytes", "ref_bytes", "sha256"]
 
 
-def encode_table(table: pa.Table, cfg: EngineConfig = DEFAULT, part: int = 0) -> pa.Table:
-    """Encode every column of `table` as one chunk; returns the chunk table."""
-    from .common import retain_malloc_arena
+def encode_table(
+    table: pa.Table, cfg: EngineConfig = DEFAULT, part: int = 0, plan: dict | None = None
+) -> pa.Table:
+    """Encode every column of `table` as one chunk; returns the chunk table.
 
-    retain_malloc_arena()  # idempotent; see common.py (buffer-reuse scaling)
-    drop = [c for c in ("__part",) if c in table.column_names]
-    if drop:
-        part = int(table["__part"][0].as_py())
-        table = table.drop_columns(drop)
+    `plan` maps column -> (codec, outer) chosen ahead of time (see
+    encode_pipeline._plan_codecs); unlike `cfg.per_column_codec`, a planned
+    codec is still subject to the reference floor."""
     shas = [column_sha256(table[c]) for c in table.column_names]
     chunk_id = hashlib.sha256("|".join(shas).encode()).hexdigest()[:20]
     rows = {k: [] for k in META_COLS + ["blob"]}
@@ -79,7 +78,11 @@ def encode_table(table: pa.Table, cfg: EngineConfig = DEFAULT, part: int = 0) ->
             rows["blob"].append(row["blob"])
             continue
         values = col.drop_null() if col.null_count else col
-        codec, outer, stats = select_codec(values, cfg, column=name)
+        codec, outer, stats = (
+            (*plan[name], {})
+            if plan and name in plan and name not in cfg.per_column_codec
+            else select_codec(values, cfg, column=name)
+        )
         # sha already computed above for the chunk id — don't recompute per row
         row = encode_column_chunk(
             col, codec, outer, cfg, precomputed=stats.get("full_payload"),
@@ -114,8 +117,9 @@ def encode_table(table: pa.Table, cfg: EngineConfig = DEFAULT, part: int = 0) ->
             forced = name in (cfg.per_column_codec or {})
             if best_ref is not None:
                 ref_bytes = best_ref["enc_bytes"]
-                # the <=-reference guarantee applies to AUTO-selected codecs;
-                # an explicit per-column override is honored as-is
+                # the <=-reference guarantee applies to auto-selected and
+                # planned codecs; an explicit per-column override is
+                # honored as-is
                 if not forced and best_ref["enc_bytes"] < row["enc_bytes"]:
                     row = best_ref
         rows["chunk_id"].append(chunk_id)
@@ -149,8 +153,8 @@ def encode_table(table: pa.Table, cfg: EngineConfig = DEFAULT, part: int = 0) ->
 
 
 class ChunkEncoder:
-    """Actor-pool stage: holds config + warmed scratch (malloc arenas, codec
-    tables) across batches; setup once per actor (__init__), work per batch."""
+    """Actor-pool stage: holds config across batches; setup once per actor
+    (__init__), work per batch."""
 
     def __init__(self, cfg: EngineConfig = DEFAULT):
         self.cfg = cfg
@@ -166,9 +170,6 @@ class ChunkDecoder:
     grouping/shuffle at all."""
 
     def __init__(self, recompute_sha: bool = True):
-        from .common import retain_malloc_arena
-
-        retain_malloc_arena()
         self.recompute_sha = recompute_sha
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -171,10 +171,10 @@ def read_plan(out_dir: str) -> dict | None:
 
 def write_plan(out_dir: str, plan: dict) -> None:
     """Persist the partitioning plan FIRST (before any partition encodes):
-    resume must reuse the original num_parts/salt — they derive from live
-    cluster CPUs and size estimates, so a resume on different hardware
-    would remap rows to different part ids and silently skip rows whose
-    NEW id collides with an already-done part."""
+    resume must reuse the original num_parts — it derives from live cluster
+    CPUs and size estimates, so a resume on different hardware would split
+    the input into different fragments and re-encode every row under new
+    part ids beside the old ones."""
     out_dir = _norm(out_dir)
     if _is_uri(out_dir):
         fs, root = _fs(out_dir)

@@ -142,9 +142,9 @@ def test_decimal_roundtrip():
 
 def test_codec_selection_deterministic():
     """Static cost model: selection is a pure function of the data — the
-    same column must produce the same (codec, outer) on every call (the
-    measured path flipped near-tied choices with host memory-bandwidth
-    phase; see config.cost_model)."""
+    same column must produce the same (codec, outer) on every call (a
+    measured-cost model flipped near-tied choices with host
+    memory-bandwidth phase)."""
     import numpy as np
 
     from parquet_go_ray.config import EngineConfig
@@ -159,7 +159,6 @@ def test_codec_selection_deterministic():
         "floats": pa.array(rng.normal(size=20000)),
     }
     cfg = EngineConfig()
-    assert cfg.cost_model == "static"
     for name, arr in cols.items():
         first = select_codec(arr, cfg)[:2]
         for _ in range(3):

@@ -1,4 +1,4 @@
-"""End-to-end: synth corpus -> salted partitioned encode -> checkpointed
+"""End-to-end: synth corpus -> map-only partitioned encode -> checkpointed
 chunks -> decode-verify -> resume skips finished partitions.
 Models the reference's writer round-trip tests (writer/writer_test.go:20-143)
 at pipeline scale."""
@@ -72,6 +72,138 @@ def test_encode_partitioned_and_resume(ray_session, tmp_path):
     assert m2.count() == 0
 
 
+def _slices(t: pa.Table, k: int) -> list[pa.Table]:
+    n = t.num_rows
+    return [t.slice(i * n // k, (i + 1) * n // k - i * n // k) for i in range(k)]
+
+
+def test_crash_resume_reencodes_only_lost_part(ray_session, tmp_path):
+    """A lost partition is re-encoded alone and identically, even when the
+    resume reads the same rows in a different block layout."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines.encode_pipeline import (
+        decode_partitions,
+        encode_partitioned,
+    )
+    from parquet_go_ray.stages.encode import reassemble_blocks
+    from parquet_go_ray.state import lineage as lin
+
+    out = str(tmp_path / "enc")
+    t = make_code_table(2000, seed=5)
+    cfg = EngineConfig(batch_size_rows=300)
+    first = encode_partitioned(rd.from_arrow(_slices(t, 3)), out, cfg, num_parts=4).to_pandas()
+    assert len(first) == 4
+    done = lin.done_parts(out)
+    assert done == set(first.part)
+
+    lost = sorted(done)[1]
+    lost_chunks = pq.read_table(f"{lin.part_dir(out, lost)}/chunks.parquet")
+    shutil.rmtree(lin.part_dir(out, lost))
+
+    again = encode_partitioned(rd.from_arrow(_slices(t, 7)), out, cfg, num_parts=4).to_pandas()
+    assert again.part.tolist() == [lost]
+    assert lin.done_parts(out) == done
+    assert pq.read_table(f"{lin.part_dir(out, lost)}/chunks.parquet").equals(lost_chunks)
+
+    back = (
+        decode_partitions(out)
+        .map_batches(reassemble_blocks, batch_format="pyarrow", batch_size=None)
+        .to_pandas()
+    )
+    key = list(t.column_names)
+    assert len(back) == t.num_rows
+    pd.testing.assert_frame_equal(
+        back[key].sort_values(key).reset_index(drop=True),
+        t.to_pandas()[key].sort_values(key).reset_index(drop=True),
+    )
+
+
+@pytest.mark.parametrize("halves,num_parts", [(2, 2), (1, 8)])
+def test_identical_fragments_keep_every_row(ray_session, tmp_path, halves, num_parts):
+    """Fragments with equal rows (a table of two identical halves) and
+    empty fragments (fewer rows than parts) each keep their own part: every
+    input row is encoded once, and a resume from another layout skips all."""
+    import pandas as pd
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines.encode_pipeline import (
+        decode_partitions,
+        encode_partitioned,
+    )
+    from parquet_go_ray.stages.encode import reassemble_blocks
+    from parquet_go_ray.state import lineage as lin
+
+    half = make_code_table(300 if halves == 2 else 3, seed=9)
+    t = pa.concat_tables([half] * halves)
+    out = str(tmp_path / "enc")
+    cfg = EngineConfig(batch_size_rows=100)
+    m = encode_partitioned(rd.from_arrow(t), out, cfg, num_parts=num_parts).to_pandas()
+    assert m.rows.sum() == t.num_rows
+    assert m.part.is_unique
+    assert lin.done_parts(out) == set(m.part)
+
+    back = (
+        decode_partitions(out)
+        .map_batches(reassemble_blocks, batch_format="pyarrow", batch_size=None)
+        .to_pandas()
+    )
+    key = list(t.column_names)
+    assert len(back) == t.num_rows
+    pd.testing.assert_frame_equal(
+        back[key].sort_values(key).reset_index(drop=True),
+        t.to_pandas()[key].sort_values(key).reset_index(drop=True),
+    )
+    again = encode_partitioned(rd.from_arrow(_slices(t, 3)), out, cfg, num_parts=num_parts)
+    assert again.count() == 0
+
+
+_ONE_CPU_SCRIPT = """
+import sys
+import ray
+import ray.data as rd
+from parquet_go_ray.config import EngineConfig
+from parquet_go_ray.pipelines.encode_pipeline import encode_partitioned
+from parquet_go_ray.sources.synth import make_code_table
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+t = make_code_table(2000, seed=9)
+m = encode_partitioned(rd.from_arrow(t), sys.argv[1], EngineConfig(batch_size_rows=500), num_parts=4)
+assert sum(m.to_pandas().rows) == 2000
+ray.shutdown()
+print("OK")
+"""
+
+
+def test_encode_partitioned_one_cpu_completes(tmp_path):
+    """A one-CPU session must finish the encode: there is no exchange whose
+    actors hold back part of the only CPU from the map tasks."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT, str(tmp_path / "enc")],
+        cwd=root,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        log, _ = proc.communicate(timeout=150)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("encode_partitioned did not finish in 150 s at num_cpus=1")
+    assert proc.returncode == 0 and "OK" in log, log[-2000:]
+
+
 def test_manifest_rollup(ray_session, tmp_path):
     import ray.data as rd
 
@@ -143,13 +275,13 @@ def test_per_row_content_sha256_equality(ray_session, tmp_path):
     assert sorted(shas_out) == sha_in
 
 
-def test_salting_bounds_giant_repo_skew(ray_session):
-    """North rule: one repo holding 80% of rows must be fanned out over
-    salt_buckets sub-partitions, not land in one partition."""
-    import numpy as np
-    import pyarrow as pa
+def test_split_balances_giant_repo_skew(ray_session):
+    """North rule: one repo holding 80% of rows must not make one partition
+    hold it all.  Fragments are cut by row count, not by key, so every
+    partition gets the same number of rows whatever the key skew."""
+    import ray.data as rd
 
-    from parquet_go_ray.pipelines.encode_pipeline import add_partition_key
+    from parquet_go_ray.pipelines.encode_pipeline import encode_partitioned
 
     n = 20000
     repo = [
@@ -161,14 +293,13 @@ def test_salting_bounds_giant_repo_skew(ray_session):
             "path": pa.array([f"src/f{i}.py" for i in range(n)]),
         }
     )
-    repo = np.array(repo)
-    out = add_partition_key(num_parts=64, salt_buckets=8)(t)
-    parts = np.asarray(out["__part"])
-    giant_parts = set(parts[np.asarray(out["repo"]) == "org/giant"].tolist())
-    assert len(giant_parts) == 8  # exactly salt_buckets sub-partitions
-    # largest partition holds ~1/8 of the giant repo, not all of it
-    counts = np.bincount(parts, minlength=64)
-    assert counts.max() < 0.85 * n * 0.8 / 4  # far below unsalted worst case
+    cfg = EngineConfig(batch_size_rows=5000, plan_codecs_globally=False)
+    chunks = encode_partitioned(rd.from_arrow([t.slice(0, 13000), t.slice(13000)]), None, cfg, num_parts=8)
+    chunks = chunks.to_pandas()
+    rows = chunks[chunks.column == "repo"].groupby("part").rows.sum()
+    assert len(rows) == 8
+    assert rows.sum() == n
+    assert rows.max() - rows.min() <= 1
 
 
 def test_chunkcat_tool(ray_session, tmp_path):
@@ -249,38 +380,6 @@ def test_encode_partitioned_with_struct_column(ray_session, tmp_path):
         if found:
             break
     assert found
-
-
-def test_encode_partitioned_pack_shuffle(ray_session, tmp_path):
-    """pack_shuffle=True moves compressed IPC cell blobs through the
-    exchange instead of raw rows; output must be identical to the
-    unpacked path (same chunks, same decode)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from parquet_go_ray.pipelines.encode_pipeline import (
-        decode_partitions,
-        encode_partitioned,
-    )
-    from parquet_go_ray.stages.encode import reassemble_chunk
-
-    out = str(tmp_path / "enc_pack")
-    t = make_code_table(1200, seed=13)
-    cfg = EngineConfig(batch_size_rows=600, pack_shuffle=True)
-    metrics = encode_partitioned(
-        rd.from_arrow(t), out, cfg, num_parts=3
-    ).to_pandas()
-    assert metrics.rows.sum() == 1200
-
-    cdf = decode_partitions(out).to_pandas()
-    parts = []
-    for cid, g in cdf.groupby("chunk_id", sort=False):
-        parts.append(reassemble_chunk(pa.Table.from_pandas(g)).to_pandas())
-    got = pd.concat(parts, ignore_index=True)
-    key = ["repo", "path", "commit", "lang", "content"]
-    got_s = got[key].sort_values(key).reset_index(drop=True)
-    orig_s = t.to_pandas()[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got_s, orig_s)
 
 
 def test_write_par1_dataset_roundtrip_and_resume(ray_session, tmp_path):
@@ -1103,14 +1202,13 @@ def test_resume_reuses_persisted_plan(ray_session, tmp_path):
     cfg = EngineConfig(partitions=4, plan_codecs_globally=False, verify_sha256=False)
     encode_partitioned(rd.from_arrow(t), out, cfg).materialize()
     plan = lin.read_plan(out)
-    assert plan == {"num_parts": 4, "salt": 4}
+    assert plan == {"num_parts": 4}
     # a "resume" with a DIFFERENT requested partitioning must stick to the
     # recorded plan (4), not remap rows into 2 parts
     cfg2 = EngineConfig(partitions=2, plan_codecs_globally=False, verify_sha256=False)
     m = encode_partitioned(rd.from_arrow(t), out, cfg2).materialize()
-    # all rows were checkpointed under plan=4 (7 repos can leave a part
-    # legitimately empty, which also exercises the empty-remainder resume
-    # guard); under a remapped plan=2 they would instead re-encode
+    # all rows were checkpointed under plan=4; under a remapped plan=2 the
+    # fragments (and so their part ids) would differ and re-encode
     assert m.count() == 0
-    assert len(lin.done_parts(out)) >= 3
-    assert lin.read_plan(out) == {"num_parts": 4, "salt": 4}
+    assert len(lin.done_parts(out)) == 4
+    assert lin.read_plan(out) == {"num_parts": 4}

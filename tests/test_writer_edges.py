@@ -36,6 +36,33 @@ def test_all_null_column_stats():
     assert arr.null_count == 10
 
 
+def _floor_table() -> pa.Table:
+    import numpy as np
+
+    n = 10000
+    return pa.table({"ids": pa.array(np.arange(n, dtype=np.int64)), "flag": pa.array([7] * n, pa.int64())})
+
+
+def test_reference_floor_replaces_losing_planned_codec():
+    """A planned codec that loses to the reference policy on a chunk is
+    replaced there; one that wins is kept."""
+    plan = {"ids": ("delta_bp", "none"), "flag": ("plain", "none")}
+    chunks = encode_table(_floor_table(), EngineConfig(), plan=plan)
+    by_col = {r["column"]: r for r in chunks.select(["column", "codec", "outer", "enc_bytes", "ref_bytes"]).to_pylist()}
+    assert (by_col["ids"]["codec"], by_col["ids"]["outer"]) == ("delta_bp", "none")
+    assert (by_col["flag"]["codec"], by_col["flag"]["outer"]) != ("plain", "none")
+    assert all(r["enc_bytes"] <= r["ref_bytes"] for r in by_col.values())
+
+
+def test_per_column_codec_override_skips_reference_floor():
+    """A caller's per_column_codec is honored as-is, even where it loses."""
+    cfg = EngineConfig(per_column_codec={"flag": ("plain", "none")})
+    chunks = encode_table(_floor_table(), cfg)
+    row = [r for r in chunks.select(["column", "codec", "outer", "enc_bytes", "ref_bytes"]).to_pylist() if r["column"] == "flag"][0]
+    assert (row["codec"], row["outer"]) == ("plain", "none")
+    assert row["enc_bytes"] > row["ref_bytes"]
+
+
 def test_double_finalize_idempotent(tmp_path):
     """Retrying write_partition keeps the first write (writer_test.go's
     double-WriteStop analog for distributed retries)."""
