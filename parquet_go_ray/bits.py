@@ -3,8 +3,9 @@
 Semantics follow the Parquet encoding spec, pinned by the reference's golden
 byte vectors (reference: encoding/encodingwrite.go:132-270 for
 varint / RLE / LSB-first bit-packing; encoding/encodingwrite_test.go:33-102).
-All hot paths are vectorized numpy; Python loops only touch per-run /
-per-block header assembly, never per-value work.
+All hot paths are vectorized numpy.  Python loops touch only per-run /
+per-block headers (varints, width bytes); per-miniblock and per-value work
+is whole-page numpy, with one `unpack_bits` call per distinct bit width.
 """
 
 from __future__ import annotations
@@ -94,19 +95,43 @@ def pack_bits(vals: np.ndarray, width: int) -> bytes:
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
 
 
-def unpack_bits(buf, width: int, count: int, offset: int = 0) -> np.ndarray:
-    """Inverse of pack_bits: read `count` values of `width` bits from buf[offset:]."""
-    if width == 0:
-        return np.zeros(count, dtype=np.uint64)
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
-    nbytes = (count * width + 7) // 8
-    raw = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
-    bits = np.unpackbits(raw, bitorder="little")[: count * width]
-    shifts = np.arange(width, dtype=np.uint64)
-    return ((bits.reshape(count, width).astype(np.uint64)) << shifts).sum(
-        axis=1, dtype=np.uint64
-    )
+def unpack_bits(
+    buf, width: int, count: int, offset: int = 0, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of pack_bits: read `count` values of `width` bits from buf[offset:].
+
+    With `starts` (byte offsets into buf), read `count` values at each offset
+    instead and return the runs concatenated, so one call unpacks every
+    equal-width run of a page.
+
+    Gather-shift-mask: the value at bit p is the little-endian 64-bit word at
+    byte p >> 3, shifted right by p & 7 and masked to `width` bits; above 57
+    bits a value can straddle a ninth byte, whose bits are or-ed in.  Words
+    are read from a zero-padded copy of the bytes the runs cover, and a run
+    reaching past the end of buf raises ValueError.
+    """
+    if not 0 <= width <= 64:
+        raise ValueError(f"bit width {width} outside 0..64")
+    starts = np.array([offset], np.int64) if starts is None else np.asarray(starts, np.int64)
+    if width == 0 or count == 0 or len(starts) == 0:
+        return np.zeros(count * len(starts), dtype=np.uint64)
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    lo = int(starts.min())
+    hi = int(starts.max()) + (count * width + 7) // 8
+    if lo < 0 or hi > len(raw):
+        raise ValueError(f"bit-packed run [{lo}, {hi}) outside a {len(raw)}-byte buffer")
+    padded = np.zeros(hi - lo + 16, dtype=np.uint8)
+    padded[: hi - lo] = raw[lo:hi]
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    bitpos = (((starts - lo) * 8)[:, None] + np.arange(count, dtype=np.int64) * width).reshape(-1)
+    byte = bitpos >> 3
+    shift = (bitpos & 7).astype(np.uint64)
+    vals = words[byte] >> shift
+    if width > 57:
+        vals |= (padded[byte + 8].astype(np.uint64) << np.uint64(1)) << (np.uint64(63) - shift)
+    if width < 64:
+        vals &= np.uint64((1 << width) - 1)
+    return vals
 
 
 def write_uvarints(vals: np.ndarray) -> bytes:

@@ -12,7 +12,11 @@ miniblocks get width 0 and no payload.
 Vectorization: np.diff for deltas (wraparound int64 semantics, same as Go),
 per-block/per-miniblock reductions via reshape, packing grouped BY WIDTH so
 each distinct width costs one vectorized packbits call instead of a Python
-loop per miniblock.
+loop per miniblock.  Decode has the same shape: one Python pass over the
+block headers only (min-delta varint, width bytes, payload length), then the
+miniblock offsets come from a cumsum of the width matrix, every miniblock of
+one width is unpacked by one `unpack_bits` call, each block's min delta is
+added by broadcasting, and one cumsum rebuilds the values.
 
 DELTA_BYTE_ARRAY prefix lengths are computed vectorized on a byte matrix of
 the first `PREFIX_CAP` bytes of each value (any prefix <= the true common
@@ -31,6 +35,7 @@ from ..bits import (
     read_uvarint,
     unpack_bits,
     write_uvarint,
+    zigzag_decode,
     zigzag_decode_scalar,
     zigzag_encode_scalar,
 )
@@ -127,40 +132,71 @@ def delta_bp_encode_np(v: np.ndarray) -> bytes:
 
 
 def delta_bp_decode_np(buf: bytes, pos: int = 0) -> tuple[np.ndarray, int]:
-    block, pos = read_uvarint(buf, pos)
-    mbs, pos = read_uvarint(buf, pos)
-    n, pos = read_uvarint(buf, pos)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), pos
-    zz, pos = read_uvarint(buf, pos)
+    """Decode one DELTA_BINARY_PACKED stream at buf[pos:] -> (int64 values, end pos).
+
+    Malformed geometry, a bit width above 64 and a truncated stream raise
+    ValueError."""
+    try:
+        block, pos = read_uvarint(buf, pos)
+        mbs, pos = read_uvarint(buf, pos)
+        n, pos = read_uvarint(buf, pos)
+        if block <= 0 or block % 128 or mbs <= 0 or block % mbs or (block // mbs) % 32:
+            raise ValueError(
+                f"DELTA_BINARY_PACKED: block of {block} in {mbs} miniblocks is not"
+                " a multiple of 128 split into multiples of 32"
+            )
+        if n == 0:
+            return np.empty(0, dtype=np.int64), pos
+        zz, pos = read_uvarint(buf, pos)
+        mb_vals = block // mbs
+        nd = n - 1
+        nblocks = -(-nd // block)
+        if nblocks * (1 + mbs) > len(buf) - pos:  # each block header is >= 1 + mbs bytes
+            raise ValueError("DELTA_BINARY_PACKED: truncated stream")
+        last_used = -(-(nd - (nblocks - 1) * block) // mb_vals)
+        # header pass: per block its min-delta varint and where its widths sit
+        min_zz, heads = [], []
+        for b in range(nblocks):
+            z, pos = read_uvarint(buf, pos)
+            min_zz.append(z)
+            heads.append(pos)
+            used = buf[pos : pos + (mbs if b + 1 < nblocks else last_used)]
+            pos += mbs + sum(used) * mb_vals // 8
+    except IndexError:
+        raise ValueError("DELTA_BINARY_PACKED: truncated stream") from None
+    if pos > len(buf):
+        raise ValueError("DELTA_BINARY_PACKED: truncated stream")
     first = zigzag_decode_scalar(zz)
     out = np.empty(n, dtype=np.int64)
     out[0] = first
-    nd = n - 1
-    mb_vals = block // mbs
-    deltas = np.empty(((nd + block - 1) // block) * block, dtype=np.int64)
-    got = 0
-    while got < nd:
-        zz, pos = read_uvarint(buf, pos)
-        min_delta = zigzag_decode_scalar(zz)
-        widths = list(buf[pos : pos + mbs])
-        pos += mbs
-        remaining = nd - got
-        mb_used = min(mbs, (remaining + mb_vals - 1) // mb_vals)
-        for m in range(mb_used):
-            w = widths[m]
-            vals = unpack_bits(buf, w, mb_vals, offset=pos)
-            pos += w * mb_vals // 8
-            with np.errstate(over="ignore"):
-                deltas[got : got + mb_vals] = vals.view(np.int64) + np.int64(min_delta)
-            got += mb_vals
-    with np.errstate(over="ignore"):
-        np.cumsum(deltas[:nd].view(np.uint64), out=out[1:].view(np.uint64))
-        np.add(
-            out[1:].view(np.uint64),
-            np.uint64(first & 0xFFFFFFFFFFFFFFFF),  # negative first: mask before uint64 cast
-            out=out[1:].view(np.uint64),
-        )
+    if nd == 0:
+        return out, pos
+    heads = np.array(heads, dtype=np.int64)
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    widths = raw[heads[:, None] + np.arange(mbs)].astype(np.int64)
+    widths[-1, last_used:] = 0  # widths of unneeded miniblocks may be arbitrary
+    if widths.max() > 64:
+        raise ValueError(f"DELTA_BINARY_PACKED: bit width {widths.max()} above 64")
+    # miniblock payloads follow their block's widths back to back
+    mb_bytes = widths * (mb_vals // 8)
+    mb_start = (heads + mbs)[:, None] + np.cumsum(mb_bytes, axis=1) - mb_bytes
+    flat_w, flat_start = widths.reshape(-1), mb_start.reshape(-1)
+    deltas = np.zeros((nblocks * mbs, mb_vals), dtype=np.uint64)
+    for w in np.unique(flat_w[flat_w > 0]):
+        sel = np.flatnonzero(flat_w == w)
+        deltas[sel] = unpack_bits(buf, int(w), mb_vals, starts=flat_start[sel]).reshape(-1, mb_vals)
+    try:
+        mins = zigzag_decode(np.array(min_zz, dtype=np.uint64)).view(np.uint64)
+    except OverflowError:
+        raise ValueError("DELTA_BINARY_PACKED: min delta wider than 64 bits") from None
+    deltas = deltas.reshape(nblocks, block)
+    deltas += mins[:, None]  # uint64 add: wraps like Go's int64
+    np.cumsum(deltas.reshape(-1)[:nd], out=out[1:].view(np.uint64))
+    np.add(
+        out[1:].view(np.uint64),
+        np.uint64(first & 0xFFFFFFFFFFFFFFFF),  # negative first: mask before uint64 cast
+        out=out[1:].view(np.uint64),
+    )
     return out, pos
 
 

@@ -99,30 +99,44 @@ def _bitpacked_span(v: np.ndarray, start: int, count: int, width: int, final: bo
 
 
 def decode_hybrid(buf: bytes, width: int, count: int, pos: int = 0) -> tuple[np.ndarray, int]:
-    """Decode `count` values; returns (values uint64, end_pos)."""
-    out = np.empty(count, dtype=np.uint64)
-    filled = 0
+    """Decode `count` values; returns (values uint64, end_pos).
+
+    One Python pass reads the run headers; one `unpack_bits` call then reads
+    the 8-value groups of every bit-packed run (a stream has one width) and
+    np.repeat expands the RLE runs.  The last run may overshoot `count`."""
     vbytes = (width + 7) // 8
     n = len(buf)
+    lens, values, packed = [], [], []  # per run: values taken, RLE value, is bit-packed
+    bp_pos, bp_groups = [], []  # per bit-packed run: payload start, groups taken
+    filled = 0
     while filled < count and pos < n:
         header, pos = read_uvarint(buf, pos)
         if header & 1:  # bit-packed: (header>>1) groups of 8
-            num = (header >> 1) * 8
-            nbytes = num * width // 8
-            vals = unpack_bits(buf, width, num, offset=pos)
-            pos += nbytes
-            take = min(num, count - filled)
-            out[filled : filled + take] = vals[:take]
-            filled += take
+            groups = header >> 1
+            take = min(groups * 8, count - filled)
+            bp_pos.append(pos)
+            bp_groups.append(-(-take // 8))
+            pos += groups * width
+            if pos > n:
+                raise ValueError(f"hybrid stream: bit-packed run ends past byte {n}")
+            values.append(0)
         else:  # RLE run
-            run_len = header >> 1
-            value = int.from_bytes(buf[pos : pos + vbytes], "little") if vbytes else 0
+            take = min(header >> 1, count - filled)
+            values.append(int.from_bytes(buf[pos : pos + vbytes], "little") if vbytes else 0)
             pos += vbytes
-            take = min(run_len, count - filled)
-            out[filled : filled + take] = value
-            filled += take
+        lens.append(take)
+        packed.append(header & 1)
+        filled += take
     if filled < count:
         raise ValueError(f"hybrid stream exhausted: {filled}/{count}")
+    out = np.repeat(np.array(values, dtype=np.uint64), lens)
+    if bp_pos and width:
+        groups = np.array(bp_groups, dtype=np.int64)
+        first = np.cumsum(groups) - groups  # index of each run's first group
+        starts = np.repeat(np.array(bp_pos, dtype=np.int64) - first * width, groups)
+        starts += np.arange(len(starts), dtype=np.int64) * width
+        mask = np.repeat(np.array(packed, dtype=bool), lens)
+        out[mask] = unpack_bits(buf, width, 8, starts=starts)[: np.count_nonzero(mask)]
     return out, pos
 
 
