@@ -83,20 +83,14 @@ def delta_bp_encode_np(v: np.ndarray) -> bytes:
     with np.errstate(over="ignore"):
         norm = (blocks - mins[:, None]).view(np.uint64)
 
-    # per-miniblock widths: bits.Len64(max)
+    # per-miniblock widths: bits.Len64(max).  frexp's exponent is the exact
+    # bit length of an exactly representable float, so it runs on the two
+    # 32-bit halves: a float64 log2 of the whole word rounds up near 2^k.
     mb = norm.reshape(nblocks, MINIBLOCKS, MB_VALUES)
     mb_max = mb.max(axis=2)
-    widths = np.zeros((nblocks, MINIBLOCKS), dtype=np.int64)
-    nz = mb_max > 0
-    widths[nz] = np.floor(np.log2(mb_max[nz].astype(np.float64))).astype(np.int64) + 1
-    # float path is wrong above 2^53 — fix up exactly with a bit-length check
-    big = mb_max >= (1 << 52)
-    if big.any():
-        widths[big] = [int(x).bit_length() for x in mb_max[big]]
-    else:
-        # cheap exactness guard: recompute where 1<<width <= max
-        bad = (widths > 0) & (widths < 64) & ((np.uint64(1) << widths.astype(np.uint64)) <= mb_max)
-        widths[bad] += 1
+    _, hi_len = np.frexp((mb_max >> np.uint64(32)).astype(np.float64))
+    _, lo_len = np.frexp((mb_max & np.uint64(0xFFFFFFFF)).astype(np.float64))
+    widths = np.where(hi_len > 0, hi_len + 32, lo_len).astype(np.int64)
 
     # number of miniblocks that actually carry values, per block
     mb_counts = np.full(nblocks, MINIBLOCKS, dtype=np.int64)

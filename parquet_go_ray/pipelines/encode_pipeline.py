@@ -1,10 +1,14 @@
 """The flagship pipeline: Parquet source-code table -> encoded column chunks.
 
-Ray-Data shape — map-only, no hash exchange:
+Ray-Data shape — map-only, no hash exchange, the input read once:
 
     read_parquet(columns=needed)
-      -> repartition(num_parts)        [split: contiguous, equal row counts]
-      -> map_batches(encode_partition, batch_size=None)   [one task/fragment]
+      -> repartition(num_parts).materialize()
+           [split: contiguous, equal row counts; runs when called]
+      -> _plan_codecs on the split's leading plan_sample_rows rows
+           [driver; the blocks are fetched, the input is not read again]
+      -> map_batches(encode_partition, batch_size=None)
+           [lazy; one task per fragment, the tasks run concurrently]
            - local sort by (repo, path)  (helps DELTA_BYTE_ARRAY/dicts;
              local pc.sort_indices, never a global sort)
            - part id = digest of (fragment index, sorted rows); a part
@@ -44,27 +48,23 @@ from ..stages.encode import encode_table
 from ..state import lineage as lin
 
 
-def _plan_codecs(ds: rd.Dataset, cfg: EngineConfig) -> dict:
+def _plan_codecs(sample: pa.Table, cfg: EngineConfig) -> dict:
     """Plan codecs ONCE on a sample, in the calling process; returns
     {column: (codec, outer)} for `encode_table(plan=...)`.
+
+    `encode_partitioned` passes the leading `cfg.plan_sample_rows` rows of
+    its materialized split (`_leading_rows`): the split keeps input order, so
+    these are the input's first rows on every run.  A load-dependent sample
+    could flip near-tied codec choices between runs (observed: content zstd7
+    vs zstd9, a 3% output-size swing on identical input).
 
     Per-chunk trial encoding is numpy-allocation-heavy and anti-scales on
     memory-bound hosts; a single plan keeps per-task work dominated by the C
     kernels (memcpy/zstd/snappy/sha), which parallelize.  The per-chunk
     reference-policy floor still guards mispredictions (chunks where the
-    planned codec loses fall back to plain/dict+snappy).
-
-    Sets preserve_order on `ds`: otherwise take_batch returns whichever
-    blocks finish FIRST, and a load-dependent sample can flip near-tied codec
-    choices between runs (observed: content zstd7 vs zstd9, a 3% output-size
-    swing on identical input)."""
+    planned codec loses fall back to plain/dict+snappy)."""
     from ..selector import select_codec
 
-    ds.context.execution_options.preserve_order = True
-    try:
-        sample = ds.take_batch(cfg.plan_sample_rows, batch_format="pyarrow")
-    except ValueError:  # empty dataset: nothing to plan, per-chunk selection
-        return {}
     if cfg.sort_within_partition and {"repo", "path"} <= set(sample.column_names):
         # partitions are sorted before encoding — plan on sorted data so
         # order-sensitive codecs (delta_ba, rle) see realistic stats
@@ -90,6 +90,24 @@ def _plan_codecs(ds: rd.Dataset, cfg: EngineConfig) -> dict:
         codec, outer, _ = select_codec(values, cfg, column=name)
         plan[name] = (codec, outer)
     return plan
+
+
+def _leading_rows(blocks: list, n: int) -> pa.Table:
+    """The first `n` rows of `blocks`, a materialized dataset's
+    (ref, metadata) pairs in order; empty blocks are never fetched, and no
+    blocks give a table with no columns."""
+    import ray as _ray
+    from ray.data.block import BlockAccessor
+
+    refs, rows = [], 0
+    for ref, meta in blocks:
+        if rows >= n:
+            break
+        if meta.num_rows:
+            refs.append(ref)
+            rows += meta.num_rows
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in _ray.get(refs)]
+    return pa.concat_tables(tables).slice(0, n) if tables else pa.table({})
 
 
 def _part_id(fragment: pa.Table) -> int:
@@ -202,10 +220,15 @@ def encode_partitioned(
     total_bytes: int | None = None,
     plan: dict | None = None,
 ) -> rd.Dataset:
-    """Map-only partitioned encode with per-partition checkpoints; returns
-    the metrics dataset (blobs go to out_dir) or the chunk dataset if
-    out_dir is None.  `plan` is a `_plan_codecs` result computed ahead of
-    time; None plans here when `cfg.plan_codecs_globally`."""
+    """Map-only partitioned encode with per-partition checkpoints.
+
+    Runs the read and the split when called: `ds` is read once into
+    `num_parts` materialized fragments, and a `plan` of None is planned
+    here (when `cfg.plan_codecs_globally`) from the fragments' leading
+    `cfg.plan_sample_rows` rows.  Returns the lazy encode dataset, one
+    concurrent task per fragment: the metrics rows (blobs go to out_dir),
+    or the chunk tables if out_dir is None.  `plan` is a `_plan_codecs`
+    result computed ahead of time."""
     import os as _os
 
     import ray as _ray
@@ -238,12 +261,30 @@ def encode_partitioned(
             lin.write_plan(out_dir, {"num_parts": num_parts})
     # fragments are row ranges of the input ORDER, and a part id includes
     # its fragment's index: pin the order on the dataset's own captured
-    # context (the global flag alone does not affect `ds`; derived datasets
-    # share this object), also when `plan` comes precomputed.
+    # context (the global flag alone does not affect `ds`), also when `plan`
+    # comes precomputed.  The split is an all-to-all barrier, so
+    # materializing it loses no overlap; the plan samples its leading rows
+    # instead of reading the input a second time.
     ds.context.execution_options.preserve_order = True
+    split = ds.repartition(num_parts).materialize()
+    blocks = [b for bundle in split.iter_internal_ref_bundles() for b in bundle.blocks]
     if plan is None:
-        plan = _plan_codecs(ds, cfg) if cfg.plan_codecs_globally and not cfg.per_column_codec else {}
-    return ds.repartition(num_parts).map_batches(
+        plan = (
+            _plan_codecs(_leading_rows(blocks, cfg.plan_sample_rows), cfg)
+            if cfg.plan_codecs_globally and not cfg.per_column_codec
+            else {}
+        )
+    # Until a task finishes, Ray Data budgets each one at
+    # target_max_block_size x its generator buffer (128 MB x 2 by default),
+    # which in a small object store admits one encode task at a time — and
+    # every fragment is one task, so the estimate is never corrected.  Bound
+    # it by the largest fragment: an encode's output (metrics, or chunk
+    # tables that the reference floor keeps at most plain/dict+snappy size,
+    # plus per-chunk metadata the 1 MB floor covers) stays under the 1.5x of
+    # it at which Ray would slice a block and split a chunk's rows.  `split`
+    # holds its own copy of the context; the caller's is left alone.
+    split.context.target_max_block_size = max([meta.size_bytes or 0 for _, meta in blocks] + [1 << 20])
+    return split.map_batches(
         functools.partial(encode_partition, cfg=cfg, out_dir=out_dir, plan=plan),
         batch_format="pyarrow",
         batch_size=None,

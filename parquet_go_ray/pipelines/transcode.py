@@ -17,7 +17,8 @@ from .encode_pipeline import decode_partitions, encode_partitioned
 
 
 def parquet_to_chunks(src, out_dir: str, cfg: EngineConfig = DEFAULT, **kw) -> rd.Dataset:
-    """read_parquet -> map-only partitioned encode -> chunk checkpoints."""
+    """read_parquet -> map-only partitioned encode -> chunk checkpoints.
+    Reads and splits `src` when called; the returned encode is lazy."""
     return encode_partitioned(_read_parquet_any(src), out_dir, cfg, **kw)
 
 

@@ -191,6 +191,28 @@ def test_delta_bp_matches_reference_every_width(width):
     assert np.array_equal(got, v)
 
 
+@pytest.mark.parametrize("k", range(1, 64))
+def test_delta_bp_encode_width_is_exact_bit_length(k):
+    """A miniblock whose largest normalized delta is 2^k - 1 or 2^k is
+    written with exactly that value's bit length (a float log2 estimate
+    once wrote k + 1 bits for 2^k - 1, k = 49..52)."""
+    for top in ((1 << k) - 1, 1 << k):
+        # block min delta is int64 min, so normalized deltas are 0 except
+        # one equal to `top` in the first miniblock
+        d = np.full(128, np.iinfo(np.int64).min, np.int64)
+        d[5] = np.uint64(top + (1 << 63) & ((1 << 64) - 1)).view(np.int64)
+        with np.errstate(over="ignore"):
+            v = np.concatenate([[0], np.cumsum(d)])
+        buf = delta_bp_encode_np(v)
+        pos = 0
+        for _ in range(4):  # block size, miniblocks, count, first value
+            _, pos = read_uvarint(buf, pos)
+        _, pos = read_uvarint(buf, pos)  # the block's min delta
+        assert list(buf[pos : pos + 4]) == [top.bit_length(), 0, 0, 0], top
+        got, end = _assert_same_delta(buf)
+        assert end == len(buf) and np.array_equal(got, v), top
+
+
 def test_delta_bp_matches_reference_wraparound_and_negative_first():
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     rng = np.random.default_rng(7)

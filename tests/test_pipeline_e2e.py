@@ -302,6 +302,139 @@ def test_split_balances_giant_repo_skew(ray_session):
     assert rows.max() - rows.min() <= 1
 
 
+def _take_batch_plan(ds, cfg):
+    """The plan as a separate `take_batch` pass over the input gave it:
+    the leading rows in input order, sorted by (repo, path), one
+    select_codec per flat column."""
+    import pyarrow.compute as pc
+
+    from parquet_go_ray.selector import select_codec
+
+    ds.context.execution_options.preserve_order = True
+    sample = ds.take_batch(cfg.plan_sample_rows, batch_format="pyarrow")
+    sample = sample.take(
+        pc.sort_indices(
+            sample.select(["repo", "path"]),
+            sort_keys=[("repo", "ascending"), ("path", "ascending")],
+        )
+    )
+    plan = {}
+    for name in sample.column_names:
+        col = sample[name].combine_chunks()
+        codec, outer, _ = select_codec(col.drop_null() if col.null_count else col, cfg, column=name)
+        plan[name] = (codec, outer)
+    return plan
+
+
+@pytest.mark.parametrize(
+    "sample_rows,num_parts", [(700, 2), (2600, 4)], ids=["inside-first-fragment", "spans-fragments"]
+)
+def test_plan_from_split_matches_take_batch_plan(ray_session, tmp_path, monkeypatch, sample_rows, num_parts):
+    """The plan sampled from the split's leading rows is the plan a
+    take_batch over the multi-shard input gave, and the input is read once:
+    every row passes the read exactly one time."""
+    import glob
+    import uuid
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines import encode_pipeline as ep
+
+    t = make_code_table(3200, seed=13)
+    src = tmp_path / "src"
+    src.mkdir()
+    for i, (lo, n) in enumerate([(0, 500), (500, 1300), (1800, 400), (2200, 1000)]):
+        pq.write_table(t.slice(lo, n), src / f"shard-{i}.parquet")
+    cfg = EngineConfig(batch_size_rows=1000, plan_sample_rows=sample_rows)
+    want = _take_batch_plan(rd.read_parquet(str(src)), cfg)
+
+    seen = []
+    real = ep._plan_codecs
+
+    def spy(sample, cfg):
+        seen.append(sample)
+        return real(sample, cfg)
+
+    monkeypatch.setattr(ep, "_plan_codecs", spy)
+    reads = tmp_path / "reads"
+    reads.mkdir()
+
+    def count_rows(batch):
+        (reads / uuid.uuid4().hex).write_text(str(batch.num_rows))
+        return batch
+
+    ds = rd.read_parquet(str(src)).map_batches(count_rows, batch_format="pyarrow", batch_size=None)
+    m = ep.encode_partitioned(ds, str(tmp_path / "enc"), cfg, num_parts=num_parts).to_pandas()
+    assert len(seen) == 1 and seen[0].equals(t.slice(0, sample_rows))
+    assert real(seen[0], cfg) == want
+    assert m.rows.sum() == t.num_rows
+    assert sum(int(open(f).read()) for f in glob.glob(str(reads / "*"))) == t.num_rows
+
+
+def test_plan_skips_empty_fragments(ray_session, tmp_path, monkeypatch):
+    """Fewer rows than parts: the sample holds every row (the empty
+    fragments are skipped), and only the non-empty fragments reach
+    encode_partition — one metrics row each."""
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines import encode_pipeline as ep
+
+    t = make_code_table(3, seed=5)
+    seen = []
+    real = ep._plan_codecs
+    monkeypatch.setattr(ep, "_plan_codecs", lambda sample, cfg: seen.append(sample) or real(sample, cfg))
+    m = ep.encode_partitioned(rd.from_arrow(t), str(tmp_path / "enc"), EngineConfig(), num_parts=8).to_pandas()
+    assert len(seen) == 1 and seen[0].equals(t)
+    assert sorted(m.rows) == [1, 1, 1]
+
+
+def test_encode_partitioned_keeps_caller_context_and_chunk_blocks(ray_session):
+    """The output-size bound is set on the split's own context, never the
+    caller's; and with out_dir=None, fragments of a few rows (whose chunk
+    tables outweigh their input many times over) still return every
+    column row of a chunk in one output block, decoding bit-identically."""
+    import pandas as pd
+    import ray
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines.encode_pipeline import encode_partitioned
+    from parquet_go_ray.stages.encode import ChunkDecoder, reassemble_blocks
+
+    n = 24
+    t = pa.table(
+        {
+            "repo": [f"r{i % 3}" for i in range(n)],
+            "path": [f"p/{i}" for i in range(n)],
+            "content": [f"c{i}" for i in range(n)],
+        }
+    )
+    ds = rd.from_arrow([t.slice(0, 10), t.slice(10)])
+    before = ds.context.target_max_block_size
+    global_before = rd.DataContext.get_current().target_max_block_size
+    chunks = encode_partitioned(ds, None, EngineConfig(batch_size_rows=2), num_parts=8).materialize()
+    assert ds.context.target_max_block_size == before
+    assert rd.DataContext.get_current().target_max_block_size == global_before
+
+    blocks = [ray.get(ref) for b in chunks.iter_internal_ref_bundles() for ref, _ in b.blocks]
+    ncols = len(t.column_names)
+    per_chunk = {}
+    for block in blocks:
+        counts = block.group_by("chunk_id").aggregate([("column", "count")])
+        for cid, c in zip(counts["chunk_id"].to_pylist(), counts["column_count"].to_pylist()):
+            per_chunk.setdefault(cid, []).append(c)
+    # 8 fragments of 3 rows in chunks of 2 rows: 16 chunks, each whole in one block
+    assert len(per_chunk) == 16 and all(c == [ncols] for c in per_chunk.values())
+
+    assert ChunkDecoder(recompute_sha=True)(pa.concat_tables(blocks))["ok"].to_pylist() == [True] * 16 * ncols
+    back = pa.concat_tables([reassemble_blocks(b) for b in blocks]).to_pandas()
+    key = list(t.column_names)
+    pd.testing.assert_frame_equal(
+        back[key].sort_values(key).reset_index(drop=True),
+        t.to_pandas()[key].sort_values(key).reset_index(drop=True),
+    )
+
+
 def test_chunkcat_tool(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
