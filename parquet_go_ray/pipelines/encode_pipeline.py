@@ -15,7 +15,7 @@ Ray-Data shape — map-only, no hash exchange, the input read once:
              already on disk returns at once (resume)
            - slice into ~batch_size_rows chunks
            - encode columns with the pre-planned codecs
-           - write part dir atomically (chunks.parquet + lineage.json)
+           - publish chunks.parquet, then the lineage.json marker
       -> small metrics rows only (blobs never return to the driver)
 
 The split repartition gives every fragment the same rows and the same

@@ -30,6 +30,7 @@ import ray.data as rd
 
 from ..sources.io import read_parquet_any as _read_parquet_any
 
+from .. import uri
 from ..formats.par1 import read_par1, read_par1_meta, write_par1
 
 _CUSTOMER_ENCODINGS = {
@@ -160,21 +161,18 @@ def _ensure_foreign_file(sf_dir: str, table: str = "lineitem") -> str:
 
     tag = sf_dir.strip("/").replace("/", "_")
     path = f"/tmp/pgr_foreign_{table}_{tag}.parquet"
-    if not os.path.exists(path):
-        t = pq.read_table(f"{sf_dir}/{table}.parquet")
-        tmp = f"{path}.tmp.{os.getpid()}"
+
+    def write(target):
         pq.write_table(
-            t,
-            tmp,
+            pq.read_table(f"{sf_dir}/{table}.parquet"),
+            target,
             compression="zstd",
             use_dictionary=False,
             column_encoding=_LINEITEM_FOREIGN_ENCODING if table == "lineitem" else None,
             row_group_size=8192,
         )
-        try:
-            os.replace(tmp, path)
-        except OSError:
-            os.unlink(tmp)
+
+    uri.publish(path, write, keep_first=True)
     return path
 
 
@@ -289,9 +287,7 @@ def _fs_of(path: str):
     """(fsspec_fs | None, plain_path, scheme_prefix) — None fs means local.
     Dispatch rules live in ``uri.split_uri`` (shared with the format
     layer's ``par1._fs_open``)."""
-    from ..uri import split_uri
-
-    return split_uri(path)
+    return uri.split_uri(path)
 
 
 def _ls_parquet(dir_path: str) -> list[str]:
@@ -316,21 +312,6 @@ def _ls_parquet(dir_path: str) -> list[str]:
     return sorted(p for p in found if os.path.basename(p) != MANIFEST_NAME)
 
 
-def _fs_exists(path: str) -> bool:
-    fs, plain, _ = _fs_of(path)
-    return os.path.exists(plain) if fs is None else fs.exists(plain)
-
-
-def _fs_size(path: str) -> int:
-    fs, plain, _ = _fs_of(path)
-    return os.path.getsize(plain) if fs is None else fs.size(plain)
-
-
-def _fs_isdir(path: str) -> bool:
-    fs, plain, _ = _fs_of(path)
-    return os.path.isdir(plain) if fs is None else fs.isdir(plain)
-
-
 def _rel_subdir(path: str, base: str) -> str:
     """Partition subpath of `path`'s parent under dataset root `base`
     ('' for a part directly in the root).  Plain string arithmetic so URIs
@@ -339,20 +320,6 @@ def _rel_subdir(path: str, base: str) -> str:
     _, b, _ = _fs_of(base)
     rel = os.path.relpath(os.path.dirname(p), b)
     return "" if rel == "." else rel
-
-
-def _publish_par1(table: "pa.Table", path: str, **write_kwargs) -> None:
-    """Write a small control file (manifest, lineage) atomically: local
-    filesystems stage to tmp + rename; object stores PUT the final key
-    directly — the object appears only on close, which IS the atomic
-    publish on stores without rename."""
-    fs, plain, _ = _fs_of(path)
-    if fs is None:
-        tmp = f"{plain}.tmp.{os.getpid()}"
-        write_par1(table, tmp, **write_kwargs)
-        os.replace(tmp, plain)
-    else:
-        write_par1(table, path, **write_kwargs)
 
 
 def build_par1_manifest(dir_path: str) -> str:
@@ -380,7 +347,7 @@ def build_par1_manifest(dir_path: str) -> str:
                     "rows": sum(
                         rg["num_rows"] for rg in read_par1_meta(p)["row_groups"]
                     ),
-                    "bytes": _fs_size(p),
+                    "bytes": uri.size(p),
                     "skipped": False,
                     "stats": _part_stats_json(p),
                 }
@@ -397,9 +364,11 @@ def build_par1_manifest(dir_path: str) -> str:
     )
     mpath = dir_path.rstrip("/") + "/" + MANIFEST_NAME
     # row-grouped so huge manifests admit distributed evaluation
-    # (_manifest_prune fans out one task per row group past its threshold)
-    _publish_par1(
-        _manifest_table(rows), mpath, codec="zstd", row_group_rows=16384
+    # (_manifest_prune fans out one task per row group past its threshold);
+    # path order makes a rebuild over the same parts byte-identical
+    table = _manifest_table(sorted(rows, key=lambda r: r["path"]))
+    uri.publish(
+        mpath, lambda t: write_par1(table, t, codec="zstd", row_group_rows=16384)
     )
     return mpath
 
@@ -457,7 +426,7 @@ def explain_par1_scan(
     if not paths:
         raise ValueError(f"explain_par1_scan: no parts under {dir_path}")
     mpath = dir_path.rstrip("/") + "/" + MANIFEST_NAME
-    if predicate is not None and _fs_exists(mpath):
+    if predicate is not None and uri.exists(mpath):
         paths = _manifest_prune(paths, mpath, _normalize_predicate(predicate))
     out = {
         "files_total": files_total,
@@ -562,7 +531,7 @@ def validate_par1_dataset(
         )
     mpath = dir_path.rstrip("/") + "/" + MANIFEST_NAME
     man: dict[str, dict] = {}
-    if check_manifest and _fs_exists(mpath):
+    if check_manifest and uri.exists(mpath):
         mtab = read_par1(mpath, columns=["path", "rows", "bytes"])
         man = {
             p: {"rows": r, "bytes": b}
@@ -616,8 +585,8 @@ def validate_par1_dataset(
         if ent is not None:
             if ent["rows"] != total_rows:
                 return f"manifest rows {ent['rows']} != file rows {total_rows}"
-            if ent["bytes"] != _fs_size(p):
-                return f"manifest bytes {ent['bytes']} != file size {_fs_size(p)}"
+            if ent["bytes"] != uri.size(p):
+                return f"manifest bytes {ent['bytes']} != file size {uri.size(p)}"
         return ""
 
     def run(batch: pa.Table) -> pa.Table:
@@ -846,7 +815,7 @@ def read_par1_dataset(
 
     src_dir = None
     if isinstance(paths, str):
-        if _fs_isdir(paths):
+        if uri.isdir(paths):
             src_dir = paths
             paths = _ls_parquet(paths)
         else:
@@ -861,7 +830,7 @@ def read_par1_dataset(
     all_paths = list(paths)
     if src_dir is not None and predicate is not None and use_manifest:
         mpath = src_dir.rstrip("/") + "/" + MANIFEST_NAME
-        if _fs_exists(mpath):
+        if uri.exists(mpath):
             paths = _manifest_prune(
                 paths, mpath, _normalize_predicate(predicate)
             )
@@ -1079,14 +1048,14 @@ def _part_stats_json(path: str) -> str:
     return json.dumps(out)
 
 
-def _remote_footer_ok(fs, key: str) -> bool:
-    """Cheap integrity probe for skip-existing on object stores: a complete
-    PAR1 file ends with the 4-byte magic; a partial PUT from a killed worker
-    doesn't.  One ranged read — no full download."""
+def _footer_ok(path: str) -> bool:
+    """Cheap integrity probe for skip-existing: a complete PAR1 file ends
+    with the 4-byte magic; an object truncated by a killed worker's partial
+    PUT doesn't.  One ranged read — no full download."""
     try:
-        if fs.size(key) <= 12:  # magic + footer len + magic
+        if uri.size(path) <= 12:  # magic + footer len + magic
             return False
-        with fs.open(key, "rb") as f:
+        with uri.open_any(path, "rb") as f:
             f.seek(-4, 2)
             return f.read(4) == b"PAR1"
     except Exception:
@@ -1094,47 +1063,21 @@ def _remote_footer_ok(fs, key: str) -> bool:
 
 
 def _write_part(batch: "pa.Table", part_dir: str, partition: str, write_kwargs: dict) -> dict:
-    """One block -> one content-named PAR1 file (atomic, skip-existing).
+    """One block -> one content-named PAR1 file, published through
+    `uri.publish` and skipped when a complete one already exists.
 
-    Local filesystems publish via tmp + rename; object stores (any fsspec
-    URI) have NO atomic rename, so the write targets the final content-named
-    key directly — the object appears only on close (S3 PUT semantics), and
-    the content-derived name makes concurrent duplicate writers converge on
-    identical bytes, so last-writer-wins is also exactly-once.  Two
-    crash-safety guards on the remote branch (the local branch gets both for
-    free from tmp + os.replace): a write that raises mid-stream deletes the
-    partial object before re-raising (fsspec buffered files still PUT on
-    close during exception unwind), and skip-existing only trusts an object
-    whose PAR1 footer magic is present — a part truncated by a hard worker
-    kill is rewritten on resume instead of being skipped forever."""
-    tag = _ipc_content_tag(batch)
-    fs, plain, scheme = _fs_of(part_dir)
-    if fs is None:
-        os.makedirs(plain, exist_ok=True)
-        path = os.path.join(plain, f"part_{tag}.parquet")
-        skipped = os.path.exists(path)
-        if not skipped:
-            tmp = f"{path}.tmp.{os.getpid()}"
-            write_par1(batch, tmp, **write_kwargs)
-            os.replace(tmp, path)
-        size = os.path.getsize(path)
-    else:
-        key = plain.rstrip("/") + f"/part_{tag}.parquet"
-        path = scheme + key.lstrip("/")
-        skipped = fs.exists(key) and _remote_footer_ok(fs, key)
-        if not skipped:
-            try:
-                write_par1(batch, path, **write_kwargs)
-            except BaseException:
-                try:
-                    fs.rm(key)
-                except Exception:
-                    pass
-                raise
-        size = fs.size(key)
+    The content-derived name makes concurrent duplicate writers converge on
+    identical bytes, so last-writer-wins is also exactly-once; skip-existing
+    only trusts a file whose PAR1 footer magic is present, so a part
+    truncated by a hard worker kill is rewritten on resume instead of being
+    skipped forever."""
+    path = f"{uri.norm(part_dir).rstrip('/')}/part_{_ipc_content_tag(batch)}.parquet"
+    skipped = uri.exists(path) and _footer_ok(path)
+    if not skipped:
+        uri.publish(path, lambda target: write_par1(batch, target, **write_kwargs))
     return {
         "path": path, "partition": partition, "rows": batch.num_rows,
-        "bytes": size, "skipped": skipped,
+        "bytes": uri.size(path), "skipped": skipped,
         "stats": _part_stats_json(path),
     }
 
@@ -1195,7 +1138,7 @@ def compact_par1_dataset(
         cur: list[str] = []
         cur_b = 0
         for p in by_part[rel]:
-            sz = _fs_size(p)
+            sz = uri.size(p)
             if cur and cur_b + sz > target_bytes:
                 bins.append((rel, cur))
                 cur, cur_b = [], 0

@@ -16,9 +16,9 @@ files, all Ray-Data-first:
   manifests — the driver never serializes a 10^6-entry file list into
   JSON, and an append commit costs O(its own new files), not O(table).
   Commits are atomic and optimistically concurrent: the snapshot body is
-  written to a tmp file and ``os.link``-ed to its version name — a
-  concurrent committer losing the race gets ``FileExistsError`` and
-  retries against the new parent, so two writers never tear a snapshot
+  published to its version name with ``uri.publish(keep_first=True)`` — a
+  concurrent committer losing the race sees the name taken and retries
+  against the new parent, so two writers never tear a snapshot
   and concurrent appends merge instead of clobbering.
 * **Time travel** — ``table_scan(dir, version=N)`` reads the table exactly
   as committed at version N; ``table_rollback`` makes an old state current
@@ -54,6 +54,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from .. import uri
 from ..formats.par1 import (
     _normalize_predicate,
     _schema_tree,
@@ -127,14 +128,13 @@ def load_snapshot(
 def _commit(table_dir: str, op: str, build, branch: str = "main") -> int:
     """Atomic optimistic commit: ``build(parent_snapshot_or_None)`` returns
     {"manifests": [...], "deletes": [...], "summary": {...}} for the new
-    snapshot.  The tmp+os.link publish is all-or-nothing; losing a race
+    snapshot.  The keep-first publish is all-or-nothing; losing a race
     re-reads the parent and rebuilds, so appends merge instead of
     clobbering each other.  The table's bucket spec (a layout property,
     fixed at creation) carries over from the parent unless the body sets
     it explicitly.  `branch` commits build on that branch's head (a NEW
     branch forks from main's head) while version numbers stay one global
     sequence — main readers skip branch snapshots."""
-    os.makedirs(_snap_dir(table_dir), exist_ok=True)
     while True:
         vs = table_versions(table_dir)
         parent = None
@@ -154,18 +154,16 @@ def _commit(table_dir: str, op: str, build, branch: str = "main") -> int:
             "branch": branch,
             **body,
         }
-        tmp = _snap_path(table_dir, v) + f".tmp.{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w") as f:
-            json.dump(snap, f)
-            f.flush()
-            os.fsync(f.fileno())
-        try:
-            os.link(tmp, _snap_path(table_dir, v))
+
+        def write(target):
+            with uri.open_any(target, "w") as f:
+                json.dump(snap, f)
+                f.flush()
+                os.fsync(f.fileno())
+
+        if uri.publish(_snap_path(table_dir, v), write, keep_first=True):
             return v
-        except FileExistsError:
-            continue  # concurrent committer won this version; retry on new parent
-        finally:
-            os.unlink(tmp)
+        # a concurrent committer won this version; retry on the new parent
 
 
 def _sink_manifest(

@@ -1,142 +1,89 @@
 """Per-partition lineage + metrics checkpoints and resume.
 
 The reference has no checkpointing (SURVEY §4); the north rule requires it.
-Layout (resumable-output pattern): one directory per partition, written
-atomically, holding the partition's chunk table and a lineage record:
+Layout (resumable-output pattern): one directory per partition holding the
+partition's chunk table and a lineage record:
 
     out_dir/
       part=00042/
         chunks.parquet       # chunk table rows (blobs + metadata)
         lineage.json         # inputs, codec choices, metrics, sha256s
+      _plan.json             # the run's partitioning plan, written first
       _manifest.json         # driver-side roll-up after the run
-
-On resume, partitions with a lineage.json are skipped (their metrics are
-loaded from the checkpoint instead of recomputed).
 
 `out_dir` may be a local path or any fsspec URI (s3://, gs://, hdfs://,
 memory://, file://) — the storage-pluggability analog of the reference's
-source backends (source/source.go:9-16).  Atomicity: local paths use
-tmp-dir + rename; object stores have no atomic rename, so the completion
-MARKER (lineage.json) is written last — a partition without its marker is
-recomputed on resume, never half-read."""
+source backends (source/source.go:9-16).  Every file goes through
+`uri.publish`, so each appears whole or not at all, and one marker-last
+protocol serves every backend: `chunks.parquet` is published first, then
+the completion MARKER `lineage.json` (first writer wins).  A partition
+without its marker is recomputed on resume, never half-read; one with it
+is skipped and its metrics are loaded from the checkpoint."""
 
 from __future__ import annotations
 
 import json
-import os
-import shutil
-import tempfile
+
+import pyarrow.parquet as pq
+
+from .. import uri
 
 
-def _is_uri(path: str) -> bool:
-    return "://" in path and not path.startswith("file://")
+def _publish_json(path: str, obj, keep_first: bool = False, **dump_kw) -> bool:
+    def write(target):
+        with uri.open_any(target, "w") as f:
+            json.dump(obj, f, **dump_kw)
+
+    return uri.publish(path, write, keep_first=keep_first)
 
 
-def _norm(path: str) -> str:
-    """file:// URIs become plain local paths — the local branch would
-    otherwise os.makedirs a LITERAL './file:/...' directory that no
-    file://-resolving reader (pyarrow, resolve_filesystem) ever finds."""
-    return path[len("file://") :] if path.startswith("file://") else path
+def _read_json(path: str):
+    with uri.open_any(path, "r") as f:
+        return json.load(f)
 
 
-def _fs(path):
-    import fsspec
-
-    return fsspec.core.url_to_fs(path)
+def _under(out_dir: str, name: str) -> str:
+    return uri.norm(out_dir).rstrip("/") + "/" + name
 
 
 def part_dir(out_dir: str, part: int) -> str:
-    out_dir = _norm(out_dir)
-    if _is_uri(out_dir):
-        return out_dir.rstrip("/") + f"/part={part:05d}"
-    return os.path.join(out_dir, f"part={part:05d}")
+    return _under(out_dir, f"part={part:05d}")
 
 
 def is_done(out_dir: str, part: int) -> bool:
-    out_dir = _norm(out_dir)
-    if _is_uri(out_dir):
-        fs, root = _fs(part_dir(out_dir, part))
-        return fs.exists(root + "/lineage.json")
-    return os.path.exists(os.path.join(part_dir(out_dir, part), "lineage.json"))
+    return uri.exists(part_dir(out_dir, part) + "/lineage.json")
 
 
 def done_parts(out_dir: str) -> set[int]:
-    out_dir = _norm(out_dir)
-    if _is_uri(out_dir):
-        fs, root = _fs(out_dir)
-        if not fs.exists(root):
-            return set()
-        out = set()
-        for entry in fs.ls(root, detail=False):
-            name = entry.rstrip("/").rsplit("/", 1)[-1]
-            if name.startswith("part=") and fs.exists(entry.rstrip("/") + "/lineage.json"):
-                out.add(int(name.split("=")[1]))
-        return out
-    if not os.path.isdir(out_dir):
-        return set()
-    out = set()
-    for name in os.listdir(out_dir):
-        if name.startswith("part=") and os.path.exists(
-            os.path.join(out_dir, name, "lineage.json")
-        ):
-            out.add(int(name.split("=")[1]))
-    return out
+    return {
+        int(name.split("=")[1])
+        for name in uri.listdir(out_dir)
+        if name.startswith("part=") and uri.exists(_under(out_dir, name) + "/lineage.json")
+    }
 
 
 def write_partition(out_dir: str, part: int, chunk_table, lineage: dict) -> str:
-    """Atomically write one partition's chunks + lineage record."""
-    import pyarrow.parquet as pq
-
-    out_dir = _norm(out_dir)
+    """Publish one partition's chunks, then its lineage marker; a partition
+    whose marker exists is left as the first writer made it."""
     final = part_dir(out_dir, part)
-    if _is_uri(out_dir):
-        fs, froot = _fs(final)
-        if fs.exists(froot + "/lineage.json"):  # idempotent retry
-            return final
-        fs.makedirs(froot, exist_ok=True)
-        with fs.open(froot + "/chunks.parquet", "wb") as f:
-            pq.write_table(chunk_table, f)
-        # marker LAST: presence == partition complete (object stores have no
-        # atomic directory rename)
-        with fs.open(froot + "/lineage.json", "w") as f:
-            f.write(json.dumps(lineage, indent=1))
-        return final
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=f".part{part}-", dir=out_dir)
-    try:
-        pq.write_table(chunk_table, os.path.join(tmp, "chunks.parquet"))
-        with open(os.path.join(tmp, "lineage.json"), "w") as f:
-            json.dump(lineage, f, indent=1)
-        if os.path.exists(final):  # idempotent retry: keep the first writer
-            shutil.rmtree(tmp)
-        else:
-            os.replace(tmp, final)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    marker = final + "/lineage.json"
+    if not uri.exists(marker):
+
+        def write_chunks(target):
+            with uri.open_any(target, "wb") as f:
+                pq.write_table(chunk_table, f)
+
+        uri.publish(final + "/chunks.parquet", write_chunks)
+        _publish_json(marker, lineage, keep_first=True, indent=1)
     return final
 
 
 def read_lineage(out_dir: str, part: int) -> dict:
-    out_dir = _norm(out_dir)
-    if _is_uri(out_dir):
-        fs, root = _fs(part_dir(out_dir, part))
-        with fs.open(root + "/lineage.json", "r") as f:
-            return json.load(f)
-    with open(os.path.join(part_dir(out_dir, part), "lineage.json")) as f:
-        return json.load(f)
+    return _read_json(part_dir(out_dir, part) + "/lineage.json")
 
 
 def write_manifest(out_dir: str, manifest: dict) -> None:
-    if _is_uri(out_dir):
-        fs, root = _fs(out_dir)
-        with fs.open(root + "/_manifest.json", "w") as f:
-            f.write(json.dumps(manifest, indent=1))
-        return
-    tmp = os.path.join(out_dir, "_manifest.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, os.path.join(out_dir, "_manifest.json"))
+    _publish_json(_under(out_dir, "_manifest.json"), manifest, indent=1)
 
 
 def collect_manifest(out_dir: str) -> dict:
@@ -154,19 +101,8 @@ def collect_manifest(out_dir: str) -> dict:
 
 def read_plan(out_dir: str) -> dict | None:
     """The run's partitioning plan (_plan.json), or None if absent."""
-    out_dir = _norm(out_dir)
-    if _is_uri(out_dir):
-        fs, root = _fs(out_dir)
-        p = root.rstrip("/") + "/_plan.json"
-        if not fs.exists(p):
-            return None
-        with fs.open(p, "r") as f:
-            return json.load(f)
-    p = os.path.join(out_dir, "_plan.json")
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        return json.load(f)
+    p = _under(out_dir, "_plan.json")
+    return _read_json(p) if uri.exists(p) else None
 
 
 def write_plan(out_dir: str, plan: dict) -> None:
@@ -175,15 +111,4 @@ def write_plan(out_dir: str, plan: dict) -> None:
     CPUs and size estimates, so a resume on different hardware would split
     the input into different fragments and re-encode every row under new
     part ids beside the old ones."""
-    out_dir = _norm(out_dir)
-    if _is_uri(out_dir):
-        fs, root = _fs(out_dir)
-        fs.makedirs(root, exist_ok=True)
-        with fs.open(root.rstrip("/") + "/_plan.json", "w") as f:
-            f.write(json.dumps(plan))
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = os.path.join(out_dir, f".plan.{os.getpid()}.tmp")
-    with open(tmp, "w") as f:
-        json.dump(plan, f)
-    os.replace(tmp, os.path.join(out_dir, "_plan.json"))
+    _publish_json(_under(out_dir, "_plan.json"), plan)

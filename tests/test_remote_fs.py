@@ -74,6 +74,13 @@ def test_lineage_file_uri_normalizes(tmp_path):
     assert L.is_done(uri, 3) and L.is_done(str(tmp_path / "ckpt"), 3)
     assert L.done_parts(uri) == {3}
     assert L.read_lineage(uri, 3)["rows"] == 2
+    # the run-level files resolve the same way
+    L.write_plan(uri, {"num_parts": 4})
+    assert os.path.exists(tmp_path / "ckpt" / "_plan.json")
+    assert L.read_plan(uri) == L.read_plan(str(tmp_path / "ckpt")) == {"num_parts": 4}
+    L.write_manifest(uri, {"partitions": 1})
+    assert os.path.exists(tmp_path / "ckpt" / "_manifest.json")
+    assert not list((tmp_path / "ckpt").glob("**/*.tmp*"))
 
 
 def test_multi_uri_read_same_filesystem(ray_session, tmp_path):

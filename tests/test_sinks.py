@@ -1,0 +1,245 @@
+"""Fault injection over every sink that publishes through `uri.publish`.
+
+Each case runs a sink once cleanly, then again with the N-th file opened for
+writing through `uri.open_any` failing part-way through its first write, for
+every N the clean run reaches, on a local directory and on `mocks3://` (no
+rename, PUT-on-close).  After each failure:
+
+- the injected error propagates;
+- every file present holds either its clean-run bytes or the bytes it had
+  before the sink ran (a manifest is absent or the previous complete one);
+- no ``*.tmp.*`` staging file is left behind;
+- a rerun without injection leaves exactly the clean run's files, byte for
+  byte.
+"""
+
+import json
+import os
+import shutil
+import uuid
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from parquet_go_ray import uri
+from parquet_go_ray.state import lineage as lin
+
+
+class _Injected(Exception):
+    pass
+
+
+class _TornFile:
+    """Writes part of the first chunk it is given, then raises."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[: max(1, len(data) // 2)])
+        raise _Injected("injected failure mid-write")
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _patch_writes(monkeypatch, fail_at: int | None) -> list:
+    """Count opens for writing through `uri.open_any`; the `fail_at`-th one
+    (1-based) is torn.  Returns the running count."""
+    real = uri.open_any
+    count = [0]
+
+    def open_any(path, mode):
+        f = real(path, mode)
+        if "w" not in mode:
+            return f
+        count[0] += 1
+        return _TornFile(f) if count[0] == fail_at else f
+
+    monkeypatch.setattr(uri, "open_any", open_any)
+    return count
+
+
+def _backing(root: str) -> str:
+    """The local directory holding `root`'s files (mocks3 keys live on disk)."""
+    fs, plain, _ = uri.split_uri(root)
+    return plain if fs is None else fs._backing(plain)
+
+
+def _snapshot(root: str) -> dict[str, bytes]:
+    base = _backing(root)
+    out = {}
+    for d, _, files in os.walk(base):
+        for name in files:
+            p = os.path.join(d, name)
+            with open(p, "rb") as f:
+                out[os.path.relpath(p, base)] = f.read()
+    return out
+
+
+def _restore(root: str, state: dict[str, bytes]) -> None:
+    base = _backing(root)
+    for rel in set(_snapshot(root)) - set(state):
+        os.unlink(os.path.join(base, rel))
+    for rel, data in state.items():
+        os.makedirs(os.path.dirname(os.path.join(base, rel)), exist_ok=True)
+        with open(os.path.join(base, rel), "wb") as f:
+            f.write(data)
+
+
+def _run_faults(monkeypatch, root: str, setup, op) -> int:
+    """Drive `op` through every injected failure point; returns how many
+    writes the clean run made."""
+    setup(root)
+    before = _snapshot(root)
+    with monkeypatch.context() as m:
+        count = _patch_writes(m, None)
+        op(root)
+        n_writes = count[0]
+    clean = _snapshot(root)
+    assert n_writes >= 1 and clean != before
+    for n in range(1, n_writes + 1):
+        _restore(root, before)
+        with monkeypatch.context() as m:
+            _patch_writes(m, n)
+            with pytest.raises(_Injected):
+                op(root)
+        after = _snapshot(root)
+        for rel, data in after.items():
+            assert ".tmp." not in os.path.basename(rel), f"write {n}: staging left: {rel}"
+            assert data in (clean.get(rel), before.get(rel)), (
+                f"write {n}: partial object visible at {rel}"
+            )
+        op(root)
+        assert _snapshot(root) == clean, f"write {n}: rerun differs from clean run"
+    return n_writes
+
+
+@pytest.fixture(params=["local", "mocks3"])
+def root(request, tmp_path):
+    if request.param == "local":
+        yield str(tmp_path / "out")
+        return
+    import fsspec
+
+    bucket = f"sinks-{uuid.uuid4().hex[:8]}"
+    yield f"mocks3://{bucket}/out"
+    shutil.rmtree(os.path.join(fsspec.filesystem("mocks3").root, bucket), ignore_errors=True)
+
+
+def _chunks() -> pa.Table:
+    return pa.table(
+        {
+            "column": pa.array(["a", "b", "c"]),
+            "blob": pa.array([b"x" * 300, b"y" * 200, b"z" * 100], pa.binary()),
+        }
+    )
+
+
+def _rec(rows: int) -> dict:
+    return {"rows": rows, "raw_bytes": 8 * rows, "enc_bytes": rows, "ref_bytes": rows}
+
+
+def _parts(n: int, seed: int) -> list[pa.Table]:
+    rng = np.random.default_rng(seed)
+    return [
+        pa.table({"k": pa.array(np.sort(rng.integers(0, 10**6, 500)), pa.int64())})
+        for _ in range(n)
+    ]
+
+
+def test_write_partition_faults(monkeypatch, root):
+    def setup(r):
+        lin.write_partition(r, 1, _chunks(), _rec(3))
+
+    def op(r):
+        lin.write_partition(r, 7, _chunks(), _rec(3))
+
+    assert _run_faults(monkeypatch, root, setup, op) == 2
+    assert lin.done_parts(root) == {1, 7}
+    assert lin.read_lineage(root, 7) == _rec(3)
+
+
+def test_write_plan_faults(monkeypatch, root):
+    n = _run_faults(
+        monkeypatch, root,
+        lambda r: lin.write_plan(r, {"num_parts": 4}),
+        lambda r: lin.write_plan(r, {"num_parts": 8}),
+    )
+    assert n == 1 and lin.read_plan(root) == {"num_parts": 8}
+
+
+def test_write_manifest_faults(monkeypatch, root):
+    def setup(r):
+        lin.write_partition(r, 1, _chunks(), _rec(3))
+        lin.write_manifest(r, lin.collect_manifest(r))
+        lin.write_partition(r, 2, _chunks(), _rec(5))
+
+    def op(r):
+        lin.write_manifest(r, lin.collect_manifest(r))
+
+    assert _run_faults(monkeypatch, root, setup, op) == 1
+    with uri.open_any(root + "/_manifest.json", "r") as f:
+        assert json.load(f)["rows"] == 8
+
+
+def test_write_part_faults(monkeypatch, root):
+    from parquet_go_ray.pipelines import native_io
+
+    a, b = _parts(2, seed=1)
+    results = []
+
+    def setup(r):
+        native_io._write_part(a, r + "/data", "", {})
+
+    def op(r):
+        results.append(native_io._write_part(b, r + "/data", "", {"codec": "zstd"}))
+
+    assert _run_faults(monkeypatch, root, setup, op) == 1
+    assert not results[-1]["skipped"] and results[-1]["rows"] == 500
+    assert native_io._write_part(b, root + "/data", "", {"codec": "zstd"})["skipped"]
+
+
+def test_build_par1_manifest_faults(ray_session, monkeypatch, root):
+    from parquet_go_ray.formats.par1 import read_par1
+    from parquet_go_ray.pipelines import native_io
+
+    parts = _parts(3, seed=2)
+
+    def setup(r):
+        for t in parts[:2]:
+            native_io._write_part(t, r + "/ds", "", {})
+        native_io.build_par1_manifest(r + "/ds")  # the previous manifest
+        native_io._write_part(parts[2], r + "/ds", "", {})
+
+    def op(r):
+        native_io.build_par1_manifest(r + "/ds")
+
+    assert _run_faults(monkeypatch, root, setup, op) == 1
+    man = read_par1(root + "/ds/" + native_io.MANIFEST_NAME)
+    assert man.num_rows == 3 and sum(man["rows"].to_pylist()) == 1500
+    v = native_io.validate_par1_dataset(root + "/ds").to_pandas()
+    assert v["ok"].all(), v[~v["ok"]]["error"].tolist()
+
+
+def test_table_commit_faults(monkeypatch, tmp_path):
+    from parquet_go_ray.pipelines import table
+
+    def build(parent):
+        return {"manifests": [], "deletes": [], "summary": {"rows": 0}}
+
+    def setup(r):
+        table._commit(r, "create", build)
+
+    def op(r):
+        assert table._commit(r, "append", build) == 2
+
+    assert _run_faults(monkeypatch, str(tmp_path / "tbl"), setup, op) == 1
+    assert table.table_versions(str(tmp_path / "tbl")) == [1, 2]
