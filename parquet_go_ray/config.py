@@ -73,3 +73,19 @@ class EngineConfig:
 
 
 DEFAULT = EngineConfig()
+
+
+def cluster_cpus() -> int:
+    """Logical CPUs of the running Ray cluster — the one lookup behind the
+    encode task reservation, the default encode part count and the read
+    fan-out.  Without a started Ray (or a cluster reporting no CPUs) it is
+    the host's CPU count, 8 if that is unknown; library code never starts
+    Ray itself."""
+    import os
+
+    import ray
+
+    try:
+        return int(ray.cluster_resources().get("CPU", 0)) or (os.cpu_count() or 8)
+    except Exception:
+        return os.cpu_count() or 8

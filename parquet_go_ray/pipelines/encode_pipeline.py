@@ -43,7 +43,7 @@ import ray.data as rd
 
 from ..sources.io import read_parquet_any as _read_parquet_any
 
-from ..config import DEFAULT, EngineConfig
+from ..config import DEFAULT, EngineConfig, cluster_cpus
 from ..stages.encode import encode_table
 from ..state import lineage as lin
 
@@ -189,16 +189,10 @@ def _task_cpus(cfg: EngineConfig) -> int:
     serialized the whole encode).  The deliberate under-subscription — more
     reserved CPUs than the single-threaded task uses — protects the memory
     bus on large hosts: 8 concurrent encoders at 32 CPUs."""
-    import ray as _ray
-
-    try:
-        total = int(_ray.cluster_resources().get("CPU", cfg.cpus_per_encode_task))
-    except Exception:
-        total = cfg.cpus_per_encode_task
     # A/B at 32 CPUs after threaded outer compression landed (slices fill
     # the reservation): 8 slots 9.0/11.0 s vs 6 slots 9.7/10.5 s — a wash
     # inside host noise.
-    return max(1, min(cfg.cpus_per_encode_task, total // 2))
+    return max(1, min(cfg.cpus_per_encode_task, cluster_cpus() // 2))
 
 
 def encode_dataset(ds: rd.Dataset, cfg: EngineConfig = DEFAULT, plan: dict | None = None) -> rd.Dataset:
@@ -229,18 +223,11 @@ def encode_partitioned(
     concurrent task per fragment: the metrics rows (blobs go to out_dir),
     or the chunk tables if out_dir is None.  `plan` is a `_plan_codecs`
     result computed ahead of time."""
-    import os as _os
-
-    import ray as _ray
-
     if num_parts is None:
         if cfg.partitions:
             num_parts = cfg.partitions
         else:
-            try:
-                ncpu = int(_ray.cluster_resources().get("CPU", 0)) or (_os.cpu_count() or 8)
-            except Exception:
-                ncpu = _os.cpu_count() or 8
+            ncpu = cluster_cpus()
             if total_bytes is None:
                 total_bytes = ds.size_bytes() or (64 << 20)
             # enough partitions to cap chunk memory AND keep every core busy,

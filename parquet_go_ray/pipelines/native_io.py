@@ -10,8 +10,9 @@ Two interop directions, both oracled:
 
 * ``read_native`` — a foreign writer (pyarrow) produces a parquet file with
   modern encodings (DELTA_BINARY_PACKED / DELTA_BYTE_ARRAY /
-  BYTE_STREAM_SPLIT / RLE_DICTIONARY); Ray decodes it one row group per
-  task entirely through the engine's page decoders
+  BYTE_STREAM_SPLIT / RLE_DICTIONARY); Ray decodes its row groups
+  (packed into tasks by ``_fan_out``) entirely through the engine's page
+  decoders
   (reference read path analog: reader/reader.go:41-89 + layout/page.go:721-937).
 
 Scratch files live under /tmp on this single-node sandbox; on a multi-node
@@ -21,6 +22,7 @@ fsspec-backed sources/io.py covers that).
 
 from __future__ import annotations
 
+import math
 import os
 import uuid
 
@@ -31,6 +33,7 @@ import ray.data as rd
 from ..sources.io import read_parquet_any as _read_parquet_any
 
 from .. import uri
+from ..config import DEFAULT, cluster_cpus
 from ..formats.par1 import read_par1, read_par1_meta, write_par1
 
 _CUSTOMER_ENCODINGS = {
@@ -178,20 +181,18 @@ def _ensure_foreign_file(sf_dir: str, table: str = "lineitem") -> str:
 
 def read_native(sf_dir: str, table: str = "lineitem") -> rd.Dataset:
     """Foreign (pyarrow-written, delta/BSS-encoded) parquet decoded through
-    the engine's own page decoders, one row group per Ray task."""
+    the engine's own page decoders, row group by row group, in the tasks
+    ``_fan_out`` sizes from the row groups' compressed bytes."""
     path = _ensure_foreign_file(sf_dir, table)
-    n_rg = len(read_par1_meta(path)["row_groups"])
-    items = [{"rg": i} for i in range(n_rg)]
+    rgs = read_par1_meta(path)["row_groups"]
 
-    def decode(batch: pa.Table) -> pa.Table:
-        rgs = batch["rg"].to_pylist()
-        if not rgs:
-            return pa.table({})
-        return read_par1(path, row_groups=rgs)
+    def decode(batch: pa.Table):
+        for rg_i in batch["rg"].to_pylist():
+            yield read_par1(path, row_groups=[rg_i])
 
-    return rd.from_items(items, override_num_blocks=max(n_rg, 1)).map_batches(
-        decode, batch_format="pyarrow", batch_size=None
-    )
+    return _fan_out(
+        [{"rg": i} for i in range(len(rgs))], [_rg_bytes(rg) for rg in rgs]
+    ).map_batches(decode, batch_format="pyarrow", batch_size=None)
 
 
 def transcode_native_v2(sf_dir: str) -> rd.Dataset:
@@ -290,26 +291,78 @@ def _fs_of(path: str):
     return uri.split_uri(path)
 
 
-def _ls_parquet(dir_path: str) -> list[str]:
-    """Recursive *.parquet listing (manifest excluded), URIs preserved —
-    object-store listings come from the backend's own glob."""
+def _ls_parquet(dir_path: str) -> dict[str, int]:
+    """Recursive *.parquet listing (manifest excluded) as {path: bytes} in
+    path order, URIs preserved.  Sizes come with the listing — a local stat
+    per globbed file, the object store's glob detail — never from one
+    request per file."""
     fs, plain, scheme = _fs_of(dir_path)
     if fs is None:
         import glob as _glob
 
-        found = _glob.glob(os.path.join(plain, "**", "*.parquet"), recursive=True)
+        found = {
+            p: os.path.getsize(p)
+            for p in _glob.glob(os.path.join(plain, "**", "*.parquet"), recursive=True)
+        }
     else:
-        found = [scheme + p.lstrip("/") for p in fs.glob(plain.rstrip("/") + "/**/*.parquet")]
         # object stores have no directories: a single-level key layout also
         # matches one level deep (fsspec's ** matches zero levels, so this
-        # is belt-and-braces; the set makes the dedup O(n) not O(n^2))
-        seen = set(found)
-        found += [
-            scheme + p.lstrip("/")
-            for p in fs.glob(plain.rstrip("/") + "/*.parquet")
-            if scheme + p.lstrip("/") not in seen
-        ]
-    return sorted(p for p in found if os.path.basename(p) != MANIFEST_NAME)
+        # is belt-and-braces)
+        found = {}
+        for pat in ("/**/*.parquet", "/*.parquet"):
+            for p, info in fs.glob(plain.rstrip("/") + pat, detail=True).items():
+                found.setdefault(scheme + p.lstrip("/"), info["size"])
+    return {
+        p: found[p] for p in sorted(found) if os.path.basename(p) != MANIFEST_NAME
+    }
+
+
+def _rg_bytes(rg: dict) -> int:
+    """A row group's compressed bytes, from its footer entry."""
+    return sum(ch["meta_data"]["total_compressed_size"] for ch in rg["columns"])
+
+
+def _fan_out(items: list[dict], sizes: list[int | None]) -> rd.Dataset:
+    """THE fan-out of every read-side Ray job (scans, footer passes,
+    manifest admission, table reads): `items` as a from_items dataset whose
+    blocks the caller maps with ``batch_size=None``, one task per block.
+
+    Task count: ``n = min(len(items), max(cpu_slots, ceil(sum(sizes) /
+    DEFAULT.target_chunk_bytes)))`` — many small files pack into one task
+    per CPU slot, large inputs split into ~target-sized tasks, and there
+    are never more tasks than items.  An item of unknown size (None)
+    counts as one target, so it keeps its own task; footer-only jobs pass
+    0 and get one task per slot.  Two tasks per slot measured slower than
+    one (an 8-file lineitem scan at 2 Ray CPUs: 0.23 s vs 0.16 s).
+
+    Ray Data budgets a task that has not reported output yet at
+    target_max_block_size x 2 (256 MB by default), which in a small
+    object store admits one task at a time, and it notices a finished task
+    only at its next event, so tasks waiting on each other's slots run back
+    to back.  This dataset's own copy of the context gets
+    target_max_block_size = the largest item size (1 MB floor), so every
+    slot starts at once; the global context and the caller's datasets are
+    left alone.  UDFs that return data stream one table per item (a typed
+    empty only when they yield nothing else), so a packed task holds one
+    item's table at a time."""
+    target = DEFAULT.target_chunk_bytes
+    sized = [target if s is None else s for s in sizes]
+    n = min(len(items), max(cluster_cpus(), math.ceil(sum(sized) / target)))
+    ds = rd.from_items(items, override_num_blocks=max(n, 1))
+    ds.context.target_max_block_size = max(sized + [1 << 20])
+    return ds
+
+
+def _stream(tables, empty: pa.Table):
+    """Yield a packed task's non-empty per-item tables, or `empty` (typed)
+    when there are none."""
+    out = False
+    for t in tables:
+        if t is not None and t.num_rows:
+            out = True
+            yield t
+    if not out:
+        yield empty
 
 
 def _rel_subdir(path: str, base: str) -> str:
@@ -326,20 +379,20 @@ def build_par1_manifest(dir_path: str) -> str:
     """Build (or rebuild) a directory-level manifest for a PAR1 dataset:
     one row per part file with its row/byte counts and per-column min/max/
     null stats aggregated from the part's own footer.  The footer scan is
-    DISTRIBUTED (one Ray task per ~64-file slice reads only footers); the
+    DISTRIBUTED (footer-only, one ``_fan_out`` task per CPU slot); the
     driver receives part-count-sized rows and writes one small
     `_manifest.parquet` (through the engine's own writer).  Scans then
     prune whole FILES driver-side from the manifest before spawning a
     single task — the listing-level pruning a 10^6-file corpus needs, the
     same role as Iceberg/Delta manifest files.  Returns the manifest
     path."""
-    paths = _ls_parquet(dir_path)
-    if not paths:
+    listing = _ls_parquet(dir_path)
+    if not listing:
         raise ValueError(f"build_par1_manifest: no parts under {dir_path}")
 
     def footer_stats(batch: pa.Table) -> pa.Table:
         rows = []
-        for p in batch["path"].to_pylist():
+        for p, size in zip(batch["path"].to_pylist(), batch["bytes"].to_pylist()):
             rows.append(
                 {
                     "path": p,
@@ -347,7 +400,7 @@ def build_par1_manifest(dir_path: str) -> str:
                     "rows": sum(
                         rg["num_rows"] for rg in read_par1_meta(p)["row_groups"]
                     ),
-                    "bytes": uri.size(p),
+                    "bytes": size,
                     "skipped": False,
                     "stats": _part_stats_json(p),
                 }
@@ -355,16 +408,13 @@ def build_par1_manifest(dir_path: str) -> str:
         return _manifest_table(rows)
 
     rows = (
-        rd.from_items(
-            [{"path": p} for p in paths],
-            override_num_blocks=max(1, min(len(paths), 64)),
-        )
-        .map_batches(footer_stats, batch_format="pyarrow")
+        _fan_out([{"path": p, "bytes": b} for p, b in listing.items()], [0] * len(listing))
+        .map_batches(footer_stats, batch_format="pyarrow", batch_size=None)
         .take_all()
     )
     mpath = dir_path.rstrip("/") + "/" + MANIFEST_NAME
     # row-grouped so huge manifests admit distributed evaluation
-    # (_manifest_prune fans out one task per row group past its threshold);
+    # (_manifest_prune fans out over row groups past its threshold);
     # path order makes a rebuild over the same parts byte-identical
     table = _manifest_table(sorted(rows, key=lambda r: r["path"]))
     uri.publish(
@@ -416,12 +466,14 @@ def explain_par1_scan(
     """Observability for the pruning ladder: run the SAME pruning decisions
     a read would make and report counts at every level WITHOUT returning
     data — {files_total, files_after_manifest, row_groups_total,
-    row_groups_read, pages_total, pages_decoded, rows_out}.  One Ray task
-    slice per file; the decode still happens for surviving pages (rows_out
-    is exact), so use small predicates for pure exploration."""
+    row_groups_read, pages_total, pages_decoded, rows_out}.  Files go out
+    in ``_fan_out`` tasks sized by their bytes, as a read's do; the decode
+    still happens for surviving pages (rows_out is exact), so use small
+    predicates for pure exploration."""
     from ..formats.par1 import _normalize_predicate, _schema_tree, read_par1_pruned
 
-    paths = _ls_parquet(dir_path)
+    sizes = _ls_parquet(dir_path)
+    paths = list(sizes)
     files_total = len(paths)
     if not paths:
         raise ValueError(f"explain_par1_scan: no parts under {dir_path}")
@@ -477,11 +529,8 @@ def explain_par1_scan(
         )
 
     agg = (
-        rd.from_items(
-            [{"path": p} for p in paths],
-            override_num_blocks=max(1, min(len(paths), 64)),
-        )
-        .map_batches(probe, batch_format="pyarrow")
+        _fan_out([{"path": p} for p in paths], [sizes[p] for p in paths])
+        .map_batches(probe, batch_format="pyarrow", batch_size=None)
         .to_pandas()
         .sum()
     )
@@ -499,21 +548,21 @@ def explain_par1_scan(
 def validate_par1_dataset(
     dir_path: str, check_manifest: bool = True
 ) -> rd.Dataset:
-    """Distributed integrity check (fsck) over a native dataset: one Ray
-    task slice per file verifies that the footer parses, every page body
-    matches its CRC-32, the decoded row count equals the footer's, each
-    flat column's actual min/max lie INSIDE the recorded Statistics bounds
-    (truncation makes bounds wider, never narrower), and — when a
-    `_manifest.parquet` exists and covers the file — the manifest row/byte
-    counts match the file.  Returns {path, ok, error} (error='' when ok);
+    """Distributed integrity check (fsck) over a native dataset, in
+    ``_fan_out`` tasks sized by the files' bytes: per file, that the footer
+    parses, every page body matches its CRC-32, the decoded row count
+    equals the footer's, each flat column's actual min/max lie INSIDE the
+    recorded Statistics bounds (truncation makes bounds wider, never
+    narrower), and — when a `_manifest.parquet` exists and covers the file
+    — the manifest row/byte counts match the file.  Returns {path, ok, error} (error='' when ok);
     the maintenance sweep a 100 TB archive runs after transfers/bitrot
     windows.  Also flags stray `*.tmp.*` leftovers from crashed writers."""
     import pyarrow.compute as pc
 
     from ..formats.par1 import _schema_tree, _stat_min_max, _stat_py, read_par1
 
-    paths = _ls_parquet(dir_path)
-    if not paths:
+    sizes = _ls_parquet(dir_path)
+    if not sizes:
         raise ValueError(f"validate_par1_dataset: no parts under {dir_path}")
     fs, plain, scheme = _fs_of(dir_path)
     if fs is None:
@@ -610,10 +659,10 @@ def validate_par1_dataset(
             }
         )
 
-    items = [{"path": p} for p in paths + stray]
-    return rd.from_items(
-        items, override_num_blocks=max(1, min(len(items), 64))
-    ).map_batches(run, batch_format="pyarrow")
+    # a stray is reported by name, never opened: it costs no bytes
+    return _fan_out(
+        [{"path": p} for p in list(sizes) + stray], list(sizes.values()) + [0] * len(stray)
+    ).map_batches(run, batch_format="pyarrow", batch_size=None)
 
 
 def from_json_stat(v):
@@ -689,9 +738,9 @@ def _manifest_prune(
     Files absent from the manifest are kept (stale-manifest safe); manifest
     rows for deleted files are ignored.  Small manifests evaluate inline on
     the driver; past _MANIFEST_DISTRIBUTE_THRESHOLD rows the JSON-decode +
-    admission loop fans out over Ray tasks (one per manifest row group) and
-    only the admitted path list returns — the driver never holds more than
-    the listing it already owns."""
+    admission loop fans out over the manifest's row groups (``_fan_out``)
+    and only the admitted path list returns — the driver never holds more
+    than the listing it already owns."""
     from ..formats.par1 import read_par1, read_par1_meta
 
     fmd = read_par1_meta(manifest_path)
@@ -700,7 +749,7 @@ def _manifest_prune(
         known = set(mtab["path"].to_pylist())
         admitted = _manifest_admit_rows(mtab, branches)
     else:
-        n_rgs = len(fmd["row_groups"])
+        rgs = fmd["row_groups"]
 
         def admit(batch: pa.Table) -> pa.Table:
             ks, ads = [], []
@@ -718,11 +767,8 @@ def _manifest_prune(
             )
 
         rows = (
-            rd.from_items(
-                [{"rg": i} for i in range(n_rgs)],
-                override_num_blocks=max(1, min(n_rgs, 64)),
-            )
-            .map_batches(admit, batch_format="pyarrow")
+            _fan_out([{"rg": i} for i in range(len(rgs))], [_rg_bytes(rg) for rg in rgs])
+            .map_batches(admit, batch_format="pyarrow", batch_size=None)
             .take_all()
         )
         known = {p for r in rows for p in r["known"]}
@@ -789,10 +835,14 @@ def read_par1_dataset(
 
     Driver-side state is just the file listing; footer parsing, chunk-
     Statistics row-group pruning, ColumnIndex page pruning and decode all
-    run inside Ray tasks (one per file, streaming).  This is the native
+    run inside Ray tasks — ``_fan_out`` packs the files into tasks by their
+    listed bytes (a bare path list counts as unknown sizes: one task per
+    file), and each task streams one table per file.  This is the native
     format's 100 TB scan path: per-task bytes are bounded by what the
-    indexes let through, and a predicate that misses a file costs that task
-    one footer read.  Flat leaf columns (read_par1_pruned semantics).
+    indexes let through, and a predicate that misses a file costs one
+    footer read.  Flat leaf columns (read_par1_pruned semantics); outside
+    ``union_by_name`` a projected or predicate column missing from the
+    first file's schema raises ValueError before any task runs.
 
     ``partitions={col: value, ...}`` prunes a hive-layout directory
     (``write_par1_dataset(partition_by=...)`` output) down to the matching
@@ -800,10 +850,11 @@ def read_par1_dataset(
 
     ``split_row_groups=True`` adds intra-file parallelism for the
     few-huge-files shape: a first stage of Ray tasks reads only footers and
-    expands each file into (path, row-group) work items, which then scan
-    one row group per item — a 10 GB single file becomes as many tasks as
-    it has row groups instead of one.  The driver holds only the
-    part-count-sized item listing, never data.
+    expands each file into (path, row-group, compressed bytes) items, which
+    come back to the driver and go out again through ``_fan_out`` — a 10 GB
+    single file splits into ~target-sized tasks of whole row groups
+    instead of one.  The driver holds only the part-count-sized item
+    listing, never data.
 
     ``union_by_name=True`` handles SCHEMA EVOLUTION across a long-lived
     corpus: a distributed footer-only pass unifies the files' schemas by
@@ -814,10 +865,12 @@ def read_par1_dataset(
     from ..formats.par1 import _normalize_predicate, _schema_tree, read_par1_pruned
 
     src_dir = None
+    sizes: dict[str, int | None] = {}  # a bare path list: sizes unknown
     if isinstance(paths, str):
         if uri.isdir(paths):
             src_dir = paths
-            paths = _ls_parquet(paths)
+            sizes = _ls_parquet(paths)
+            paths = list(sizes)
         else:
             paths = [paths]
     if partitions:
@@ -852,11 +905,8 @@ def read_par1_dataset(
             return pa.table({"schema": pa.array(out, pa.binary())})
 
         rows = (
-            rd.from_items(
-                [{"path": p} for p in paths],
-                override_num_blocks=min(len(paths), 64),
-            )
-            .map_batches(file_schema, batch_format="pyarrow")
+            _fan_out([{"path": p} for p in paths], [0] * len(paths))
+            .map_batches(file_schema, batch_format="pyarrow", batch_size=None)
             .take_all()
         )
         unified = pa.unify_schemas(
@@ -866,10 +916,16 @@ def read_par1_dataset(
     else:
         types = {n.name: n.type for n in _schema_tree(read_par1_meta(paths[0]))}
     names = list(columns) if columns is not None else list(types)
+    branches = _normalize_predicate(predicate)
+    if not union_by_name:
+        for c in names + [c for br in branches for c, _op, _v in br]:
+            if c not in types:
+                raise ValueError(
+                    f"read_par1_dataset: unknown column {c!r} (not in {paths[0]})"
+                )
     empty = pa.table({nm: pa.chunked_array([], type=types[nm]) for nm in names})
     if pruned_empty:
         return rd.from_arrow(empty)
-    branches = _normalize_predicate(predicate)
 
     def _read_one(p: str, rgs: list[int] | None) -> pa.Table | None:
         if not union_by_name:
@@ -916,46 +972,44 @@ def read_par1_dataset(
 
     if not split_row_groups:
 
-        def read_file(batch: pa.Table) -> pa.Table:
-            tables = []
-            for p in batch["path"].to_pylist():
-                tbl = _read_one(p, None)
-                if tbl is not None and tbl.num_rows:
-                    tables.append(tbl)
-            return pa.concat_tables(tables) if tables else empty
+        def read_file(batch: pa.Table):
+            return _stream((_read_one(p, None) for p in batch["path"].to_pylist()), empty)
 
-        return rd.from_items(
-            [{"path": p} for p in paths], override_num_blocks=len(paths)
+        return _fan_out(
+            [{"path": p} for p in paths], [sizes.get(p) for p in paths]
         ).map_batches(read_file, batch_format="pyarrow", batch_size=None)
 
     def list_rgs(batch: pa.Table) -> pa.Table:
-        out_p, out_rg = [], []
+        out = {"path": [], "rg": [], "bytes": []}
         for p in batch["path"].to_pylist():
-            for rg_i in range(len(read_par1_meta(p)["row_groups"])):
-                out_p.append(p)
-                out_rg.append(rg_i)
-        return pa.table(
-            {"path": pa.array(out_p, pa.string()), "rg": pa.array(out_rg, pa.int64())}
+            for rg_i, rg in enumerate(read_par1_meta(p)["row_groups"]):
+                out["path"].append(p)
+                out["rg"].append(rg_i)
+                out["bytes"].append(_rg_bytes(rg))
+        return pa.table(out)
+
+    # (path, rg, bytes) listing, one tiny row per row group, to the driver
+    listing = (
+        _fan_out([{"path": p} for p in paths], [0] * len(paths))
+        .map_batches(list_rgs, batch_format="pyarrow", batch_size=None)
+        .take_all()
+    )
+    if not listing:
+        return rd.from_arrow(empty)
+
+    def read_rgs(batch: pa.Table):
+        return _stream(
+            (
+                _read_one(p, [rg_i])
+                for p, rg_i in zip(batch["path"].to_pylist(), batch["rg"].to_pylist())
+            ),
+            empty,
         )
 
-    items = (
-        rd.from_items([{"path": p} for p in paths], override_num_blocks=len(paths))
-        .map_batches(list_rgs, batch_format="pyarrow", batch_size=None)
-        .materialize()  # (path, rg) listing: one tiny row per row group
-    )
-    n_items = max(items.count(), 1)
-
-    def read_rgs(batch: pa.Table) -> pa.Table:
-        tables = []
-        for p, rg_i in zip(batch["path"].to_pylist(), batch["rg"].to_pylist()):
-            tbl = _read_one(p, [rg_i])
-            if tbl is not None and tbl.num_rows:
-                tables.append(tbl)
-        return pa.concat_tables(tables) if tables else empty
-
-    return items.repartition(min(n_items, 4096)).map_batches(
-        read_rgs, batch_format="pyarrow", batch_size=None
-    )
+    return _fan_out(
+        [{"path": r["path"], "rg": r["rg"]} for r in listing],
+        [r["bytes"] for r in listing],
+    ).map_batches(read_rgs, batch_format="pyarrow", batch_size=None)
 
 
 

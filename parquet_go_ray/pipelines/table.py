@@ -34,8 +34,8 @@ files, all Ray-Data-first:
   live version still needs.
 
 Scans prune whole files from the manifests' per-file stats before any
-data task spawns — inline for small tables, fanned out over Ray tasks
-(one per manifest row group) past ``_MANIFEST_DISTRIBUTE_THRESHOLD`` so
+data task spawns — inline for small tables, fanned out over the manifest
+parts (``native_io._fan_out``) past ``_MANIFEST_DISTRIBUTE_THRESHOLD`` so
 the driver only ever holds the admitted path listing.  Clean files then
 take ``read_par1_dataset``'s full pruning ladder; position-deleted files
 take a row-group-streamed merge path.
@@ -65,9 +65,12 @@ from ..formats.par1 import (
 )
 from .native_io import (
     _MANIFEST_DISTRIBUTE_THRESHOLD,
+    _fan_out,
     _manifest_admit_rows,
     _manifest_admits_file,
     _manifest_table,
+    _rg_bytes,
+    _stream,
     _write_part,
     from_json_stat,
     read_par1_dataset,
@@ -235,42 +238,56 @@ def _entry_admits(entry: dict, branches) -> bool:
     return _manifest_admits_file(_decode_stats(sj), branches)
 
 
-def _admitted_paths(table_dir: str, snap: dict, branches) -> list[str]:
-    """Live data-file rel paths whose manifest stats admit the DNF — the
-    file-level pruning rung.  Small tables evaluate inline; past
+def _admitted_paths(table_dir: str, snap: dict, branches) -> dict[str, int]:
+    """Live data files whose manifest stats admit the DNF, as {rel path:
+    bytes} in manifest order — the file-level pruning rung, with the sizes
+    the read fan-outs pack by.  Small tables evaluate inline; past
     _MANIFEST_DISTRIBUTE_THRESHOLD rows the JSON-decode + admission loop
-    fans out one Ray task per manifest part and only admitted paths return
-    to the driver."""
+    fans out over the manifest parts (``_fan_out``) and only admitted
+    entries return to the driver."""
     mpaths = [os.path.join(table_dir, m) for m in snap["manifests"]]
     if not mpaths:
-        return []
+        return {}
     if not branches:
-        out: list[str] = []
+        out: dict[str, int] = {}
         for mp in mpaths:
-            out.extend(read_par1(mp, columns=["path"])["path"].to_pylist())
+            t = read_par1(mp, columns=["path", "bytes"])
+            out.update(zip(t["path"].to_pylist(), t["bytes"].to_pylist()))
         return out
-    total = sum(read_par1_meta(mp)["num_rows"] for mp in mpaths)
-    if total <= _MANIFEST_DISTRIBUTE_THRESHOLD:
-        return [
-            e["path"] for e in _live_entries(table_dir, snap) if _entry_admits(e, branches)
-        ]
+    metas = [read_par1_meta(mp) for mp in mpaths]
+    if sum(md["num_rows"] for md in metas) <= _MANIFEST_DISTRIBUTE_THRESHOLD:
+        return {
+            e["path"]: e["bytes"]
+            for e in _live_entries(table_dir, snap)
+            if _entry_admits(e, branches)
+        }
 
     def admit(batch: pa.Table) -> pa.Table:
         ads: list[str] = []
+        sizes: list[int] = []
         for mp in batch["m"].to_pylist():
-            mt = read_par1(mp, columns=["path", "stats"])
-            ads.extend(sorted(_manifest_admit_rows(mt, branches)))
-        return pa.table({"admitted": pa.array([ads], pa.list_(pa.string()))})
+            mt = read_par1(mp, columns=["path", "bytes", "stats"])
+            ok = _manifest_admit_rows(mt, branches)
+            for p, b in zip(mt["path"].to_pylist(), mt["bytes"].to_pylist()):
+                if p in ok:
+                    ads.append(p)
+                    sizes.append(b)
+        return pa.table(
+            {
+                "admitted": pa.array([ads], pa.list_(pa.string())),
+                "bytes": pa.array([sizes], pa.list_(pa.int64())),
+            }
+        )
 
     rows = (
-        rd.from_items(
+        _fan_out(
             [{"m": mp} for mp in mpaths],
-            override_num_blocks=min(len(mpaths), 64),
+            [sum(_rg_bytes(rg) for rg in md["row_groups"]) for md in metas],
         )
-        .map_batches(admit, batch_format="pyarrow")
+        .map_batches(admit, batch_format="pyarrow", batch_size=None)
         .take_all()
     )
-    return [p for r in rows for p in r["admitted"]]
+    return {p: b for r in rows for p, b in zip(r["admitted"], r["bytes"])}
 
 
 BUCKET_COL = "_bucket"
@@ -418,44 +435,47 @@ def _write_position_deletes(
     table_dir: str, snap: dict, branches, txn: str
 ) -> list[dict]:
     """Find and persist the position-delete files for a DNF over the
-    snapshot's live data: one Ray task per manifest-admitted data file
-    evaluates the exact mask row-group by row-group and emits global row
-    POSITIONS, which land as engine-written ``(file_path, pos)`` parquet
-    files sorted by file_path (tight stats -> scans load only the delete
-    files covering their data file).  Returns the new delete entries
-    ([] when nothing matched)."""
+    snapshot's live data: the manifest-admitted data files go out through
+    ``_fan_out``; each file's exact mask is evaluated row-group by row-group
+    into global row POSITIONS, which land as engine-written
+    ``(file_path, pos)`` parquet files sorted by file_path (tight stats ->
+    scans load only the delete files covering their data file).  Returns
+    the new delete entries ([] when nothing matched)."""
     pcols = sorted({c for br in branches for c, _op, _v in br})
     cand = _admitted_paths(table_dir, snap, branches)
     if not cand:
         return []
 
-    def find_positions(batch: pa.Table) -> pa.Table:
+    def positions(rel: str) -> pa.Table:
         fps: list[str] = []
         poss: list[int] = []
-        for rel in batch["path"].to_pylist():
-            p = os.path.join(table_dir, rel)
-            meta = read_par1_meta(p)
-            base = 0
-            for rg_i, rg in enumerate(meta["row_groups"]):
-                tbl, _st = read_par1_pruned(p, pcols, None, row_groups=[rg_i])
-                m = dnf_mask(tbl, branches)
-                if m is None:
-                    hit = np.arange(tbl.num_rows, dtype=np.int64)
-                else:
-                    if isinstance(m, pa.ChunkedArray):
-                        m = m.combine_chunks()
-                    hit = np.flatnonzero(
-                        m.fill_null(False).to_numpy(zero_copy_only=False)
-                    )
-                fps.extend([rel] * len(hit))
-                poss.extend((hit + base).tolist())
-                base += rg["num_rows"]
+        p = os.path.join(table_dir, rel)
+        base = 0
+        for rg_i, rg in enumerate(read_par1_meta(p)["row_groups"]):
+            tbl, _st = read_par1_pruned(p, pcols, None, row_groups=[rg_i])
+            m = dnf_mask(tbl, branches)
+            if m is None:
+                hit = np.arange(tbl.num_rows, dtype=np.int64)
+            else:
+                if isinstance(m, pa.ChunkedArray):
+                    m = m.combine_chunks()
+                hit = np.flatnonzero(m.fill_null(False).to_numpy(zero_copy_only=False))
+            fps.extend([rel] * len(hit))
+            poss.extend((hit + base).tolist())
+            base += rg["num_rows"]
         return pa.table(
             {"file_path": pa.array(fps, pa.string()), "pos": pa.array(poss, pa.int64())}
         )
 
-    pos_ds = rd.from_items(
-        [{"path": p} for p in cand], override_num_blocks=len(cand)
+    no_hits = pa.table(
+        {"file_path": pa.array([], pa.string()), "pos": pa.array([], pa.int64())}
+    )
+
+    def find_positions(batch: pa.Table):
+        return _stream(map(positions, batch["path"].to_pylist()), no_hits)
+
+    pos_ds = _fan_out(
+        [{"path": p} for p in cand], list(cand.values())
     ).map_batches(find_positions, batch_format="pyarrow", batch_size=None)
     n_parts = max(1, len(cand) // 64)
     man = write_par1_dataset(
@@ -891,8 +911,8 @@ def table_scan(
     before any data task spawns (inline or distributed — _admitted_paths).
     Files untouched by deletes go through ``read_par1_dataset``'s full
     pruning ladder (row-group stats, ColumnIndex pages, blooms);
-    position-deleted files take the merge-on-read path, one Ray task per
-    file.  The two streams union."""
+    position-deleted files take the merge-on-read path, packed into tasks
+    by ``_fan_out`` from their manifest bytes.  The two streams union."""
     snap = load_snapshot(table_dir, version, branch=branch)
     branches = _normalize_predicate(predicate)
     if not snap["manifests"]:
@@ -922,27 +942,25 @@ def table_scan(
     if dirty:
         empty = pa.table({nm: pa.chunked_array([], type=types[nm]) for nm in names})
 
-        def read_dirty(batch: pa.Table) -> pa.Table:
-            tables = []
-            for rel, dps, eqj in zip(
-                batch["path"].to_pylist(),
-                batch["dels"].to_pylist(),
-                batch["eqs"].to_pylist(),
-            ):
-                t = _read_file_with_deletes(
-                    table_dir, rel, list(dps), names, branches,
-                    eq_dels=json.loads(eqj),
-                )
-                if t.num_rows:
-                    tables.append(t)
-            return pa.concat_tables(tables) if tables else empty
+        def read_dirty(batch: pa.Table):
+            return _stream(
+                (
+                    _read_file_with_deletes(
+                        table_dir, rel, list(dps), names, branches,
+                        eq_dels=json.loads(eqj),
+                    )
+                    for rel, dps, eqj in zip(
+                        batch["path"].to_pylist(),
+                        batch["dels"].to_pylist(),
+                        batch["eqs"].to_pylist(),
+                    )
+                ),
+                empty,
+            )
 
-        items = rd.from_items(
-            [
-                {"path": r, "dels": d, "eqs": json.dumps(e)}
-                for r, d, e in dirty
-            ],
-            override_num_blocks=len(dirty),
+        items = _fan_out(
+            [{"path": r, "dels": d, "eqs": json.dumps(e)} for r, d, e in dirty],
+            [live[r] for r, _d, _e in dirty],
         )
         parts.append(
             items.map_batches(read_dirty, batch_format="pyarrow", batch_size=None)
@@ -964,9 +982,10 @@ def table_bucket_join(
     """SHUFFLE-FREE equi-join of two bucketed tables: both sides were
     hash-partitioned at write time by the same stable bucket function
     (``table_write(bucket_by=(key, n))``), so every join key pair lives in
-    the same bucket id on both sides — the join runs as one independent
-    Ray task per bucket (read left bucket files + right bucket files,
-    one vectorized Arrow hash join), with NO all-to-all exchange.  This is
+    the same bucket id on both sides — each bucket joins independently
+    (read left bucket files + right bucket files, one vectorized Arrow hash
+    join) in tasks ``_fan_out`` packs by the buckets' bytes, with NO
+    all-to-all exchange.  This is
     the co-partitioned fact-to-fact join: at 100 TB the alternative
     ``groupby``-style join moves every byte of both tables across the
     cluster; this moves nothing but the output.  Merge-on-read deletes on
@@ -997,7 +1016,7 @@ def table_bucket_join(
         if not live:
             raise ValueError(f"{table_dir}: no live data files")
         nodes = _schema_tree(
-            read_par1_meta(os.path.join(table_dir, live[0]))
+            read_par1_meta(os.path.join(table_dir, next(iter(live))))
         )
         names = [n.name for n in nodes]
         sel = [c for c in (cols if cols is not None else names) if c != BUCKET_COL]
@@ -1020,10 +1039,10 @@ def table_bucket_join(
             by_bucket.setdefault(b, []).append((rel, dels, eqs))
         types = {n.name: n.type for n in nodes}
         empty = pa.table({c: pa.chunked_array([], type=types[c]) for c in sel})
-        return by_bucket, sel, empty
+        return by_bucket, sel, empty, live
 
-    lbuckets, lsel, lempty = side(left_dir, lsnap, left_on, left_columns)
-    rbuckets, rsel, rempty = side(right_dir, rsnap, right_on, right_columns)
+    lbuckets, lsel, lempty, lbytes = side(left_dir, lsnap, left_on, left_columns)
+    rbuckets, rsel, rempty, rbytes = side(right_dir, rsnap, right_on, right_columns)
     overlap = (set(lsel) & set(rsel)) - ({left_on} if left_on == right_on else set())
     if overlap:
         raise ValueError(
@@ -1058,23 +1077,25 @@ def table_bucket_join(
     lfiles = {b: lbuckets.get(b, []) for b in todo}
     rfiles = {b: rbuckets.get(b, []) for b in todo}
 
-    def join_bucket(batch: pa.Table) -> pa.Table:
-        outs = []
-        for b in batch["b"].to_pylist():
-            lt = read_side(left_dir, lfiles[b], lsel, lempty)
-            rt = read_side(right_dir, rfiles[b], rsel, rempty)
-            if lt.num_rows == 0 or (how == "inner" and rt.num_rows == 0):
-                continue
-            j = lt.join(rt, keys=[left_on], right_keys=[right_on],
-                        join_type=join_type)
-            if j.num_rows:
-                outs.append(j.select(out_schema.names).cast(out_schema))
-        return pa.concat_tables(outs) if outs else out_empty
+    def join_one(b: int) -> pa.Table | None:
+        lt = read_side(left_dir, lfiles[b], lsel, lempty)
+        rt = read_side(right_dir, rfiles[b], rsel, rempty)
+        if lt.num_rows == 0 or (how == "inner" and rt.num_rows == 0):
+            return None
+        j = lt.join(rt, keys=[left_on], right_keys=[right_on], join_type=join_type)
+        return j.select(out_schema.names).cast(out_schema)
+
+    def join_bucket(batch: pa.Table):
+        return _stream(map(join_one, batch["b"].to_pylist()), out_empty)
 
     if not todo:
         return rd.from_arrow(out_empty)
-    return rd.from_items(
-        [{"b": b} for b in todo], override_num_blocks=len(todo)
+    return _fan_out(
+        [{"b": b} for b in todo],
+        [
+            sum(lbytes[f[0]] for f in lfiles[b]) + sum(rbytes[f[0]] for f in rfiles[b])
+            for b in todo
+        ],
     ).map_batches(join_bucket, batch_format="pyarrow", batch_size=None)
 
 
@@ -1617,7 +1638,8 @@ def bucket_join_orders_customer(sf_dir: str) -> rd.Dataset:
     customer land as tables bucketed by the SAME stable hash of their join
     keys (16 buckets), an equality delete retracts negative-balance
     customers merge-on-read, and ``table_bucket_join`` joins bucket to
-    bucket — one Ray task per bucket, no all-to-all exchange — matching
+    bucket — each bucket joined inside one Ray task, no all-to-all
+    exchange — matching
     SQL ``orders JOIN customer``."""
     from ..sources.io import read_parquet_any
 

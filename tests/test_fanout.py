@@ -1,0 +1,204 @@
+"""The read-side fan-out (`native_io._fan_out`): its task-count rule, its
+block-size bound on its own dataset only, and packed scans against a
+pyarrow oracle."""
+
+import math
+import os
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from parquet_go_ray.config import DEFAULT, cluster_cpus
+from parquet_go_ray.formats.par1 import write_par1
+from parquet_go_ray.pipelines import native_io as nio
+
+MB = 1 << 20
+
+
+@pytest.fixture()
+def two_slots(monkeypatch):
+    monkeypatch.setattr(nio, "cluster_cpus", lambda: 2)
+
+
+def _tasks(ds) -> int:
+    """Tasks the fan-out runs: callers map with batch_size=None, one batch
+    (task) per block."""
+    return ds.map_batches(
+        lambda b: pa.table({"n": [b.num_rows]}), batch_format="pyarrow", batch_size=None
+    ).count()
+
+
+def _items(n: int) -> list[dict]:
+    return [{"i": i} for i in range(n)]
+
+
+def test_many_small_files_pack_one_task_per_slot(ray_session, two_slots):
+    assert _tasks(nio._fan_out(_items(10), [4096] * 10)) == 2
+
+
+def test_fewer_items_than_slots_one_task_each(ray_session, monkeypatch):
+    monkeypatch.setattr(nio, "cluster_cpus", lambda: 4)
+    assert _tasks(nio._fan_out(_items(3), [4096] * 3)) == 3
+
+
+def test_large_sizes_split_by_target(ray_session, two_slots):
+    sizes = [40 * MB] * 10
+    want = math.ceil(sum(sizes) / DEFAULT.target_chunk_bytes)
+    assert 2 < want < 10
+    assert _tasks(nio._fan_out(_items(10), sizes)) == want
+
+
+def test_unknown_sizes_one_task_per_item(ray_session, two_slots):
+    assert _tasks(nio._fan_out(_items(6), [None] * 6)) == 6
+
+
+def test_footer_only_one_task_per_slot(ray_session, two_slots):
+    assert _tasks(nio._fan_out(_items(9), [0] * 9)) == 2
+
+
+def test_cluster_cpus_reads_the_session(ray_session):
+    import ray
+
+    assert cluster_cpus() == int(ray.cluster_resources()["CPU"])
+
+
+def test_bound_lives_on_the_returned_dataset_only(ray_session):
+    import ray.data as rd
+    from ray.data import DataContext
+
+    glob_before = DataContext.get_current().target_max_block_size
+    caller = rd.from_items(_items(4))
+    caller_before = caller.context.target_max_block_size
+    ds = nio._fan_out(_items(2), [5 * MB, 3 * MB])
+    assert ds.context.target_max_block_size == 5 * MB
+    # the bound reaches the map that runs the tasks
+    assert ds.map_batches(lambda b: b).context.target_max_block_size == 5 * MB
+    assert DataContext.get_current().target_max_block_size == glob_before
+    assert caller.context.target_max_block_size == caller_before
+    # 1 MB floor; an unknown size counts as one target
+    assert nio._fan_out(_items(2), [0, 10]).context.target_max_block_size == MB
+    assert (
+        nio._fan_out(_items(2), [None, 10]).context.target_max_block_size
+        == DEFAULT.target_chunk_bytes
+    )
+
+
+# -- packed scans against a pyarrow oracle -----------------------------------
+
+N_FILES, ROWS = 6, 300  # file f holds keys [f*ROWS, (f+1)*ROWS)
+
+
+def _part(f: int, with_v: bool = True) -> pa.Table:
+    k = pa.array(range(f * ROWS, (f + 1) * ROWS), pa.int64())
+    cols = {"k": k, "g": pc.cast(pc.divide(k, 7), pa.int64())}
+    if with_v:
+        cols["v"] = pc.multiply(k, 3)
+    return pa.table(cols)
+
+
+def _write(path: str, tbl: pa.Table) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write_par1(tbl, path, codec="snappy", page_rows=64, row_group_rows=128)
+
+
+@pytest.fixture()
+def parts(tmp_path):
+    d = str(tmp_path / "ds")
+    for f in range(N_FILES):
+        _write(f"{d}/part_{f:02d}.parquet", _part(f))
+    return d
+
+
+def _collect(ds) -> pa.Table:
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _oracle(d: str, flt=None) -> pa.Table:
+    files = sorted(
+        os.path.join(r, f) for r, _, fs in os.walk(d) for f in fs if f.endswith(".parquet")
+        and f != nio.MANIFEST_NAME
+    )
+    return pq.read_table(files, filters=flt)
+
+
+def _same(got: pa.Table, want: pa.Table) -> None:
+    assert got.num_rows == want.num_rows
+    for c in ("k", "v"):
+        if c in want.column_names:
+            assert pc.sum(got[c]).as_py() == pc.sum(want[c]).as_py()
+    assert sorted(got["k"].to_pylist()) == sorted(want["k"].to_pylist())
+
+
+def test_packed_full_scan(ray_session, two_slots, parts):
+    ds = nio.read_par1_dataset(parts).materialize()
+    assert "2 tasks executed" in ds.stats()
+    _same(_collect(ds), _oracle(parts))
+
+
+def test_packed_predicate_empties_some_files_of_a_task(ray_session, two_slots, parts):
+    # keys < 1.5 files: the first task (files 0-2) keeps rows of files 0
+    # and 1 only, the second task (files 3-5) yields nothing but its empty
+    ds = nio.read_par1_dataset(parts, predicate=("k", "<", ROWS + ROWS // 2))
+    _same(_collect(ds), _oracle(parts, [("k", "<", ROWS + ROWS // 2)]))
+
+
+def test_packed_all_rows_pruned_is_typed_empty(ray_session, two_slots, parts):
+    got = _collect(nio.read_par1_dataset(parts, columns=["k", "v"], predicate=("k", ">", 10**9)))
+    assert got.num_rows == 0
+    assert got.schema.names == ["k", "v"]
+    assert got.schema.field("k").type == pa.int64()
+
+
+def test_packed_split_row_groups(ray_session, two_slots, parts):
+    ds = nio.read_par1_dataset(parts, predicate=("k", ">=", 250), split_row_groups=True)
+    _same(_collect(ds), _oracle(parts, [("k", ">=", 250)]))
+
+
+def test_packed_union_by_name_missing_column(ray_session, two_slots, tmp_path):
+    d = str(tmp_path / "evo")
+    for f in range(N_FILES):
+        _write(f"{d}/part_{f:02d}.parquet", _part(f, with_v=f % 3 != 0))
+    got = _collect(nio.read_par1_dataset(d, columns=["k", "v"], union_by_name=True))
+    want = pa.concat_tables(
+        [_part(f).select(["k", "v"]) for f in range(N_FILES)]
+    )
+    assert got.num_rows == want.num_rows
+    assert pc.sum(got["k"]).as_py() == pc.sum(want["k"]).as_py()
+    assert got["v"].null_count == 2 * ROWS  # files 0 and 3 lack v
+    kept = pc.sum(pa.concat_tables(
+        [_part(f).select(["v"]) for f in range(N_FILES) if f % 3]
+    )["v"]).as_py()
+    assert pc.sum(got["v"]).as_py() == kept
+
+
+def test_packed_partitions(ray_session, two_slots, tmp_path):
+    d = str(tmp_path / "hive")
+    for f in range(N_FILES):
+        _write(f"{d}/p={'a' if f % 2 else 'b'}/part_{f:02d}.parquet", _part(f))
+    got = _collect(nio.read_par1_dataset(d, partitions={"p": "a"}))
+    _same(got, _oracle(f"{d}/p=a"))
+
+
+def test_packed_manifest_pruned_scan(ray_session, two_slots, parts):
+    nio.build_par1_manifest(parts)
+    ex = nio.explain_par1_scan(parts, predicate=("k", "<", ROWS + 10))
+    assert ex["files_after_manifest"] == 2 < ex["files_total"] == N_FILES
+    got = _collect(nio.read_par1_dataset(parts, predicate=("k", "<", ROWS + 10)))
+    _same(got, _oracle(parts, [("k", "<", ROWS + 10)]))
+
+
+# -- unknown columns fail fast, in the driver ---------------------------------
+
+
+def test_unknown_projected_column_raises_value_error(ray_session, parts):
+    with pytest.raises(ValueError, match="nope"):
+        nio.read_par1_dataset(parts, columns=["k", "nope"])
+
+
+def test_unknown_predicate_column_raises_value_error(ray_session, parts):
+    with pytest.raises(ValueError, match="nope"):
+        nio.read_par1_dataset(parts, predicate=("nope", "==", 1))
