@@ -34,6 +34,8 @@ from . import codecs
 from .bits import read_uvarint, write_uvarint
 from .codecs import rle as rle_mod
 from .config import DEFAULT, EngineConfig
+from .formats.bloom import SplitBlockBloom, hash_arrow_values, hash_plain_scalar
+from .formats.parquet_meta import PT_BYTE_ARRAY, PT_INT64
 
 MAGIC = b"RCC1"
 
@@ -85,140 +87,72 @@ def _parse_t(s: str) -> pa.DataType:
     raise ValueError(f"unknown logical type {s}")
 
 
-def _bloom_supported(t: pa.DataType) -> bool:
-    return (
-        pa.types.is_integer(t)
-        or pa.types.is_string(t)
+# Per-chunk Bloom filters are the parquet-format split-block filter over
+# XXH64 (formats/bloom.py) — the same filter and hash PAR1 files carry.
+# Blooms live in durable chunk blobs (resumable checkpoints), so the spec is
+# versioned: probing a bloom whose ``hv`` tag mismatches (e.g. a v1/v2 bloom
+# of an older build's hash) degrades to "may contain" (no pruning) rather
+# than risking false negatives.
+_BLOOM_HV = 3
+
+
+def _bloom_physical(t: pa.DataType) -> int | None:
+    """Physical type a chunk bloom hashes values as: every integer width as
+    INT64 (uint64 >= 2^63 wraps, on build and probe alike), strings and
+    binary as BYTE_ARRAY; None = no bloom for this type."""
+    if pa.types.is_integer(t):
+        return PT_INT64
+    if (
+        pa.types.is_string(t)
         or pa.types.is_binary(t)
         or pa.types.is_large_string(t)
         or pa.types.is_large_binary(t)
-    )
-
-
-# Bloom hash spec version.  Blooms are serialized into durable chunk blobs
-# (resumable checkpoints), so the hash MUST be stable across library versions
-# and platforms — hence a self-owned spec (polynomial-over-bytes + splitmix64
-# finalizer) instead of polars Series.hash, whose output is documented as
-# unstable across versions.  Probing a bloom whose ``hv`` tag mismatches
-# degrades to "may contain" (no pruning) rather than silent false negatives.
-_BLOOM_HV = 2  # v2: trailing-empty-string reduceat fix + uint64>=2^63 wrap —
-# v1 blooms in old checkpoints degrade to "may contain" instead of probing
-# with a mismatched hash (which could false-negative)
-_POLY_P = np.uint64(1099511628211)  # FNV-1a 64-bit prime as the polynomial base
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (public-domain spec) — vectorized, uint64 wrap."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
-
-
-def _poly_hash_bytes(values: pa.Array) -> np.ndarray:
-    """Vectorized polynomial hash over variable-length byte strings:
-    h(s) = (sum_i s[i] * P^(len-1-i) mod 2^64) * P + len(s)."""
-    b = values.cast(pa.large_binary())
-    offs = np.frombuffer(b.buffers()[1], np.int64)[b.offset : b.offset + len(b) + 1]
-    data = np.frombuffer(b.buffers()[2], np.uint8)
-    starts, ends = offs[:-1], offs[1:]
-    lens = (ends - starts).astype(np.int64)
-    base = int(offs[0])
-    total = int(offs[-1]) - base
-    with np.errstate(over="ignore"):
-        if total == 0:
-            h = np.zeros(len(b), np.uint64)
-        else:
-            maxlen = int(lens.max())
-            pows = np.ones(maxlen, np.uint64)
-            if maxlen > 1:
-                np.multiply.accumulate(
-                    np.full(maxlen - 1, _POLY_P, np.uint64), out=pows[1:]
-                )
-            owner = np.repeat(np.arange(len(b), dtype=np.int64), lens)
-            gidx = np.arange(base, int(offs[-1]), dtype=np.int64)
-            pos_from_end = ends[owner] - 1 - gidx
-            contrib = data[base : base + total].astype(np.uint64) * pows[pos_from_end]
-            # reduceat over NON-EMPTY segments only, scattered back: the old
-            # clamp (min(start, total-1)) split the LAST non-empty value's
-            # byte range whenever trailing empty strings followed it, so its
-            # hash lost its final byte -> bloom FALSE NEGATIVES that pruned
-            # chunks containing the probe value
-            nonempty = lens > 0
-            h = np.zeros(len(b), np.uint64)
-            if nonempty.any():
-                h[nonempty] = np.add.reduceat(
-                    contrib, (starts - base)[nonempty]
-                )
-        return h * _POLY_P + lens.astype(np.uint64)
-
-
-def _bloom_hashes(values: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent vectorized 64-bit hash streams (double hashing),
-    derived from one spec-stable base hash (see _BLOOM_HV note above)."""
-    if isinstance(values, pa.ChunkedArray):
-        values = values.combine_chunks()
-    t = values.type
-    if pa.types.is_integer(t):
-        # numpy astype wraps uint64 >= 2^63 deterministically where the
-        # safe Arrow cast(pa.int64()) raised ArrowInvalid (build AND probe
-        # take this same path, so the wrap is consistent)
-        base = (
-            values.to_numpy(zero_copy_only=False)
-            .astype(np.int64, copy=False)
-            .view(np.uint64)
-        )
-    else:
-        base = _poly_hash_bytes(values)
-    h1 = _mix64(base ^ np.uint64(0x9E3779B97F4A7C15))
-    h2 = _mix64(base ^ np.uint64(0xC2B2AE3D27D4EB4F))
-    return h1, h2 | np.uint64(1)  # odd h2 so probes cycle the whole table
+    ):
+        return PT_BYTE_ARRAY
+    return None
 
 
 def _bloom_build(values: pa.Array, bits_per_value: int, max_bytes: int = 1 << 20) -> dict:
     """Per-chunk Bloom filter over the (null-free) values — the parquet
     column-bloom idea (not in the reference; its pruning stops at min/max
-    stats, layout/page.go:83-123).  Lives in the chunk's JSON header, so the
-    metadata pass consults it without decompressing anything.  Classic
-    double hashing: probe_i = h1 + i*h2 (Kirsch-Mitzenmacher)."""
+    stats, layout/page.go:83-123).  Lives base64 in the chunk's JSON header,
+    so the metadata pass consults it without decompressing anything.  Sized
+    at ``bits_per_value`` bits per distinct value, rounded up to a
+    power-of-two byte count in [32 B, max_bytes]."""
     import base64
 
-    n = max(len(values), 1)
-    m = int(max(64, min(n * bits_per_value, max_bytes * 8)))
-    k = max(1, min(16, round(0.6931 * m / n)))
-    h1, h2 = _bloom_hashes(values)
-    bits = np.zeros(m, dtype=bool)
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        for i in range(k):
-            bits[((h1 + np.uint64(i) * h2) % np.uint64(m)).astype(np.int64)] = True
-    return {
-        "m": m,
-        "k": k,
-        "hv": _BLOOM_HV,
-        "b64": base64.b64encode(np.packbits(bits).tobytes()).decode(),
-    }
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    pt = _bloom_physical(values.type)
+    if pt == PT_INT64:
+        values = values.cast(pa.int64(), safe=False)
+    h = np.unique(hash_arrow_values(values, pt))
+    nb = 32
+    while nb * 8 < len(h) * bits_per_value and nb < max_bytes:
+        nb <<= 1
+    sb = SplitBlockBloom(nb)
+    sb.insert(h)
+    return {"hv": _BLOOM_HV, "b64": base64.b64encode(sb.to_bytes()).decode()}
 
 
 def bloom_may_contain(bloom: dict, value, typ: pa.DataType) -> bool:
-    """Probe a chunk's Bloom filter for an equality-predicate value."""
+    """Probe a chunk's Bloom filter for an equality-predicate value (str
+    probes hash as their UTF-8 bytes).  True = may contain."""
     import base64
 
     if bloom.get("hv") != _BLOOM_HV:
-        # bloom written under a different hash spec (e.g. a checkpoint from an
-        # older build): pruning would silently drop matching chunks, so don't
+        # bloom written under a different spec (e.g. a checkpoint from an
+        # older build): pruning could silently drop matching chunks, so don't
         return True
-    h1, h2 = _bloom_hashes(pa.array([value], typ))
-    bits = np.unpackbits(np.frombuffer(base64.b64decode(bloom["b64"]), np.uint8))
-    m = np.uint64(bloom["m"])
-    with np.errstate(over="ignore"):
-        for i in range(bloom["k"]):
-            if not bits[int((h1[0] + np.uint64(i) * h2[0]) % m)]:
-                return False
-    return True
+    pt = _bloom_physical(typ)
+    if isinstance(value, str):
+        value = value.encode()
+    if pt == PT_INT64 and isinstance(value, (int, np.integer)):
+        value = (int(value) + (1 << 63)) % (1 << 64) - (1 << 63)  # the build's wrap
+    elif pt != PT_BYTE_ARRAY or not isinstance(value, bytes):
+        return True  # a probe the filter cannot hash: no pruning
+    sb = SplitBlockBloom.from_bytes(base64.b64decode(bloom["b64"]))
+    return bool(sb.check(np.array([hash_plain_scalar(value, pt)], np.uint64))[0])
 
 
 def _stats(values: pa.Array) -> dict:
@@ -255,6 +189,7 @@ _OUTER_ALIASES = {
     "lz4": ("lz4_raw", None),
     "gzip": ("gzip", None),
 }
+ZSTD_LEVEL = 3  # level of the plain "zstd" outer; the aliases carry their own
 
 
 _CODEC_CACHE: dict[tuple[str, int | None], pa.Codec] = {}
@@ -719,11 +654,11 @@ def encode_column_chunk(
         }
     )
     meta.update(_stats(values))
-    if cfg.bloom_bits_per_value and logical is None and _bloom_supported(values.type):
+    if cfg.bloom_bits_per_value and logical is None and _bloom_physical(values.type) is not None:
         meta["bloom"] = _bloom_build(values, cfg.bloom_bits_per_value)
     body = write_uvarint(len(levels)) + levels + payload
     meta["raw_body"] = len(body)
-    comp = _outer_compress(body, outer, cfg.zstd_level)
+    comp = _outer_compress(body, outer, ZSTD_LEVEL)
     meta_json = json.dumps(meta, separators=(",", ":")).encode()
     blob = MAGIC + write_uvarint(len(meta_json)) + meta_json + comp
     return {
@@ -792,11 +727,11 @@ def _encode_paged_chunk(
             pmeta.pop("rows", None)
             page_raws.append(praw)
             page_metas.append(pmeta)
-    shared_comp = _outer_compress(shared_raw, outer, cfg.zstd_level) if shared_raw else b""
+    shared_comp = _outer_compress(shared_raw, outer, ZSTD_LEVEL) if shared_raw else b""
     pages = []
     comp_pages = []
     for praw, pmeta in zip(page_raws, page_metas):
-        pcomp = _outer_compress(praw, outer, cfg.zstd_level)
+        pcomp = _outer_compress(praw, outer, ZSTD_LEVEL)
         comp_pages.append(pcomp)
         pages.append([len(pcomp), len(praw), pmeta])
     meta = {
@@ -815,7 +750,7 @@ def _encode_paged_chunk(
         **extra,
     }
     meta.update(_stats(values))
-    if cfg.bloom_bits_per_value and logical is None and _bloom_supported(values.type):
+    if cfg.bloom_bits_per_value and logical is None and _bloom_physical(values.type) is not None:
         # same bloom as the unpaged path — page_rows must not silently
         # disable pruning for exactly the large chunks where it matters
         meta["bloom"] = _bloom_build(values, cfg.bloom_bits_per_value)
@@ -943,9 +878,7 @@ def paged_skip_stats(blob: bytes, row_offset: int, row_count: int) -> dict:
     """Decoded-bytes accounting for a row-range read of a paged chunk —
     meta-only, nothing is decompressed.  Proves the page index skips: for a
     mid-chunk range, ``bytes_decoded`` << ``bytes_total``."""
-    assert blob[:4] == MAGIC
-    mlen, pos = read_uvarint(blob, 4)
-    meta = json.loads(blob[pos : pos + mlen])
+    meta, _ = chunk_header(blob)
     assert meta["codec"] == "paged", meta["codec"]
     n, nulls = meta["n"], meta["nulls"]
     nv = n - nulls
@@ -971,6 +904,14 @@ def paged_skip_stats(blob: bytes, row_offset: int, row_count: int) -> dict:
     }
 
 
+def chunk_header(blob: bytes) -> tuple[dict, int]:
+    """A chunk blob's meta dict and the offset of its body, from the header
+    alone (nothing is decompressed)."""
+    assert blob[:4] == MAGIC, "bad chunk magic"
+    mlen, pos = read_uvarint(blob, 4)
+    return json.loads(blob[pos : pos + mlen]), pos + mlen
+
+
 _FIXED_WIDTH = {
     "int8": 1, "uint8": 1, "int16": 2, "uint16": 2, "int32": 4, "uint32": 4,
     "int64": 8, "uint64": 8, "float": 4, "double": 8, "halffloat": 2,
@@ -991,10 +932,7 @@ def decode_column_chunk(
     never build the skipped values; other codecs decode and slice (delta/RLE
     streams are sequential by construction — same as the reference, which
     decodes pages it skips through)."""
-    assert blob[:4] == MAGIC, "bad chunk magic"
-    mlen, pos = read_uvarint(blob, 4)
-    meta = json.loads(blob[pos : pos + mlen])
-    pos += mlen
+    meta, pos = chunk_header(blob)
     n_rows = meta["n"]
     if row_count is None and row_offset == 0:
         sel = None
@@ -1063,9 +1001,7 @@ def chunk_arrow_type(blob: bytes) -> pa.DataType:
     """Decoded Arrow type of a chunk blob from its header alone (nothing is
     decompressed) — lets row-range readers emit TYPED empty blocks for
     batches whose chunks are all outside the range."""
-    assert blob[:4] == MAGIC, "bad chunk magic"
-    mlen, pos = read_uvarint(blob, 4)
-    meta = json.loads(blob[pos : pos + mlen])
+    meta, _ = chunk_header(blob)
     if meta["codec"] in ("struct", "map", "list"):
         # nested chunks: cheapest correct answer is a 0-row decode
         raise TypeError(f"header-only type unavailable for {meta['codec']!r} chunks")

@@ -5,10 +5,10 @@ the plain-encoded value, split-block filter of 256-bit blocks (8 x 32-bit
 words), block chosen by multiply-shift on the high 32 hash bits, per-word
 bit chosen by the published salt constants.  The reference engine
 (xitongsys/parquet-go) has no bloom support at all — its pruning stops at
-min/max statistics — so this is a beyond-reference feature; the engine's
-own chunk-container blooms (chunk.py::_bloom_build) use a different,
-self-owned hash and serve the chunk blob format, while THIS module is the
-wire-spec filter embedded in real .parquet files.
+min/max statistics — so this is a beyond-reference feature.  One filter
+serves both containers: the wire-spec filter embedded in real .parquet
+files, and the per-chunk filters in RCC1 chunk headers
+(chunk.py::_bloom_build, integers hashed as INT64).
 
 XXH64 is hand-implemented from the public xxHash specification; the scalar
 path is golden-vector tested and the vectorized fixed-width paths (the hot
@@ -110,44 +110,52 @@ def _vround(acc: np.ndarray, lane: np.ndarray) -> np.ndarray:
     return _vrotl(acc + lane * _u64(_P2), 31) * _u64(_P1)
 
 
-def _xxh64_same_len(m: np.ndarray) -> np.ndarray:
-    """Vectorized XXH64 (seed 0) of n equal-length byte rows (n, L) uint8 —
-    vectorizes ACROSS values; the per-stripe loop is ceil(L/32)+tail steps.
+def _xxh64_var(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Vectorized XXH64 (seed 0) of the byte strings
+    data[starts[i] : starts[i] + lengths[i]], vectorized ACROSS values: one
+    step per 32-byte stripe of the longest value, then at most seven tail
+    steps (8, 8, 8, 4, 1, 1, 1 bytes), each over the values it applies to.
     Bit-identical to the scalar reference (property-tested)."""
-    n, L = m.shape
+    n = len(lengths)
+    lengths = lengths.astype(np.int64)
+
+    def words(pos: np.ndarray, width: int) -> np.ndarray:  # (k, width) bytes
+        return np.ascontiguousarray(data[pos[:, None] + np.arange(width)])
+
     with np.errstate(over="ignore"):
-        pos = 0
-        if L >= 32:
-            v1 = np.full(n, _u64((_P1 + _P2) & _M), np.uint64)
-            v2 = np.full(n, _u64(_P2), np.uint64)
-            v3 = np.zeros(n, np.uint64)
-            v4 = np.full(n, _u64((-_P1) & _M), np.uint64)
-            while pos + 32 <= L:
-                lanes = np.ascontiguousarray(m[:, pos : pos + 32]).view("<u8")
-                v1 = _vround(v1, lanes[:, 0])
-                v2 = _vround(v2, lanes[:, 1])
-                v3 = _vround(v3, lanes[:, 2])
-                v4 = _vround(v4, lanes[:, 3])
-                pos += 32
-            h = (
-                _vrotl(v1, 1) + _vrotl(v2, 7) + _vrotl(v3, 12) + _vrotl(v4, 18)
-            )
-            for v in (v1, v2, v3, v4):
-                h = (h ^ _vround(np.zeros(n, np.uint64), v)) * _u64(_P1) + _u64(_P4)
-        else:
-            h = np.full(n, _u64(_P5 & _M), np.uint64)
-        h = h + _u64(L)
-        while pos + 8 <= L:
-            lane = np.ascontiguousarray(m[:, pos : pos + 8]).view("<u8")[:, 0]
-            h = _vrotl(h ^ _vround(np.zeros(n, np.uint64), lane), 27) * _u64(_P1) + _u64(_P4)
-            pos += 8
-        if pos + 4 <= L:
-            lane = np.ascontiguousarray(m[:, pos : pos + 4]).view("<u4")[:, 0].astype(np.uint64)
-            h = _vrotl(h ^ (lane * _u64(_P1)), 23) * _u64(_P2) + _u64(_P3)
-            pos += 4
-        while pos < L:
-            h = _vrotl(h ^ (m[:, pos].astype(np.uint64) * _u64(_P5)), 11) * _u64(_P1)
-            pos += 1
+        h = np.full(n, _u64(_P5), np.uint64)
+        stripes = lengths // 32
+        big = np.flatnonzero(stripes)
+        if len(big):
+            seeds = [(_P1 + _P2) & _M, _P2, 0, (-_P1) & _M]
+            acc = np.repeat(np.array(seeds, np.uint64)[:, None], len(big), axis=1)
+            for st in range(int(stripes[big].max())):
+                act = np.flatnonzero(stripes[big] > st)
+                lanes = words(starts[big[act]] + 32 * st, 32).view("<u8").T
+                acc[:, act] = _vround(acc[:, act], lanes)
+            hb = _vrotl(acc[0], 1) + _vrotl(acc[1], 7) + _vrotl(acc[2], 12) + _vrotl(acc[3], 18)
+            for v in acc:
+                hb = (hb ^ _vround(np.zeros(len(big), np.uint64), v)) * _u64(_P1) + _u64(_P4)
+            h[big] = hb
+        h += lengths.astype(np.uint64)
+        pos = starts + 32 * stripes
+        rem = lengths - 32 * stripes
+        for width in (8, 8, 8, 4, 1, 1, 1):
+            act = np.flatnonzero(rem >= width)
+            if not len(act):
+                continue
+            w = words(pos[act], width)
+            x = h[act]
+            if width == 8:
+                lane = _vround(np.zeros(len(act), np.uint64), w.view("<u8")[:, 0])
+                x = _vrotl(x ^ lane, 27) * _u64(_P1) + _u64(_P4)
+            elif width == 4:
+                x = _vrotl(x ^ (w.view("<u4")[:, 0].astype(np.uint64) * _u64(_P1)), 23) * _u64(_P2) + _u64(_P3)
+            else:
+                x = _vrotl(x ^ (w[:, 0].astype(np.uint64) * _u64(_P5)), 11) * _u64(_P1)
+            h[act] = x
+            pos[act] += width
+            rem[act] -= width
         h ^= h >> _u64(33)
         h *= _u64(_P2)
         h ^= h >> _u64(29)
@@ -158,26 +166,11 @@ def _xxh64_same_len(m: np.ndarray) -> np.ndarray:
 
 def xxh64_bytes(arr) -> np.ndarray:
     """Vectorized XXH64 over a null-free variable-length binary/string Arrow
-    array: values are LENGTH-GROUPED and each group hashes via the
-    equal-length kernel — replaces the per-value pure-Python loop that
-    dominated bloom build on high-cardinality string columns."""
+    array."""
     from ..codecs.base import binary_parts
 
     lengths, data = binary_parts(arr)
-    n = len(lengths)
-    out = np.empty(n, np.uint64)
-    if n == 0:
-        return out
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    for L in np.unique(lengths):
-        sel = lengths == L
-        if L == 0:
-            out[sel] = np.uint64(xxh64(b""))
-            continue
-        m = data[starts[sel][:, None] + np.arange(int(L), dtype=np.int64)]
-        out[sel] = _xxh64_same_len(m)
-    return out
+    return _xxh64_var(data, np.cumsum(lengths) - lengths, lengths)
 
 
 def xxh64_u32(vals: np.ndarray) -> np.ndarray:
@@ -287,10 +280,10 @@ def hash_arrow_values(arr: pa.Array, pt: int) -> np.ndarray | None:
             return xxh64_bytes(arr)
         if pa.types.is_fixed_size_binary(arr.type):
             w = arr.type.byte_width
-            m = np.frombuffer(arr.buffers()[1], dtype=np.uint8)[
+            data = np.frombuffer(arr.buffers()[1], dtype=np.uint8)[
                 arr.offset * w : (arr.offset + len(arr)) * w
-            ].reshape(len(arr), w)
-            return _xxh64_same_len(m)
+            ]
+            return _xxh64_var(data, np.arange(len(arr)) * w, np.full(len(arr), w))
         vals = arr.to_pylist()
         return np.array(
             [xxh64(v if isinstance(v, bytes) else str(v).encode()) for v in vals],

@@ -16,8 +16,9 @@ Scope: flat AND nested schemas — LIST/MAP via the standard 3-level groups and
 STRUCT subtrees, with true Dremel repetition/definition levels (shredding/
 assembly in formats/dremel.py, mirroring marshal/marshal.go:227-343 +
 schema/schemahandler.go:297-386 + marshal/unmarshal.go:31-264 semantics);
-leaf types bool/int32/int64/float/double/string/binary/date32/timestamp;
-v1 and v2 data pages on read, v1 on write.  Legacy 2-level lists (unannotated
+leaf types bool/int8/int16/int32/int64/uint8/uint16/float/double/string/
+binary/date32/timestamp; v1 and v2 data pages on read, v1 on write.
+Legacy 2-level lists (unannotated
 repeated fields and pre-standard LIST shapes, LogicalTypes.md backward-compat
 rules) decode on read as non-null lists of non-null elements, matching the
 reference's generic RL/DL assembly; write_par1_legacy_list emulates those
@@ -184,12 +185,20 @@ def _decompress_lz4_legacy(body: bytes, raw_len: int) -> bytes:
 # -- type mapping -------------------------------------------------------------
 
 
+# converted types INT_8 / INT_16 / UINT_8 / UINT_16 (read back by _logical_type)
+_NARROW_INT_CONV = {pa.int8(): 15, pa.int16(): 16, pa.uint8(): 11, pa.uint16(): 12}
+
+
 def _physical(t: pa.DataType) -> tuple[int, int | None, dict | None, pa.DataType]:
     """arrow type -> (physical, converted_type, logicalType, storage arrow type)."""
     if pa.types.is_boolean(t):
         return PT_BOOLEAN, None, None, pa.bool_()
     if pa.types.is_int32(t):
         return PT_INT32, None, None, pa.int32()
+    if t in _NARROW_INT_CONV:
+        # INT32 storage keeps their value order, so stats and blooms stay
+        # the INT32 ones; uint32/uint64 need unsigned stat order (unsupported)
+        return PT_INT32, _NARROW_INT_CONV[t], None, pa.int32()
     if pa.types.is_int64(t):
         return PT_INT64, None, None, pa.int64()
     if pa.types.is_float32(t):

@@ -26,7 +26,7 @@ here: the in-fragment sort re-clusters repos as well as a repo-keyed
 shuffle does (7.196 vs 7.198 on a 100k-row corpus, 16 parts).
 
 The no-partition variant (`encode_dataset`) maps batches straight through
-the ChunkEncoder — used for round-trip correctness queries where
+`encode_table` — used for round-trip correctness queries where
 partitioning is irrelevant.
 """
 
@@ -65,7 +65,7 @@ def _plan_codecs(sample: pa.Table, cfg: EngineConfig) -> dict:
     planned codec loses fall back to plain/dict+snappy)."""
     from ..selector import select_codec
 
-    if cfg.sort_within_partition and {"repo", "path"} <= set(sample.column_names):
+    if {"repo", "path"} <= set(sample.column_names):
         # partitions are sorted before encoding — plan on sorted data so
         # order-sensitive codecs (delta_ba, rle) see realistic stats
         sample = sample.take(
@@ -142,7 +142,8 @@ def encode_partition(
     persistent task workers — no per-execution actor cold-start (measured:
     30 actors importing numpy/pyarrow inside the timed window inverted the
     8->32 CPU scaling curve)."""
-    if cfg.sort_within_partition and {"repo", "path"} <= set(fragment.column_names):
+    if {"repo", "path"} <= set(fragment.column_names):
+        # sort by (repo, path) to help delta_ba
         idx = pc.sort_indices(
             fragment.select(["repo", "path"]),
             sort_keys=[("repo", "ascending"), ("path", "ascending")],
@@ -182,8 +183,13 @@ def encode_partition(
     return chunks
 
 
-def _task_cpus(cfg: EngineConfig) -> int:
-    """Per-encode-task CPU reservation: `cfg.cpus_per_encode_task`, capped
+# encode tasks are memory-bandwidth-heavy: reserving >1 CPU keeps schedulers
+# from oversubscribing the memory bus
+_CPUS_PER_ENCODE_TASK = 4
+
+
+def _task_cpus() -> int:
+    """Per-encode-task CPU reservation: `_CPUS_PER_ENCODE_TASK`, capped
     at half the cluster so at least two encode slots run concurrently (a
     fixed num_cpus=4 once left an 8-CPU session a single slot and
     serialized the whole encode).  The deliberate under-subscription — more
@@ -192,7 +198,7 @@ def _task_cpus(cfg: EngineConfig) -> int:
     # A/B at 32 CPUs after threaded outer compression landed (slices fill
     # the reservation): 8 slots 9.0/11.0 s vs 6 slots 9.7/10.5 s — a wash
     # inside host noise.
-    return max(1, min(cfg.cpus_per_encode_task, cluster_cpus() // 2))
+    return max(1, min(_CPUS_PER_ENCODE_TASK, cluster_cpus() // 2))
 
 
 def encode_dataset(ds: rd.Dataset, cfg: EngineConfig = DEFAULT, plan: dict | None = None) -> rd.Dataset:
@@ -202,7 +208,7 @@ def encode_dataset(ds: rd.Dataset, cfg: EngineConfig = DEFAULT, plan: dict | Non
         functools.partial(encode_table, cfg=cfg, plan=plan),
         batch_format="pyarrow",
         batch_size=cfg.batch_size_rows,
-        num_cpus=_task_cpus(cfg),
+        num_cpus=_task_cpus(),
     )
 
 
@@ -275,7 +281,7 @@ def encode_partitioned(
         functools.partial(encode_partition, cfg=cfg, out_dir=out_dir, plan=plan),
         batch_format="pyarrow",
         batch_size=None,
-        num_cpus=_task_cpus(cfg),
+        num_cpus=_task_cpus(),
     )
 
 

@@ -7,40 +7,36 @@ decodes ONLY the chunks whose [min, max] range can satisfy the predicate.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data as rd
 
-from ..bits import read_uvarint
-from ..chunk import MAGIC, chunk_arrow_type, decode_column_chunk
+from ..chunk import _chunk_type, bloom_may_contain, chunk_arrow_type, chunk_header, decode_column_chunk
+from ..formats.par1 import _PRED_OPS, _normalize_predicate, dnf_mask
 
 
 def chunk_meta(blob: bytes) -> dict:
     """Read a chunk blob's metadata WITHOUT decompressing or decoding it."""
-    assert blob[:4] == MAGIC
-    mlen, pos = read_uvarint(blob, 4)
-    return json.loads(blob[pos : pos + mlen])
+    return chunk_header(blob)[0]
 
 
 def _chunk_may_match(meta: dict, op: str, value) -> bool:
-    """Single-clause chunk admission (op in >= > <= < == != in is_null
-    not_null) from the blob meta alone — no decompression."""
+    """Admission of one normalized clause (see par1._normalize_predicate:
+    str probes arrive as UTF-8 bytes) from the blob meta alone — no
+    decompression.  The [min, max] test is par1's; what stays here is what
+    the chunk header adds: null counts, the bloom, truncated and
+    str()-encoded stats."""
     if op == "is_null":
         return meta.get("nulls", 1) > 0
     if op == "not_null":
         n = meta.get("n")
         return not (n is not None and meta.get("nulls", 0) == n)
+    probes = value if op == "in" else [value]
     if op in ("==", "in") and "bloom" in meta:
         # Bloom consult first: prunes chunks whose min/max SPAN the probe but
         # whose value set misses it (random-ordered ids/names, where stats
         # never prune).  False positives only -> never wrong, just decoded.
-        from ..chunk import _chunk_type, bloom_may_contain
-
-        probes = list(value) if op == "in" else [value]
         t = _chunk_type(meta)
         if not any(bloom_may_contain(meta["bloom"], p, t) for p in probes):
             return False
@@ -50,92 +46,38 @@ def _chunk_may_match(meta: dict, op: str, value) -> bool:
     if meta.get("max_trunc") and op in (">", ">=", "==", "in", "!="):
         return True  # truncated max cannot safely prune upper-bound/equality
     if isinstance(mn, str):
-        # stats carry the str() encoding.  Lexicographic compare is only
-        # sound when the PROBE is itself a string (a true string column);
-        # for str()-encoded non-string types (Decimal, date, ...) string
-        # order diverges from value order ('7' > '30.00') and pruning
-        # would silently drop matching chunks — decode instead.
-        probes = value if op == "in" else [value]
-        if not all(isinstance(p, str) for p in probes):
+        # stats carry the str() encoding.  Their order is the value order
+        # only for a string column probed with a string (compared as UTF-8
+        # bytes, Arrow's string order); for str()-encoded non-string types
+        # (Decimal, date, binary reprs, ...) it diverges ('7' > '30.00') and
+        # pruning would silently drop matching chunks — decode instead.
+        if meta.get("type", "string") not in ("string", "large_string") or not all(
+            isinstance(p, bytes) for p in probes
+        ):
             return True
-        conv = str
-    else:
-        # numeric stats are native JSON numbers; Python int/float comparison
-        # is exact, so >53-bit ints prune correctly (no float round-trip)
-        def conv(x):
-            return x
-
-    if op == "in":
-        return any(mn <= conv(x) <= mx for x in value)
-    v = conv(value)
-    if op == "==":
-        return mn <= v <= mx
-    if op == "!=":
-        return not (mn == v == mx)  # only an all-constant chunk excludes
-    if op == "<":
-        return mn < v
-    if op == "<=":
-        return mn <= v
-    if op == ">":
-        return mx > v
-    if op == ">=":
-        return mx >= v
-    return True
+        mn, mx = mn.encode(), mx.encode()
+    # numeric stats are native JSON numbers; Python int/float comparison is
+    # exact, so >53-bit ints prune correctly (no float round-trip)
+    return _PRED_OPS[op](mn, mx, value)
 
 
-def _normalize_scan_predicate(predicate) -> list[list[tuple[str, object]]]:
-    """(op, value) -> [[clause]]; list of clauses -> one AND branch; list of
-    lists -> OR of ANDs (the same DNF language the native PAR1 scans speak,
-    minus the column name — scan_column is single-column)."""
-    if predicate is None:
-        return []
-    if isinstance(predicate, tuple):
-        return [[predicate]]
-    if not predicate:
-        return []
-    if isinstance(predicate[0], tuple):
-        return [list(predicate)]
-    return [list(b) for b in predicate]
+def _scan_branches(column: str, predicate) -> list:
+    """The single-column scan predicate in par1's normalized DNF: each
+    (op, value) clause gains the column name.  Unknown ops raise
+    ValueError here, in the driver."""
+
+    def prefixed(p):
+        return (column, *p) if isinstance(p, tuple) else [prefixed(q) for q in p]
+
+    return _normalize_predicate(None if predicate is None else prefixed(predicate))
 
 
 def _chunk_may_match_dnf(meta: dict, branches) -> bool:
     if not branches:
         return True
     return any(
-        all(_chunk_may_match(meta, op, v) for op, v in br) for br in branches
+        all(_chunk_may_match(meta, op, v) for _, op, v in br) for br in branches
     )
-
-
-_SCAN_ARROW = {
-    "==": pc.equal,
-    "!=": pc.not_equal,
-    "<": pc.less,
-    "<=": pc.less_equal,
-    ">": pc.greater,
-    ">=": pc.greater_equal,
-}
-
-
-def _scan_mask(arr, branches):
-    """Exact Arrow mask for the DNF over one decoded column; None = every
-    row matches (an empty AND branch is TRUE, mirroring read_par1_pruned)."""
-    or_mask = None
-    for br in branches:
-        m = None
-        for op, v in br:
-            if op == "is_null":
-                cm = pc.is_null(arr)
-            elif op == "not_null":
-                cm = pc.is_valid(arr)
-            elif op == "in":
-                cm = pc.is_in(arr, value_set=pa.array(list(v), type=arr.type))
-            else:
-                cm = _SCAN_ARROW[op](arr, pa.scalar(v, type=arr.type))
-            m = cm if m is None else pc.and_kleene(m, cm)
-        if m is None:
-            return None  # empty AND branch admits every row
-        or_mask = m if or_mask is None else pc.or_kleene(or_mask, m)
-    return or_mask
 
 
 def scan_column(
@@ -149,10 +91,7 @@ def scan_column(
     column name: one (op, value) clause with op in
     >= > <= < == != in is_null not_null, an AND list of clauses, or a list
     of AND lists ORed.  Returns (chunk_id, row_idx, value) rows."""
-
-    from ..chunk import _chunk_type
-
-    branches = _normalize_scan_predicate(predicate)
+    branches = _scan_branches(column, predicate)
 
     def fn(batch: pa.Table) -> pa.Table:
         out_vals = []
@@ -170,7 +109,7 @@ def scan_column(
             if not _chunk_may_match_dnf(meta, branches):
                 continue  # pruned: never decompressed/decoded
             arr = decode_column_chunk(blob)
-            mask = _scan_mask(arr, branches) if branches else None
+            mask = dnf_mask(pa.table({column: arr}), branches) if branches else None
             if mask is not None:
                 idx = np.flatnonzero(np.asarray(mask.fill_null(False)))
             else:
@@ -207,7 +146,7 @@ def count_pruned(chunks: rd.Dataset, column: str, predicate) -> dict:
     happens INSIDE map_batches (only two ints per block reach the driver)
     — iter_batches would pull every compressed blob through the object
     store to the driver just to parse its few-hundred-byte header."""
-    branches = _normalize_scan_predicate(predicate)
+    branches = _scan_branches(column, predicate)
 
     def part(batch: pa.Table) -> pa.Table:
         pruned = decoded = 0

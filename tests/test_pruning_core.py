@@ -1,0 +1,250 @@
+"""One pruning core for both containers: RCC1 chunk scans (pipelines/scan.py)
+normalize predicates, admit [min, max] zones, filter rows and probe blooms
+with the PAR1 code (formats/par1.py, formats/bloom.py).  These tests pin that
+both containers answer every predicate the same way, and the same as Arrow."""
+
+from __future__ import annotations
+
+import hashlib
+from collections import Counter
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from parquet_go_ray.chunk import _bloom_build, bloom_may_contain, encode_column_chunk
+from parquet_go_ray.config import EngineConfig
+from parquet_go_ray.formats.par1 import read_par1_pruned, write_par1
+from parquet_go_ray.pipelines.scan import chunk_meta, count_pruned, scan_column
+from parquet_go_ray.stages.encode import encode_table
+
+INT_TYPES = [
+    pa.int8(), pa.int16(), pa.int32(), pa.int64(),
+    pa.uint8(), pa.uint16(), pa.uint32(), pa.uint64(),
+]
+# the PAR1 writer has no unsigned 32/64-bit physical (their stats need
+# unsigned order): those two columns are checked against Arrow only
+PAR1_SKIP = {"u32", "u64"}
+
+CHUNK_ROWS = 150
+N_ROWS = 12 * CHUNK_ROWS
+NULL_CHUNK = 4  # rows of this chunk are null in every column
+
+
+def _int_values(rng, t: pa.DataType, n: int) -> np.ndarray:
+    info = np.iinfo(t.to_pandas_dtype())
+    lo, hi = int(info.min), int(info.max)
+    if t == pa.uint64():
+        lo = 2**63 - 2**40  # straddle 2^63: the int64 wrap of the bloom hash
+    v = rng.integers(lo, hi, n, dtype=t.to_pandas_dtype(), endpoint=True)
+    # sorted halves: chunk ranges are disjoint there, so [min, max] prunes;
+    # the shuffled rest leaves pruning to the bloom
+    v[: n // 2] = np.sort(v[: n // 2])
+    return v
+
+
+def _strings(rng, n: int) -> list[str]:
+    alphabet = ["a", "b", "z", "é", "ß", "日本", "🙂", " "]
+    out = []
+    for i in range(n):
+        k = int(rng.choice([1, 3, 8, 70, 90]))  # >64 chars: truncated max
+        out.append("".join(rng.choice(alphabet, k)))
+    out[: n // 2] = sorted(out[: n // 2])
+    return out
+
+
+def _table(seed: int = 5) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    n = N_ROWS
+    null = rng.random(n) < 0.1
+    null[NULL_CHUNK * CHUNK_ROWS : (NULL_CHUNK + 1) * CHUNK_ROWS] = True
+    cols = {}
+    for t in INT_TYPES:
+        name = ("u" if "uint" in str(t) else "i") + str(t.bit_width)
+        cols[name] = pa.array(_int_values(rng, t, n), t, mask=null)
+    strs = _strings(rng, n)
+    cols["s"] = pa.array(strs, pa.string(), mask=null)
+    cols["b"] = pa.array([s.encode()[:5] + bytes([i % 7]) for i, s in enumerate(strs)], pa.binary(), mask=null)
+    return pa.table(cols)
+
+
+def _chunk_edges(col: pa.Array) -> tuple[list, list]:
+    """Each non-null chunk's min and max: the probes where the [min, max],
+    truncated-max and constant-chunk rules decide."""
+    mm = [
+        pc.min_max(col.slice(lo, CHUNK_ROWS))
+        for lo in range(0, N_ROWS, CHUNK_ROWS)
+        if col.slice(lo, CHUNK_ROWS).null_count < CHUNK_ROWS
+    ]
+    return [m["min"].as_py() for m in mm], [m["max"].as_py() for m in mm]
+
+
+def _random_clause(rng, col: pa.Array, edges: list):
+    present = col.drop_null()
+    op = str(rng.choice(["==", "in", "!=", "<", "<=", ">", ">=", "is_null", "not_null"]))
+    if op in ("is_null", "not_null"):
+        return (op, None)
+
+    def probe():
+        r = rng.random()
+        if r < 0.4:
+            v = edges[int(rng.integers(len(edges)))]
+        else:
+            v = present[int(rng.integers(len(present)))].as_py()
+        if r < 0.8:
+            return v
+        if isinstance(v, int):  # absent-ish value, still in the type's range
+            info = np.iinfo(col.type.to_pandas_dtype())
+            return int(min(max(v + int(rng.integers(-3, 4)), info.min), info.max))
+        return v[:-1] if len(v) > 1 else v + v
+
+    if op == "in":
+        return (op, [probe() for _ in range(int(rng.integers(1, 4)))])
+    return (op, probe())
+
+
+def _predicates(rng, col: pa.Array, n: int) -> list:
+    """n random DNF predicates, plus ORs of one comparison over every
+    chunk's min or max."""
+    mins, maxs = _chunk_edges(col)
+    edges = mins + maxs
+    out = [
+        [[(op, v)] for v in vs]
+        for op, vs in (("==", mins), ("==", maxs), ("<=", mins), (">=", maxs), ("!=", maxs))
+    ]
+    for _ in range(n):
+        branches = [
+            [_random_clause(rng, col, edges) for _ in range(int(rng.integers(1, 3)))]
+            for _ in range(int(rng.integers(1, 3)))
+        ]
+        single = len(branches) == 1 and len(branches[0]) == 1
+        out.append(branches[0][0] if single else branches)
+    return out
+
+
+def _arrow_filter(tbl: pa.Table, name: str, predicate) -> list:
+    t = tbl.schema.field(name).type
+    if isinstance(predicate, tuple):
+        predicate = [[predicate]]
+    f = pc.field(name)
+    expr = None
+    for br in predicate:
+        e = None
+        for op, v in br:
+            c = {
+                "is_null": lambda: f.is_null(),
+                "not_null": lambda: f.is_valid(),
+                "in": lambda: f.isin(pa.array(v, t)),
+                "==": lambda: f == pa.scalar(v, t),
+                "!=": lambda: f != pa.scalar(v, t),
+                "<": lambda: f < pa.scalar(v, t),
+                "<=": lambda: f <= pa.scalar(v, t),
+                ">": lambda: f > pa.scalar(v, t),
+                ">=": lambda: f >= pa.scalar(v, t),
+            }[op]()
+            e = c if e is None else e & c
+        expr = e if expr is None else expr | e
+    return tbl.select([name]).filter(expr)[name].to_pylist()
+
+
+def _prefixed(name: str, predicate):
+    if isinstance(predicate, tuple):
+        return (name, *predicate)
+    return [[(name, *c) for c in br] for br in predicate]
+
+
+def test_rcc1_and_par1_scans_agree_with_arrow(ray_session, tmp_path):
+    import ray.data as rd
+
+    tbl = _table()
+    cfg = EngineConfig(bloom_bits_per_value=10, verify_sha256=False)
+    chunks = pa.concat_tables(
+        [encode_table(tbl.slice(lo, CHUNK_ROWS), cfg) for lo in range(0, N_ROWS, CHUNK_ROWS)]
+    )
+    assert all("bloom" in chunk_meta(b) for b in chunks["blob"].to_pylist()
+               if chunk_meta(b)["nulls"] < chunk_meta(b)["n"])
+    ds = rd.from_arrow(chunks).materialize()
+    path = str(tmp_path / "t.parquet")
+    par1_cols = [c for c in tbl.column_names if c not in PAR1_SKIP]
+    write_par1(tbl.select(par1_cols), path, row_group_rows=2 * CHUNK_ROWS,
+               page_rows=CHUNK_ROWS // 3, bloom=par1_cols)
+    narrow = ["i8", "i16", "u8", "u16"]  # INT32 storage + converted type
+    assert pq.read_table(path, columns=narrow).equals(tbl.select(narrow))
+
+    rng = np.random.default_rng(11)
+    pruned_somewhere = 0
+    for name in tbl.column_names:
+        for pred in _predicates(rng, tbl[name].combine_chunks(), 5):
+            want = Counter(_arrow_filter(tbl, name, pred))
+            got = Counter(
+                v
+                for b in scan_column(ds, name, pred).iter_batches(batch_format="pyarrow")
+                for v in b[name].to_pylist()
+            )
+            assert got == want, (name, pred)
+            pruned_somewhere += count_pruned(ds, name, pred)["pruned"]
+            if name not in PAR1_SKIP:
+                out, _ = read_par1_pruned(path, [name], _prefixed(name, pred))
+                assert Counter(out[name].to_pylist()) == want, (name, pred)
+    assert pruned_somewhere > 0
+
+
+@pytest.mark.parametrize(
+    "typ",
+    INT_TYPES + [pa.string(), pa.binary(), pa.large_string(), pa.large_binary()],
+    ids=str,
+)
+def test_chunk_bloom_no_false_negatives(typ):
+    rng = np.random.default_rng(3)
+    if pa.types.is_integer(typ):
+        arr = pa.array(_int_values(rng, typ, 3000), typ)
+    else:
+        strs = _strings(rng, 3000) + [""]
+        arr = pa.array(strs if "string" in str(typ) else [s.encode() for s in strs], typ)
+    row = encode_column_chunk(arr, "plain", "none", EngineConfig(bloom_bits_per_value=10))
+    bloom = chunk_meta(row["blob"])["bloom"]
+    assert bloom == _bloom_build(arr, 10)
+    assert all(bloom_may_contain(bloom, v, typ) for v in arr.to_pylist())
+
+
+@pytest.mark.parametrize("op", ["=~", "like"])
+def test_unknown_scan_op_raises_in_driver(ray_session, op):
+    import ray.data as rd
+
+    ds = rd.from_arrow(encode_table(pa.table({"v": pa.array([1, 2, 3])})))
+    with pytest.raises(ValueError, match=op):
+        scan_column(ds, "v", (op, 2))
+    with pytest.raises(ValueError, match=op):
+        count_pruned(ds, "v", [[("==", 1)], [(op, 2)]])
+
+
+def _golden_table() -> pa.Table:
+    rng = np.random.default_rng(2024)
+    n = 3000
+    null = rng.random(n) < 0.05
+    return pa.table({
+        "i8": pa.array(rng.integers(-128, 128, n), pa.int8(), mask=null),
+        "u64": pa.array(rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False), pa.uint64()),
+        "ids": pa.array(np.arange(n) * 7, pa.int64()),
+        "f": pa.array(rng.normal(size=n)),
+        "s": pa.array([f"path/{i % 97}/é{i % 13}" for i in range(n)], mask=null),
+        "b": pa.array([bytes([i % 251]) * (i % 9) for i in range(n)], pa.binary()),
+        "ts": pa.array(np.arange(n) * 1000, pa.timestamp("us")),
+        "l": pa.array([[i, i + 1] if i % 5 else None for i in range(n)], pa.list_(pa.int64())),
+    })
+
+
+def test_bloom_free_encode_is_byte_stable():
+    """Without blooms the chunk bytes are unchanged by moving pruning onto
+    the PAR1 core: the digest was taken before the move."""
+    h = hashlib.sha256()
+    for cfg in (EngineConfig(), EngineConfig(page_rows=700)):
+        for lo in range(0, 3000, 1000):
+            for blob in encode_table(_golden_table().slice(lo, 1000), cfg)["blob"].to_pylist():
+                h.update(blob)
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+GOLDEN_DIGEST = "7d2d0db16cf12e3f5dcfcfd56237394d24ed24c6e9fd61a0932e6982cc159af9"

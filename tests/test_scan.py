@@ -5,8 +5,15 @@ import numpy as np
 import pyarrow as pa
 
 from parquet_go_ray.config import EngineConfig
+from parquet_go_ray.formats.par1 import _normalize_predicate
 from parquet_go_ray.pipelines.scan import _chunk_may_match, chunk_meta, count_pruned, scan_column
 from parquet_go_ray.stages.encode import encode_table
+
+
+def _clause(op, value):
+    """One scan clause as scan_column normalizes it (str -> UTF-8 bytes)."""
+    ((_col, op, value),) = _normalize_predicate(("c", op, value))[0]
+    return op, value
 
 
 def _chunks_ds(ray_session, tmp_path):
@@ -47,11 +54,11 @@ def test_truncated_max_never_prunes():
     meta = chunk_meta(chunks["blob"][0].as_py())
     assert meta.get("max_trunc") is True
     # upper-bound predicate beyond the truncated max must NOT prune
-    assert _chunk_may_match(meta, ">=", "b" * 100)
+    assert _chunk_may_match(meta, *_clause(">=", "b" * 100))
     # lower-bound checks with truncated min stay safe (more permissive)
-    assert _chunk_may_match(meta, "<=", "b" * 100)
+    assert _chunk_may_match(meta, *_clause("<=", "b" * 100))
     # and pruning where truly no value can match is still allowed
-    assert not _chunk_may_match(meta, "<", "a")
+    assert not _chunk_may_match(meta, *_clause("<", "a"))
 
 
 def test_skip_read_row_ranges(ray_session, tmp_path):
@@ -221,8 +228,8 @@ def test_str_stats_never_prune_non_string_probe():
     from decimal import Decimal
 
     # non-string probe on str stats: cannot prune (must return True)
-    assert _chunk_may_match(meta, "==", Decimal("25.00"))
-    assert _chunk_may_match(meta, ">=", 7)
+    assert _chunk_may_match(meta, *_clause("==", Decimal("25.00")))
+    assert _chunk_may_match(meta, *_clause(">=", 7))
     # genuine string column with string probe still prunes
-    assert not _chunk_may_match({"min": "a", "max": "c"}, "==", "x")
-    assert _chunk_may_match({"min": "a", "max": "c"}, "==", "b")
+    assert not _chunk_may_match({"min": "a", "max": "c"}, *_clause("==", "x"))
+    assert _chunk_may_match({"min": "a", "max": "c"}, *_clause("==", "b"))
