@@ -52,7 +52,10 @@ PREFIX_CAP = 256
 # ---------------------------------------------------------------------------
 
 
-def delta_bp_encode_np(v: np.ndarray) -> bytes:
+def delta_bp_encode_np(v: np.ndarray, bits: int = 64) -> bytes:
+    """DELTA_BINARY_PACKED stream of `v`.  Deltas wrap around at `bits`
+    (32 for an INT32 column, as the spec requires: its miniblock widths
+    then stay within 32 bits)."""
     v = v.astype(np.int64, copy=False)
     n = len(v)
     out = bytearray()
@@ -67,6 +70,8 @@ def delta_bp_encode_np(v: np.ndarray) -> bytes:
 
     with np.errstate(over="ignore"):
         deltas = np.subtract(v[1:], v[:-1])  # wraparound int64, like Go
+    if bits == 32:
+        deltas = deltas.astype(np.int32).astype(np.int64)  # wraparound int32
     nd = len(deltas)
     nblocks = (nd + BLOCK - 1) // BLOCK
 

@@ -299,10 +299,12 @@ def hash_plain_scalar(value, pt: int) -> int | None:
         PT_BYTE_ARRAY, PT_DOUBLE, PT_FLBA, PT_FLOAT, PT_INT32, PT_INT64,
     )
 
+    # two's-complement bytes: an unsigned (UINT_32/UINT_64) probe hashes
+    # as the same plain bytes its column stores
     if pt == PT_INT64:
-        return xxh64(struct.pack("<q", int(value)))
+        return xxh64(struct.pack("<Q", int(value) & 0xFFFFFFFFFFFFFFFF))
     if pt == PT_INT32:
-        return xxh64(struct.pack("<i", int(value)))
+        return xxh64(struct.pack("<I", int(value) & 0xFFFFFFFF))
     if pt == PT_DOUBLE:
         # normalize signed zero on BOTH insert and probe: -0.0 and +0.0 are
         # distinct bit patterns, and a bloom false NEGATIVE silently prunes

@@ -270,7 +270,8 @@ def _assemble(node, streams, cur_rep, cur_def):
         valid = s.defs >= vdef
         vals = s.values
         if vals.type != node.type:
-            vals = vals.cast(node.type)
+            # unsigned 32/64-bit leaves arrive as their signed storage
+            vals = vals.cast(node.type, safe=not pa.types.is_unsigned_integer(node.type))
         out = _expand_valid(vals, valid)
         if len(out) != len(s.defs):
             raise ValueError("leaf stream misaligned")

@@ -226,6 +226,16 @@ def _physical(t: pa.DataType) -> tuple[int, int | None, dict | None, pa.DataType
     raise NotImplementedError(f"PAR1 writer: unsupported type {t} (flat types only)")
 
 
+# read side only (the writer rejects them): UINT_32 / UINT_64 leaves decode
+# into their signed storage, reinterpreted by a wrapping cast
+_UNSIGNED_STORAGE = {pa.uint32(): pa.int32(), pa.uint64(): pa.int64()}
+
+
+def _read_storage(t: pa.DataType) -> pa.DataType:
+    """Arrow storage type a leaf of logical type `t` decodes into."""
+    return _UNSIGNED_STORAGE.get(t) or _physical(t)[3]
+
+
 def _logical_type(elem: dict) -> pa.DataType:
     """SchemaElement -> arrow type (reader side)."""
     pt = elem["type"]
@@ -321,7 +331,9 @@ def _encode_values(enc: str, arr: pa.Array) -> bytes:
     if enc == "plain":
         return encode_plain(arr)[0]
     if enc == "delta_bp":
-        return delta_bp_encode_np(np.asarray(arr).astype(np.int64, copy=False))
+        return delta_bp_encode_np(
+            np.asarray(arr).astype(np.int64, copy=False), bits=arr.type.bit_width
+        )
     if enc == "delta_length_ba":
         return encode_delta_length_ba(arr)[0]
     if enc == "delta_ba":
@@ -1510,7 +1522,7 @@ def read_par1(
                     if leaf.phys == PT_INT96:
                         storage = pa.binary(12)
                     else:
-                        _, _, _, storage = _physical(leaf.type)
+                        storage = _read_storage(leaf.type)
                     rep, defs, vals = read_par1_chunk_streams(
                         f, chunk_by_path[tuple(lpath)], storage, mr, md,
                         verify_crc=verify_crc,
@@ -1533,9 +1545,19 @@ def read_par1(
 # -- page-pruned scan over the ColumnIndex/OffsetIndex -------------------------
 
 
-def _stat_py(b: bytes, pt: int):
+# UINT_32 / UINT_64 columns (INT32 / INT64 storage) order their Statistics
+# and ColumnIndex bounds as unsigned integers
+_STAT_UPACK = {PT_INT32: "<I", PT_INT64: "<Q"}
+
+
+def _stat_py(b: bytes, pt: int, unsigned: bool = False):
+    """One plain-encoded stat value -> Python; `unsigned` (the column's
+    logical type is an unsigned integer) decodes integers in unsigned
+    order."""
     import struct
 
+    if unsigned and pt in _STAT_UPACK:
+        return struct.unpack(_STAT_UPACK[pt], b)[0]
     if pt in _STAT_PACK:
         return struct.unpack(_STAT_PACK[pt], b)[0]
     if pt == PT_BOOLEAN:
@@ -1685,11 +1707,12 @@ def _dict_admits(f, md: dict, probes: list) -> bool:
         return True
 
 
-def _chunk_admits_clause(f, md: dict, op: str, val) -> bool:
+def _chunk_admits_clause(f, md: dict, op: str, val, unsigned: bool = False) -> bool:
     """Row-group-level admission for one clause from the chunk's footer
     metadata alone (Statistics zone + null accounting + bloom/dictionary
     probes).  False = no row in the chunk can match -> the whole row group
-    is skipped without reading a page."""
+    is skipped without reading a page.  `unsigned`: the column is an
+    unsigned integer (see ``_stat_py``)."""
     pt = md["type"]
     st_meta = md.get("statistics")
     if op == "is_null":
@@ -1699,9 +1722,9 @@ def _chunk_admits_clause(f, md: dict, op: str, val) -> bool:
             st_meta is not None
             and st_meta.get("null_count") == md["num_values"]
         )
-    mm = _stat_min_max(st_meta, pt)
+    mm = _stat_min_max(st_meta, pt, unsigned)
     if mm is not None and not _PRED_OPS[op](
-        _stat_py(mm[0], pt), _stat_py(mm[1], pt), val
+        _stat_py(mm[0], pt, unsigned), _stat_py(mm[1], pt, unsigned), val
     ):
         return False
     if op in _PROBE_OPS:
@@ -1721,7 +1744,9 @@ def _chunk_admits_clause(f, md: dict, op: str, val) -> bool:
     return True
 
 
-def _page_admits_clause(ci: dict, i: int, pt: int, op: str, val) -> bool:
+def _page_admits_clause(
+    ci: dict, i: int, pt: int, op: str, val, unsigned: bool = False
+) -> bool:
     """Page-level admission for one clause from the ColumnIndex entry."""
     if op == "is_null":
         if ci["null_pages"][i]:
@@ -1733,7 +1758,9 @@ def _page_admits_clause(ci: dict, i: int, pt: int, op: str, val) -> bool:
     if ci["null_pages"][i]:
         return False  # value predicate never matches an all-null page
     return _PRED_OPS[op](
-        _stat_py(ci["min_values"][i], pt), _stat_py(ci["max_values"][i], pt), val
+        _stat_py(ci["min_values"][i], pt, unsigned),
+        _stat_py(ci["max_values"][i], pt, unsigned),
+        val,
     )
 
 
@@ -1904,17 +1931,20 @@ def read_par1_bloom(path: str, rg_index: int, column: str):
     return None
 
 
-def _stat_min_max(st_meta: dict | None, pt: int) -> tuple[bytes, bytes] | None:
+def _stat_min_max(
+    st_meta: dict | None, pt: int, unsigned: bool = False
+) -> tuple[bytes, bytes] | None:
     """Chunk Statistics (min, max) for pruning: modern min_value/max_value
     first; legacy writers only fill the deprecated min/max pair, whose
-    SIGNED ordering is trustworthy for numeric physicals but undefined for
-    byte arrays (PARQUET-686) — so the fallback is numeric-only."""
+    SIGNED ordering is trustworthy for signed numeric columns but undefined
+    for byte arrays (PARQUET-686) and wrong for unsigned integers — so the
+    fallback is signed-numeric-only."""
     if st_meta is None:
         return None
     lo, hi = st_meta.get("min_value"), st_meta.get("max_value")
     if lo is not None and hi is not None:
         return lo, hi
-    if pt in (PT_INT32, PT_INT64, PT_FLOAT, PT_DOUBLE):
+    if pt in (PT_INT32, PT_INT64, PT_FLOAT, PT_DOUBLE) and not unsigned:
         lo, hi = st_meta.get("min"), st_meta.get("max")
         if lo is not None and hi is not None:
             return lo, hi
@@ -2018,7 +2048,8 @@ def read_par1_pruned(
                 admit = True
                 for pcol, pop, pval in br:
                     md_p = rg["columns"][pos_map[pcol]]["meta_data"]
-                    if not _chunk_admits_clause(f, md_p, pop, pval):
+                    uns = pa.types.is_unsigned_integer(nodes[pcol].type)
+                    if not _chunk_admits_clause(f, md_p, pop, pval, uns):
                         admit = False  # whole row group excluded for this branch
                         break
                 if not admit:
@@ -2026,6 +2057,7 @@ def read_par1_pruned(
                 br_ranges: list[tuple[int, int]] | None = None
                 for pcol, pop, pval in br:
                     pt_p = rg["columns"][pos_map[pcol]]["meta_data"]["type"]
+                    uns = pa.types.is_unsigned_integer(nodes[pcol].type)
                     ent = idx[rg_i][pos_map[pcol]]
                     ci, oi = ent["column_index"], ent["offset_index"]
                     if ci is None or oi is None:
@@ -2034,7 +2066,7 @@ def read_par1_pruned(
                     firsts = [loc["first_row_index"] for loc in locs] + [rg_rows]
                     merged: list[list[int]] = []
                     for i in range(len(locs)):
-                        if not _page_admits_clause(ci, i, pt_p, pop, pval):
+                        if not _page_admits_clause(ci, i, pt_p, pop, pval, uns):
                             continue
                         a, b = firsts[i], firsts[i + 1]
                         if merged and a <= merged[-1][1]:
@@ -2068,7 +2100,7 @@ def read_par1_pruned(
                 if md_c["type"] == PT_INT96:
                     storage = pa.binary(12)
                 else:
-                    _, _, _, storage = _physical(node.type)
+                    storage = _read_storage(node.type)
                 mdl = 1 if node.opt else 0
                 oi_c = idx[rg_i][pos_map[nm]]["offset_index"]
                 pieces: list[pa.Array] = []
@@ -2132,7 +2164,7 @@ def read_par1_pruned(
 
                     col = pa.chunked_array([int96_to_timestamp(col.combine_chunks(), "ns")])
                 elif col.type != node.type:
-                    col = col.cast(node.type)
+                    col = col.cast(node.type, safe=node.type not in _UNSIGNED_STORAGE)
                 cols[nm] = col
             tbl = pa.table({nm: cols[nm] for nm in need})
             if branches:

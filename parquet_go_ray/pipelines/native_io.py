@@ -2,10 +2,10 @@
 
 Two interop directions, both oracled:
 
-* ``transcode_native`` — Ray reads a parquet table, each batch is written as
-  a REAL parquet file through the engine's own encoders (delta/dict/BSS
-  pages, thrift footer), and a second stage has DuckDB read those files
-  back.  DuckDB acting as the reader is the conformance proof: the oracle
+* ``transcode_native`` — Ray reads a parquet table, ``write_par1_dataset``
+  writes each block as a REAL parquet file through the engine's own
+  encoders (delta/dict/BSS pages, thrift footer), and a second stage has
+  DuckDB read those files back.  DuckDB acting as the reader is the conformance proof: the oracle
   hash-match fails unless the engine's pages are spec-exact.
 
 * ``read_native`` — a foreign writer (pyarrow) produces a parquet file with
@@ -45,39 +45,40 @@ _CUSTOMER_ENCODINGS = {
 }
 
 
-def transcode_native(sf_dir: str, table: str = "customer") -> rd.Dataset:
-    """parquet -> engine-encoded PAR1 files (one per batch) -> DuckDB reads
-    them back.  Returns the full table, row-for-row."""
-    out_dir = f"/tmp/pgr_native_{table}_{uuid.uuid4().hex[:8]}"
-    os.makedirs(out_dir, exist_ok=True)
-    encodings = _CUSTOMER_ENCODINGS if table == "customer" else None
+def _scratch(kind: str) -> str:
+    """A fresh output directory for one driver query's files."""
+    return f"/tmp/pgr_native_{kind}_{uuid.uuid4().hex[:8]}"
 
-    def enc_batch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"path": pa.array([], pa.string())})
-        path = os.path.join(out_dir, f"part_{uuid.uuid4().hex}.parquet")
-        write_par1(batch, path, codec="snappy", encodings=encodings)
-        return pa.table({"path": pa.array([path])})
 
-    manifest = _read_parquet_any(f"{sf_dir}/{table}.parquet").map_batches(
-        enc_batch, batch_format="pyarrow", batch_size=None
-    )
+def _duck_read(select: str):
+    """A map_batches UDF over a sink manifest: DuckDB reads each part back
+    with ``SELECT <select> FROM read_parquet(path)``, one connection per
+    part.  DuckDB acting as the reader is the conformance proof."""
 
-    def duck_read(batch: pa.Table) -> pa.Table:
+    def read(batch: pa.Table) -> pa.Table:
         import duckdb
 
         tables = []
         for p in batch["path"].to_pylist():
             con = duckdb.connect()
             try:
-                tables.append(con.sql(f"SELECT * FROM read_parquet('{p}')").arrow())
+                tables.append(con.sql(f"SELECT {select} FROM read_parquet('{p}')").arrow())
             finally:
                 con.close()
-        if not tables:
-            return pa.table({})
-        return pa.concat_tables(tables)
+        return pa.concat_tables(tables) if tables else pa.table({})
 
-    return manifest.map_batches(duck_read, batch_format="pyarrow", batch_size=None)
+    return read
+
+
+def transcode_native(sf_dir: str, table: str = "customer") -> rd.Dataset:
+    """parquet -> engine-encoded PAR1 files (one per block, through
+    ``write_par1_dataset``) -> DuckDB reads them back.  Returns the full
+    table, row-for-row."""
+    man = write_par1_dataset(
+        _read_parquet_any(f"{sf_dir}/{table}.parquet"), _scratch(table), codec="snappy",
+        encodings=_CUSTOMER_ENCODINGS if table == "customer" else None,
+    )
+    return man.map_batches(_duck_read("*"), batch_format="pyarrow", batch_size=None)
 
 
 def transcode_native_nested(sf_dir: str) -> rd.Dataset:
@@ -87,20 +88,9 @@ def transcode_native_nested(sf_dir: str) -> rd.Dataset:
     (formats/dremel.py; reference analog marshal/marshal.go:227-343 +
     schema/schemahandler.go:297-386), and DuckDB reads the nested files back,
     flattening to scalars so the driver oracle can hash-compare."""
-    out_dir = f"/tmp/pgr_native_nested_{uuid.uuid4().hex[:8]}"
-    os.makedirs(out_dir, exist_ok=True)
-    encodings = {
-        "vec_id": "delta_bp",
-        "embedding.list.element": "byte_stream_split",
-        "stats.label": "dict",
-        "stats.mod": "delta_bp",
-    }
+    import numpy as np
 
-    def enc_batch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"path": pa.array([], pa.string())})
-        import numpy as np
-
+    def nest(batch: pa.Table) -> pa.Table:
         def _arr(c):
             return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
 
@@ -108,39 +98,29 @@ def transcode_native_nested(sf_dir: str) -> rd.Dataset:
         stats = pa.StructArray.from_arrays(
             [_arr(batch["label"]), pa.array(mod)], names=["label", "mod"]
         )
-        nested = pa.table(
+        return pa.table(
             {"vec_id": batch["vec_id"], "embedding": batch["embedding"], "stats": stats}
         )
-        path = os.path.join(out_dir, f"part_{uuid.uuid4().hex}.parquet")
-        write_par1(nested, path, codec="snappy", encodings=encodings)
-        return pa.table({"path": pa.array([path])})
 
-    manifest = _read_parquet_any(f"{sf_dir}/embeddings.parquet").map_batches(
-        enc_batch, batch_format="pyarrow", batch_size=None
+    man = write_par1_dataset(
+        _read_parquet_any(f"{sf_dir}/embeddings.parquet").map_batches(
+            nest, batch_format="pyarrow", batch_size=None
+        ),
+        _scratch("nested"), codec="snappy",
+        encodings={
+            "vec_id": "delta_bp",
+            "embedding.list.element": "byte_stream_split",
+            "stats.label": "dict",
+            "stats.mod": "delta_bp",
+        },
     )
-
-    def duck_read(batch: pa.Table) -> pa.Table:
-        import duckdb
-
-        tables = []
-        for p in batch["path"].to_pylist():
-            con = duckdb.connect()
-            try:
-                tables.append(
-                    con.sql(
-                        "SELECT vec_id, len(embedding) AS emb_len, "
-                        "CAST(embedding[1] AS DOUBLE) AS emb_first, "
-                        "stats.label AS s_label, stats.mod AS s_mod "
-                        f"FROM read_parquet('{p}')"
-                    ).arrow()
-                )
-            finally:
-                con.close()
-        if not tables:
-            return pa.table({})
-        return pa.concat_tables(tables)
-
-    return manifest.map_batches(duck_read, batch_format="pyarrow", batch_size=None)
+    return man.map_batches(
+        _duck_read(
+            "vec_id, len(embedding) AS emb_len, CAST(embedding[1] AS DOUBLE) AS emb_first, "
+            "stats.label AS s_label, stats.mod AS s_mod"
+        ),
+        batch_format="pyarrow", batch_size=None,
+    )
 
 
 _LINEITEM_FOREIGN_ENCODING = {
@@ -202,71 +182,31 @@ def transcode_native_v2(sf_dir: str) -> rd.Dataset:
     INT96 physical (encoding/encodingwrite.go:85-91); DuckDB reads the files
     back, casting INT96's ns precision back to us so the driver oracle
     hash-compares against the source table."""
-    out_dir = f"/tmp/pgr_native_v2_{uuid.uuid4().hex[:8]}"
-    os.makedirs(out_dir, exist_ok=True)
-    encodings = {"event_id": "delta_bp", "event_type": "dict", "value": "byte_stream_split"}
-
-    def enc_batch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"path": pa.array([], pa.string())})
-        path = os.path.join(out_dir, f"part_{uuid.uuid4().hex}.parquet")
-        write_par1(
-            batch, path, codec="zstd", encodings=encodings,
-            data_page_version=2, int96_timestamps=True, page_rows=2048,
-        )
-        return pa.table({"path": pa.array([path])})
-
-    manifest = _read_parquet_any(f"{sf_dir}/events.parquet").map_batches(
-        enc_batch, batch_format="pyarrow", batch_size=None
+    man = write_par1_dataset(
+        _read_parquet_any(f"{sf_dir}/events.parquet"), _scratch("v2"), codec="zstd",
+        encodings={"event_id": "delta_bp", "event_type": "dict", "value": "byte_stream_split"},
+        data_page_version=2, int96_timestamps=True, page_rows=2048,
     )
-
-    def duck_read(batch: pa.Table) -> pa.Table:
-        import duckdb
-
-        tables = []
-        for p in batch["path"].to_pylist():
-            con = duckdb.connect()
-            try:
-                tables.append(
-                    con.sql(
-                        "SELECT event_id, CAST(ts AS TIMESTAMP) AS ts, user_id, "
-                        f"event_type, value, props FROM read_parquet('{p}')"
-                    ).arrow()
-                )
-            finally:
-                con.close()
-        if not tables:
-            return pa.table({})
-        return pa.concat_tables(tables)
-
-    return manifest.map_batches(duck_read, batch_format="pyarrow", batch_size=None)
+    return man.map_batches(
+        _duck_read("event_id, CAST(ts AS TIMESTAMP) AS ts, user_id, event_type, value, props"),
+        batch_format="pyarrow", batch_size=None,
+    )
 
 
 def scan_native_pruned(sf_dir: str, lo: int = 12000) -> rd.Dataset:
     """Page-pruned scan THROUGH the engine's own reader (round-4): lineitem's
-    l_orderkey is written as indexed PAR1 files (one per batch), then each
+    l_orderkey is written as indexed PAR1 files (one per block), then each
     file is scanned with scan_par1_column — the ColumnIndex skips pages whose
     min/max exclude the predicate, so only overlapping pages' bytes decode.
     The task asserts pruning actually happened (l_orderkey arrives roughly
     ordered, so selective predicates skip most pages)."""
     from ..formats.par1 import scan_par1_column
 
-    out_dir = f"/tmp/pgr_native_scan_{uuid.uuid4().hex[:8]}"
-    os.makedirs(out_dir, exist_ok=True)
-
-    def enc_batch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"path": pa.array([], pa.string())})
-        path = os.path.join(out_dir, f"part_{uuid.uuid4().hex}.parquet")
-        write_par1(
-            batch.select(["l_orderkey"]), path, codec="snappy",
-            encodings={"l_orderkey": "delta_bp"}, page_rows=2048,
-        )
-        return pa.table({"path": pa.array([path])})
-
-    manifest = _read_parquet_any(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"]
-    ).map_batches(enc_batch, batch_format="pyarrow", batch_size=None)
+    man = write_par1_dataset(
+        _read_parquet_any(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"]),
+        _scratch("scan"), codec="snappy", encodings={"l_orderkey": "delta_bp"},
+        page_rows=2048,
+    )
 
     def scan_batch(batch: pa.Table) -> pa.Table:
         tables = []
@@ -278,7 +218,7 @@ def scan_native_pruned(sf_dir: str, lo: int = 12000) -> rd.Dataset:
             return pa.table({"l_orderkey": pa.array([], pa.int64())})
         return pa.concat_tables(tables)
 
-    return manifest.map_batches(scan_batch, batch_format="pyarrow", batch_size=None)
+    return man.map_batches(scan_batch, batch_format="pyarrow", batch_size=None)
 
 
 MANIFEST_NAME = "_manifest.parquet"
@@ -323,9 +263,10 @@ def _rg_bytes(rg: dict) -> int:
 
 
 def _fan_out(items: list[dict], sizes: list[int | None]) -> rd.Dataset:
-    """THE fan-out of every read-side Ray job (scans, footer passes,
-    manifest admission, table reads): `items` as a from_items dataset whose
-    blocks the caller maps with ``batch_size=None``, one task per block.
+    """THE fan-out of every Ray job over a listing (scans, footer passes,
+    manifest admission, table reads, compaction bins): `items` as a
+    from_items dataset whose blocks the caller maps with
+    ``batch_size=None``, one task per block.
 
     Task count: ``n = min(len(items), max(cpu_slots, ceil(sum(sizes) /
     DEFAULT.target_chunk_bytes)))`` — many small files pack into one task
@@ -611,10 +552,11 @@ def validate_par1_dataset(
                 name = m["path_in_schema"][0]
                 if name not in flat:
                     continue
-                mm = _stat_min_max(m.get("statistics"), m["type"])
+                uns = pa.types.is_unsigned_integer(flat[name].type)
+                mm = _stat_min_max(m.get("statistics"), m["type"], uns)
                 if mm is None:
                     continue
-                lo, hi = _stat_py(mm[0], m["type"]), _stat_py(mm[1], m["type"])
+                lo, hi = _stat_py(mm[0], m["type"], uns), _stat_py(mm[1], m["type"], uns)
                 col = tbl[name]
                 if pa.types.is_temporal(col.type):
                     # stats are raw physical ints; compare in that domain
@@ -1054,9 +996,12 @@ def _part_stats_json(path: str) -> str:
     import base64
     import json
 
-    from ..formats.par1 import _stat_min_max, _stat_py
+    from ..formats.par1 import _schema_tree, _stat_min_max, _stat_py
 
     md = read_par1_meta(path)
+    unsigned = {
+        n.name for n in _schema_tree(md) if pa.types.is_unsigned_integer(n.type)
+    }
     agg: dict[str, dict] = {}
     for rg in md["row_groups"]:
         for ch in rg["columns"]:
@@ -1069,11 +1014,12 @@ def _part_stats_json(path: str) -> str:
             )
             ent["nv"] += m["num_values"]
             st = m.get("statistics")
-            mm = _stat_min_max(st, m["type"])
+            uns = name in unsigned
+            mm = _stat_min_max(st, m["type"], uns)
             if mm is None:
                 ent["unknown"] = True
             else:
-                lo, hi = _stat_py(mm[0], m["type"]), _stat_py(mm[1], m["type"])
+                lo, hi = _stat_py(mm[0], m["type"], uns), _stat_py(mm[1], m["type"], uns)
                 if ent["min"] is None or lo < ent["min"]:
                     ent["min"] = lo
                 if ent["max"] is None or hi > ent["max"]:
@@ -1149,6 +1095,46 @@ def _manifest_table(rows: list) -> "pa.Table":
     )
 
 
+def _pack_bins(entries, target_bytes: int) -> list[tuple]:
+    """THE compaction bin-packer: greedy first-fit over (group, path, bytes)
+    entries in their listed order, closing a bin before it would pass
+    `target_bytes`.  A bin never spans two groups (hive partition
+    directories, table buckets); groups go in sorted order, None last.
+    Returns [(group, [paths], bytes)]."""
+    by_group: dict = {}
+    for g, p, b in entries:
+        by_group.setdefault(g, []).append((p, b))
+    bins = []
+    for g in sorted(by_group, key=lambda g: (g is None, g)):
+        cur, cur_b = [], 0
+        for p, b in by_group[g]:
+            if cur and cur_b + b > target_bytes:
+                bins.append((g, cur, cur_b))
+                cur, cur_b = [], 0
+            cur.append(p)
+            cur_b += b
+        if cur:
+            bins.append((g, cur, cur_b))
+    return bins
+
+
+def _compact(bins: list[tuple], write_bin) -> rd.Dataset:
+    """Run `write_bin(group, paths) -> manifest rows` over every bin in
+    ``_fan_out`` tasks sized by the bins' bytes; returns the manifest
+    dataset."""
+
+    def compact_bin(batch: pa.Table) -> pa.Table:
+        rows = []
+        for i in batch["bin"].to_pylist():
+            group, paths, _bytes = bins[i]
+            rows += write_bin(group, paths)
+        return _manifest_table(rows)
+
+    return _fan_out(
+        [{"bin": i} for i in range(len(bins))], [b for _g, _p, b in bins]
+    ).map_batches(compact_bin, batch_format="pyarrow", batch_size=None)
+
+
 def compact_par1_dataset(
     in_dir: str,
     out_dir: str,
@@ -1162,77 +1148,36 @@ def compact_par1_dataset(
     cluster_by: list[str] | None = None,
 ) -> rd.Dataset:
     """Small-files compaction: bin-pack a directory of PAR1 parts into
-    ~``target_bytes`` output files, one Ray task per bin (each task reads
-    its member files through the engine decoders, concatenates, re-encodes
-    one indexed+checksummed file).  The driver holds only the (path, size)
-    listing; data never visits it.  Output parts get IPC-content-derived
-    names via write_block semantics — re-running skips finished bins.
-    This is the maintenance operator a 100 TB ingest needs after a
-    fine-grained streaming sink (many ~MB parts -> row-group-sized files
-    that scan efficiently).
+    ~``target_bytes`` output files (``_pack_bins`` over the listing's
+    sizes); each bin's member files decode through the engine, concatenate
+    and go through the sink's block writer as one indexed+checksummed
+    file.  The driver holds only the (path, size) listing; data never
+    visits it.  Output parts are content-named, so re-running skips
+    finished bins.  This is the maintenance operator a 100 TB ingest needs
+    after a fine-grained streaming sink (many ~MB parts -> row-group-sized
+    files that scan efficiently).
 
     Hive-partitioned inputs (`write_par1_dataset(partition_by=...)`
     layouts) compact partition-locally: files never merge across
     `col=value` directories and each output bin lands under its own
     partition dir, so directory pruning keeps working on the output."""
-    import pyarrow.compute as pc
-
-    paths = _ls_parquet(in_dir)
-    if not paths:
+    sizes = _ls_parquet(in_dir)
+    if not sizes:
         raise ValueError("compact_par1_dataset: no input files")
-    if _fs_of(out_dir)[0] is None:
-        os.makedirs(out_dir, exist_ok=True)
-    # greedy first-fit bins over the driver-side listing (path+size only),
-    # grouped by the file's partition subpath ("" for a flat layout)
-    by_part: dict[str, list[str]] = {}
-    for p in paths:
-        by_part.setdefault(_rel_subdir(p, in_dir), []).append(p)
-    bins: list[tuple[str, list[str]]] = []
-    for rel in sorted(by_part):
-        cur: list[str] = []
-        cur_b = 0
-        for p in by_part[rel]:
-            sz = uri.size(p)
-            if cur and cur_b + sz > target_bytes:
-                bins.append((rel, cur))
-                cur, cur_b = [], 0
-            cur.append(p)
-            cur_b += sz
-        if cur:
-            bins.append((rel, cur))
-
-    if sort_by and cluster_by:
-        raise ValueError("sort_by and cluster_by are mutually exclusive")
-    sort_keys = [sort_by] if isinstance(sort_by, str) else list(sort_by or [])
-    z_keys = list(cluster_by or [])
-    if len(z_keys) == 1:
-        sort_keys, z_keys = z_keys, []
-    wkw = dict(codec=codec, encodings=encodings, page_rows=page_rows, bloom=bloom,
-               page_bytes=page_bytes)
-    if sort_keys:
-        # compaction is the natural moment to (re-)cluster: each output bin
-        # sorts by the keys, so its pages become tight bands for pruning
-        wkw["sorting_columns"] = [(c, False, False) for c in sort_keys]
-
-    def compact_bin(batch: pa.Table) -> pa.Table:
-        rows = []
-        for i in batch["bin"].to_pylist():
-            rel, members = bins[i]
-            merged = pa.concat_tables([read_par1(p) for p in members])
-            if sort_keys:
-                merged = merged.sort_by([(c, "ascending") for c in sort_keys])
-            elif z_keys:
-                merged = merged.take(
-                    pc.sort_indices(_zorder_key([merged[c] for c in z_keys]))
-                )
-            rows.append(
-                _write_part(merged, os.path.join(out_dir, rel), rel, wkw)
-            )
-        return _manifest_table(rows)
-
-    return rd.from_items(
-        [{"bin": i} for i in range(len(bins))], override_num_blocks=len(bins)
-    ).map_batches(compact_bin, batch_format="pyarrow", batch_size=None)
+    write = _block_writer(
+        dict(codec=codec, encodings=encodings, page_rows=page_rows, bloom=bloom,
+             page_bytes=page_bytes),
+        sort_by=sort_by, cluster_by=cluster_by,
+    )
+    bins = _pack_bins(
+        [(_rel_subdir(p, in_dir), p, b) for p, b in sizes.items()], target_bytes
+    )
+    return _compact(
+        bins,
+        lambda rel, paths: write(
+            pa.concat_tables([read_par1(p) for p in paths]), os.path.join(out_dir, rel), rel
+        ),
+    )
 
 
 def native_bloom_scan(sf_dir: str, partkey: int = 42) -> rd.Dataset:
@@ -1243,7 +1188,7 @@ def native_bloom_scan(sf_dir: str, partkey: int = 42) -> rd.Dataset:
     BloomFilter spec; the reference's pruning stops at min/max) rejects
     files that don't actually contain the probe value, so their row groups
     never decode."""
-    out_dir = f"/tmp/pgr_native_bloom_{uuid.uuid4().hex[:8]}"
+    out_dir = _scratch("bloom")
     cols = ["l_orderkey", "l_partkey", "l_quantity"]
     ds = _read_parquet_any(f"{sf_dir}/lineitem.parquet", columns=cols).repartition(8)
     write_par1_dataset(
@@ -1282,7 +1227,7 @@ def native_partitioned_scan(sf_dir: str, lang: str = "de") -> rd.Dataset:
     the file listing before a single footer read.  At 100 TB this is the
     layout/pruning pair that turns a per-language pipeline from a full
     scan into a directory walk."""
-    out_dir = f"/tmp/pgr_native_hive_{uuid.uuid4().hex[:8]}"
+    out_dir = _scratch("hive")
     ds = _read_parquet_any(f"{sf_dir}/documents.parquet").repartition(6)
     man = write_par1_dataset(
         ds, out_dir, codec="zstd", partition_by="lang",
@@ -1298,7 +1243,7 @@ def native_sink_roundtrip(sf_dir: str) -> rd.Dataset:
     indexed, checksummed, content-named PAR1 file) and comes back through
     ``read_par1_dataset`` — every byte the oracle hashes crossed the
     engine's own encoders AND decoders, distributed both directions."""
-    out_dir = f"/tmp/pgr_native_sink_{uuid.uuid4().hex[:8]}"
+    out_dir = _scratch("sink")
     ds = _read_parquet_any(f"{sf_dir}/orders.parquet").repartition(6)
     write_par1_dataset(
         ds, out_dir, codec="zstd", page_rows=4096,
@@ -1310,30 +1255,25 @@ def native_sink_roundtrip(sf_dir: str) -> rd.Dataset:
 
 def read_native_pruned_multi(sf_dir: str, lo: int = 3000) -> rd.Dataset:
     """End-to-end distributed pruned scan (round-4): lineitem projected to
-    three columns is written as MANY indexed engine PAR1 files; then
-    read_par1_dataset scans the directory with an l_orderkey predicate —
-    whole files/row groups drop on chunk Statistics, surviving row groups
-    decode only the pages the ColumnIndex admits, for every projected
-    column (synchronized by OffsetIndex row ranges)."""
-    out_dir = f"/tmp/pgr_native_multi_{uuid.uuid4().hex[:8]}"
-    os.makedirs(out_dir, exist_ok=True)
+    three columns is written as MANY indexed engine PAR1 files (4096-row
+    blocks); then read_par1_dataset scans the manifest's parts with an
+    l_orderkey predicate — whole files/row groups drop on chunk Statistics,
+    surviving row groups decode only the pages the ColumnIndex admits, for
+    every projected column (synchronized by OffsetIndex row ranges)."""
     cols = ["l_orderkey", "l_extendedprice", "l_returnflag"]
-
-    def enc_batch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"path": pa.array([], pa.string())})
-        path = os.path.join(out_dir, f"part_{uuid.uuid4().hex}.parquet")
-        write_par1(
-            batch.select(cols), path, codec="snappy", page_rows=2048,
-            encodings={"l_orderkey": "delta_bp", "l_returnflag": "dict",
-                       "l_extendedprice": "byte_stream_split"},
-        )
-        return pa.table({"path": pa.array([path])})
-
-    manifest = _read_parquet_any(f"{sf_dir}/lineitem.parquet", columns=cols).map_batches(
-        enc_batch, batch_format="pyarrow", batch_size=4096
+    # each read task's rows become one block, cut into 4096-row blocks (Ray
+    # keeps a task's last block whole up to 1.5x that)
+    ds = (
+        _read_parquet_any(f"{sf_dir}/lineitem.parquet", columns=cols)
+        .map_batches(lambda b: b, batch_format="pyarrow", batch_size=4096)
+        .repartition(target_num_rows_per_block=4096)
     )
-    paths = [r["path"] for r in manifest.take_all()]
+    man = write_par1_dataset(
+        ds, _scratch("multi"), codec="snappy", page_rows=2048,
+        encodings={"l_orderkey": "delta_bp", "l_returnflag": "dict",
+                   "l_extendedprice": "byte_stream_split"},
+    )
+    paths = [r["path"] for r in man.take_all()]
     return read_par1_dataset(paths, columns=cols, predicate=("l_orderkey", "<", lo))
 
 
@@ -1347,7 +1287,7 @@ def native_dnf_scan(sf_dir: str) -> rd.Dataset:
     the sink puts FILE-level manifest pruning in front of the footer
     reads, so the whole pruning ladder (manifest -> Statistics/bloom ->
     ColumnIndex pages) runs under the one oracle."""
-    out_dir = f"/tmp/pgr_native_dnf_{uuid.uuid4().hex[:8]}"
+    out_dir = _scratch("dnf")
     cols = ["l_orderkey", "l_suppkey", "l_quantity", "l_returnflag"]
     ds = _read_parquet_any(f"{sf_dir}/lineitem.parquet", columns=cols).repartition(8)
     write_par1_dataset(
@@ -1380,7 +1320,7 @@ def native_bitpacked_scan(sf_dir: str) -> rd.Dataset:
     semantics."""
     import numpy as np
 
-    out_dir = f"/tmp/pgr_native_bp_{uuid.uuid4().hex[:8]}"
+    out_dir = _scratch("bp")
     docs = _read_parquet_any(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
     )
@@ -1418,8 +1358,7 @@ def native_legacy_list_scan(sf_dir: str) -> rd.Dataset:
 
     from ..formats.par1 import write_par1_legacy_list
 
-    out_dir = f"/tmp/pgr_native_legacy_{uuid.uuid4().hex[:8]}"
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _scratch("legacy")
     docs = _read_parquet_any(f"{sf_dir}/documents.parquet", columns=["doc_id"]).repartition(4)
 
     def write_block(batch: pa.Table) -> pa.Table:
@@ -1436,8 +1375,8 @@ def native_legacy_list_scan(sf_dir: str) -> rd.Dataset:
             pa.array(offs, pa.int32()), pa.array(flat, pa.int64())
         )
         tbl = pa.table({"doc_id": pa.array(ids, pa.int64()), "nums": nums})
-        path = os.path.join(out_dir, f"part_{uuid.uuid4().hex}.parquet")
-        write_par1_legacy_list(tbl, path, codec="snappy")
+        path = f"{out_dir}/part_{_ipc_content_tag(tbl)}.parquet"
+        uri.publish(path, lambda t: write_par1_legacy_list(tbl, t, codec="snappy"))
         return pa.table({"path": pa.array([path])})
 
     files = docs.map_batches(write_block, batch_format="pyarrow", batch_size=None)
@@ -1481,7 +1420,7 @@ def native_evolved_scan(sf_dir: str) -> rd.Dataset:
     read_par1_dataset(union_by_name=True) call scans both: the missing
     column materializes as nulls in old parts, and the DNF predicate's
     clauses on it adapt per file (is_null ~ 'old generation')."""
-    out_dir = f"/tmp/pgr_native_evo_{uuid.uuid4().hex[:8]}"
+    out_dir = _scratch("evo")
     old = _read_parquet_any(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
     )
@@ -1503,7 +1442,7 @@ def native_zorder_scan(sf_dir: str) -> rd.Dataset:
     the read predicates on l_suppkey alone — the case a lexicographic
     sort cannot prune.  Rows are layout-independent, so the oracle is a
     plain WHERE."""
-    out_dir = f"/tmp/pgr_native_z_{uuid.uuid4().hex[:8]}"
+    out_dir = _scratch("z")
     cols = ["l_orderkey", "l_partkey", "l_suppkey"]
     ds = _read_parquet_any(f"{sf_dir}/lineitem.parquet", columns=cols).repartition(6)
     write_par1_dataset(
@@ -1522,7 +1461,7 @@ def native_table_lifecycle(sf_dir: str) -> rd.Dataset:
     built over the compacted output, and a union_by_name DNF scan reads
     it back through the full pruning ladder — sink, evolve, compact,
     cluster, manifest, scan, one hash-checked result."""
-    base = f"/tmp/pgr_native_life_{uuid.uuid4().hex[:8]}"
+    base = _scratch("life")
     raw_dir, compact_dir = f"{base}/raw", f"{base}/compacted"
     cols = ["o_orderkey", "o_custkey", "o_totalprice"]
     ds = _read_parquet_any(f"{sf_dir}/orders.parquet", columns=cols)
@@ -1557,7 +1496,7 @@ def native_null_scan(sf_dir: str) -> rd.Dataset:
     via Statistics.null_count, before the exact re-filter."""
     import pyarrow.compute as pc
 
-    out_dir = f"/tmp/pgr_native_null_{uuid.uuid4().hex[:8]}"
+    out_dir = _scratch("null")
 
     def derive(batch: pa.Table) -> pa.Table:
         doc_id = batch["doc_id"]
@@ -1583,29 +1522,74 @@ def native_null_scan(sf_dir: str) -> rd.Dataset:
     )
 
 
+def _block_writer(
+    write_kwargs: dict,
+    sort_by: str | list[str] | None = None,
+    cluster_by: list[str] | None = None,
+    partition_by: str | None = None,
+):
+    """THE writer of every PAR1 data file the engine produces (the sink's
+    blocks, both compactors' bins): returns ``write(batch, part_dir,
+    partition="") -> manifest rows``, which orders the batch by `sort_by`
+    or a Z-order key over `cluster_by`, splits it by `partition_by` into
+    ``<col>=<value>`` subdirectories of `part_dir`, and writes each piece
+    with `write_kwargs` (``write_par1``'s keywords) through ``_write_part``.
+    An empty batch writes nothing."""
+    import pyarrow.compute as pc
+
+    if sort_by and cluster_by:
+        raise ValueError("sort_by and cluster_by are mutually exclusive")
+    sort_keys = [sort_by] if isinstance(sort_by, str) else list(sort_by or [])
+    z_keys = list(cluster_by or [])
+    if len(z_keys) == 1:  # one column: Z-order degenerates to a plain sort
+        sort_keys, z_keys = z_keys, []
+    wkw = dict(write_kwargs)
+    if sort_keys:
+        wkw["sorting_columns"] = [(c, False, False) for c in sort_keys]
+
+    def write(batch: pa.Table, part_dir: str, partition: str = "") -> list[dict]:
+        if not batch.num_rows:
+            return []
+        if sort_keys:
+            batch = batch.sort_by([(c, "ascending") for c in sort_keys])
+        elif z_keys:
+            batch = batch.take(pc.sort_indices(_zorder_key([batch[c] for c in z_keys])))
+        if partition_by is None:
+            return [_write_part(batch, part_dir, partition, wkw)]
+        col = batch[partition_by]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        rows = []
+        for v in pc.unique(col).to_pylist():
+            pname = f"{partition_by}={v}"
+            if os.sep in pname or "/" in pname or v is None:
+                raise ValueError(f"unsafe partition value {v!r}")
+            sub = batch.filter(pc.equal(col, v))
+            rows.append(_write_part(sub, part_dir.rstrip("/") + "/" + pname, pname, wkw))
+        return rows
+
+    return write
+
+
 def write_par1_dataset(
     ds: rd.Dataset,
     out_dir: str,
-    codec: str | dict[str, str] = "snappy",
-    encodings: dict[str, str] | None = None,
-    page_rows: int = 65536,
-    row_group_rows: int | None = None,
-    data_page_version: int = 1,
-    key_value_metadata: dict[str, str] | None = None,
-    bloom: dict[str, float] | list[str] | None = None,
     partition_by: str | None = None,
     sort_by: str | list[str] | None = None,
-    page_bytes: int | None = None,
     cluster_by: list[str] | None = None,
-    level_encoding: str = "rle",
+    **write_kwargs,
 ) -> rd.Dataset:
     """Distributed native-format sink: every Ray block becomes one indexed
     PAR1 file (pages + CRC + ColumnIndex/OffsetIndex + Statistics) under
-    `out_dir`.  Part names are CONTENT-DERIVED (sha1 of the block's Arrow
-    IPC serialization — a pure function of the logical rows), writes are
-    atomic (tmp + rename), and an existing part is skipped — so a re-run of
-    the same pipeline over the same input resumes instead of re-encoding,
-    the same partitioned-output discipline as encode_partitioned.
+    `out_dir`, written by ``_block_writer`` with `write_kwargs` forwarded
+    to ``write_par1`` (codec, encodings, page_rows, ...).  Part names are
+    CONTENT-DERIVED (sha1 of the block's Arrow IPC serialization — a pure
+    function of the logical rows), every part is published through
+    ``uri.publish`` (whole or absent), and an existing complete part is
+    skipped — so a re-run of the same pipeline over the same input resumes
+    instead of re-encoding, the same partitioned-output discipline as
+    encode_partitioned.  The parts follow the input's block layout: this
+    map runs on the caller's dataset and its context.
 
     `partition_by`: hive-style layout — each block splits by that column's
     values into `out_dir/<col>=<value>/part_<tag>.parquet` (the column
@@ -1628,47 +1612,11 @@ def write_par1_dataset(
     Returns the manifest dataset {path, partition, rows, bytes, skipped,
     stats} (one row per part), which is also the natural input to
     read_par1_dataset."""
-    import pyarrow.compute as pc
-
     if _fs_of(out_dir)[0] is None:
         os.makedirs(out_dir, exist_ok=True)
-    if sort_by and cluster_by:
-        raise ValueError("sort_by and cluster_by are mutually exclusive")
-    sort_keys = [sort_by] if isinstance(sort_by, str) else list(sort_by or [])
-    z_keys = list(cluster_by or [])
-    if len(z_keys) == 1:  # one column: Z-order degenerates to a plain sort
-        sort_keys, z_keys = z_keys, []
-    wkw = dict(
-        codec=codec, encodings=encodings, page_rows=page_rows,
-        row_group_rows=row_group_rows, data_page_version=data_page_version,
-        key_value_metadata=key_value_metadata, bloom=bloom,
-        page_bytes=page_bytes, level_encoding=level_encoding,
-    )
-    if sort_keys:
-        wkw["sorting_columns"] = [(c, False, False) for c in sort_keys]
+    write = _block_writer(write_kwargs, sort_by, cluster_by, partition_by)
 
     def write_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows and sort_keys:
-            batch = batch.sort_by([(c, "ascending") for c in sort_keys])
-        elif batch.num_rows and z_keys:
-            zkey = _zorder_key([batch[c] for c in z_keys])
-            batch = batch.take(pc.sort_indices(zkey))
-        out_rows: list[dict] = []
-        if batch.num_rows:
-            if partition_by is None:
-                out_rows.append(_write_part(batch, out_dir, "", wkw))
-            else:
-                col = batch[partition_by]
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                for v in pc.unique(col).to_pylist():
-                    pname = f"{partition_by}={v}"
-                    if os.sep in pname or "/" in pname or v is None:
-                        raise ValueError(f"unsafe partition value {v!r}")
-                    sub = batch.filter(pc.equal(col, v))
-                    out_rows.append(
-                        _write_part(sub, out_dir.rstrip("/") + "/" + pname, pname, wkw)
-                    )
-        return _manifest_table(out_rows)
+        return _manifest_table(write(batch, out_dir))
 
     return ds.map_batches(write_block, batch_format="pyarrow", batch_size=None)

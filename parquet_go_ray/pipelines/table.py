@@ -65,13 +65,14 @@ from ..formats.par1 import (
 )
 from .native_io import (
     _MANIFEST_DISTRIBUTE_THRESHOLD,
+    _block_writer,
+    _compact,
     _fan_out,
     _manifest_admit_rows,
     _manifest_admits_file,
-    _manifest_table,
+    _pack_bins,
     _rg_bytes,
     _stream,
-    _write_part,
     from_json_stat,
     read_par1_dataset,
     write_par1_dataset,
@@ -1113,9 +1114,10 @@ def table_compact(
     """Copy-on-write maintenance: bin-pack the live files into
     ~`target_bytes` outputs, FOLDING IN every position delete (the
     merge-on-read debt is paid here, once), and commit the rewritten state
-    as one fresh-manifest snapshot with an empty delete list.  One Ray
-    task per bin; the driver holds only the (path, bytes) listing.  Old
-    parts stay for time travel until ``table_vacuum``."""
+    as one fresh-manifest snapshot with an empty delete list.  Bins
+    (``_pack_bins``, bucket-local) run in ``_fan_out`` tasks through the
+    sink's block writer; the driver holds only the (path, bytes) listing.
+    Old parts stay for time travel until ``table_vacuum``."""
     snap = load_snapshot(table_dir)
     entries = _live_entries(table_dir, snap)
     if not entries:
@@ -1125,31 +1127,16 @@ def table_compact(
     # a bucketed layout is a table invariant: bin-pack WITHIN each bucket
     # and keep outputs under their _bucket=<i>/ directory
     bucketed = snap.get("bucket") is not None
-    groups: dict[object, list[dict]] = {}
-    for e in entries:
-        groups.setdefault(_bucket_of(e["path"]) if bucketed else None, []).append(e)
-    bins: list[list[str]] = []
-    bin_bucket: list[object] = []
-    for bkt, ents in sorted(groups.items(), key=lambda kv: (kv[0] is None, kv[0])):
-        cur: list[str] = []
-        cur_b = 0
-        for e in ents:
-            if cur and cur_b + e["bytes"] > target_bytes:
-                bins.append(cur)
-                bin_bucket.append(bkt)
-                cur, cur_b = [], 0
-            cur.append(e["path"])
-            cur_b += e["bytes"]
-        if cur:
-            bins.append(cur)
-            bin_bucket.append(bkt)
-    sort_keys = [sort_by] if isinstance(sort_by, str) else list(sort_by or [])
-    wkw = dict(
-        codec=codec, encodings=encodings, page_rows=page_rows, bloom=bloom,
-        page_bytes=page_bytes,
+    bins = _pack_bins(
+        [(_bucket_of(e["path"]) if bucketed else None, e["path"], e["bytes"])
+         for e in entries],
+        target_bytes,
     )
-    if sort_keys:
-        wkw["sorting_columns"] = [(c, False, False) for c in sort_keys]
+    write = _block_writer(
+        dict(codec=codec, encodings=encodings, page_rows=page_rows, bloom=bloom,
+             page_bytes=page_bytes),
+        sort_by=sort_by,
+    )
     dels_by_file = {e["path"]: _deletes_for_file(snap, e["path"]) for e in entries}
     eqs_by_file = {
         e["path"]: _eq_deletes_for_file(snap, e["path"], e.get("stats"))
@@ -1158,30 +1145,17 @@ def table_compact(
     first = os.path.join(table_dir, entries[0]["path"])
     all_cols = [n.name for n in _schema_tree(read_par1_meta(first))]
 
-    def compact_bin(batch: pa.Table) -> pa.Table:
-        rows = []
-        for i in batch["bin"].to_pylist():
-            merged = pa.concat_tables(
-                _read_file_with_deletes(
-                    table_dir, rel, dels_by_file[rel], all_cols, [],
-                    eq_dels=eqs_by_file[rel],
-                )
-                for rel in bins[i]
+    def write_bin(bkt, rels: list[str]) -> list[dict]:
+        merged = pa.concat_tables(
+            _read_file_with_deletes(
+                table_dir, rel, dels_by_file[rel], all_cols, [], eq_dels=eqs_by_file[rel]
             )
-            if sort_keys:
-                merged = merged.sort_by([(c, "ascending") for c in sort_keys])
-            bkt = bin_bucket[i]
-            dest = (
-                os.path.join(out_dir, f"{BUCKET_COL}={bkt}")
-                if bkt is not None
-                else out_dir
-            )
-            rows.append(_write_part(merged, dest, "", wkw))
-        return _manifest_table(rows)
+            for rel in rels
+        )
+        dest = out_dir if bkt is None else os.path.join(out_dir, f"{BUCKET_COL}={bkt}")
+        return write(merged, dest)
 
-    man = rd.from_items(
-        [{"bin": i} for i in range(len(bins))], override_num_blocks=len(bins)
-    ).map_batches(compact_bin, batch_format="pyarrow", batch_size=None)
+    man = _compact(bins, write_bin)
     rels, summary = _sink_manifest(table_dir, txn, man)
 
     base = snap  # the snapshot this rewrite was computed against

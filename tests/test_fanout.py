@@ -202,3 +202,94 @@ def test_unknown_projected_column_raises_value_error(ray_session, parts):
 def test_unknown_predicate_column_raises_value_error(ray_session, parts):
     with pytest.raises(ValueError, match="nope"):
         nio.read_par1_dataset(parts, predicate=("nope", "==", 1))
+
+
+# -- compaction: one bin-packer, bins packed into CPU-slot tasks --------------
+
+# sha256 over (relative path, bytes) of every compacted part; taken from the
+# one-task-per-bin compactors these replaced, so the bins, the part names
+# and the part bytes are pinned unchanged
+COMPACT_DIGEST = "6ec6c0ad0dfe2ad5094a566bf24ee02859825dcce7742927ec76fcd089f2f255"
+TABLE_COMPACT_DIGEST = "7072af3eb1feea633ee666423ba998a9684f826f9d880341183470dae23884a8"
+
+
+def _parts_digest(d: str) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for r, _, fs in sorted(os.walk(d)):
+        for f in sorted(fs):
+            if f.endswith(".parquet") and f != nio.MANIFEST_NAME:
+                p = os.path.join(r, f)
+                h.update(os.path.relpath(p, d).encode())
+                with open(p, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()
+
+
+@pytest.fixture()
+def small_parts(tmp_path):
+    """Twelve small parts in two hive partitions (p=a holds 8, p=b 4)."""
+    d = str(tmp_path / "small")
+    for f in range(12):
+        _write(f"{d}/p={'a' if f % 3 else 'b'}/part_{f:02d}.parquet", _part(f))
+    return d
+
+
+def test_pack_bins_group_local_greedy():
+    entries = [("b", "x", 5), ("a", "p", 4), ("a", "q", 4), ("a", "r", 1), ("b", "y", 20)]
+    assert nio._pack_bins(entries, 8) == [
+        ("a", ["p", "q"], 8), ("a", ["r"], 1), ("b", ["x"], 5), ("b", ["y"], 20)
+    ]
+    # table buckets: ints sort, the unbucketed None group goes last
+    assert [g for g, _p, _b in nio._pack_bins([(None, "n", 1), (1, "k", 1), (0, "j", 1)], 8)] == [
+        0, 1, None
+    ]
+
+
+def test_compact_packs_bins_into_slot_tasks(ray_session, two_slots, small_parts, tmp_path):
+    out = str(tmp_path / "compacted")
+    sizes = nio._ls_parquet(small_parts)
+    target = 2 * max(sizes.values())
+    bins = nio._pack_bins(
+        [(nio._rel_subdir(p, small_parts), p, b) for p, b in sizes.items()], target
+    )
+    assert len(bins) == 6
+    ds = nio.compact_par1_dataset(small_parts, out, target_bytes=target, cluster_by=["g", "v"])
+    ds = ds.materialize()
+    assert "2 tasks executed" in ds.stats()
+    man = _collect(ds)
+    assert man.num_rows == len(bins) and sum(man["rows"].to_pylist()) == 12 * ROWS
+    assert sorted(man["partition"].to_pylist()) == sorted(g for g, _p, _b in bins)
+    _same(_collect(nio.read_par1_dataset(out)), _oracle(small_parts).select(["k", "g", "v"]))
+    assert _parts_digest(out) == COMPACT_DIGEST
+
+
+def test_table_compact_packs_bins_into_slot_tasks(ray_session, two_slots, monkeypatch, tmp_path):
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines import table
+
+    d = str(tmp_path / "tbl")
+    table.table_write(
+        rd.from_arrow([_part(f) for f in range(10)]), d, txn_id="w0", page_rows=64
+    )
+    table.table_delete(d, ("k", "<", 100), txn_id="d0")
+    fanned = []
+    real = nio._fan_out
+
+    def spy(items, sizes):
+        ds = real(items, sizes)
+        fanned.append((len(items), _tasks(ds)))
+        return ds
+
+    monkeypatch.setattr(nio, "_fan_out", spy)
+    # one part per bin: which parts share a bin follows the table manifest's
+    # row order, which Ray's write order sets
+    table.table_compact(d, target_bytes=1, txn_id="c0", sort_by="v")
+    monkeypatch.undo()
+    assert (10, 2) in fanned  # ten one-part bins, two tasks
+    assert len(os.listdir(f"{d}/{table.DATA_DIR}/c0")) == 10
+    got = _collect(table.table_scan(d))
+    assert got.num_rows == 10 * ROWS - 100
+    assert _parts_digest(f"{d}/{table.DATA_DIR}/c0") == TABLE_COMPACT_DIGEST

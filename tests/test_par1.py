@@ -1379,3 +1379,13 @@ def test_bitpacked_arrow_dialect_divergence(tmp_path):
         assert not pq.read_table(p).equals(t)
     except pa.ArrowInvalid:
         pass  # structural failure is the other observed Arrow outcome
+
+
+def test_delta_bp_int32_full_range_wraps_at_32_bits(tmp_path):
+    # INT32 deltas wrap at 32 bits (spec): full-range values keep miniblock
+    # widths <= 32, which pyarrow requires of an INT32 column
+    v = np.random.default_rng(7).integers(-(2**31), 2**31, 1000).astype(np.int32)
+    path = str(tmp_path / "i32.parquet")
+    write_par1(pa.table({"i": v}), path, encodings={"i": "delta_bp"})
+    assert pq.read_table(path)["i"].to_pylist() == v.tolist()
+    assert read_par1(path)["i"].to_pylist() == v.tolist()

@@ -248,3 +248,57 @@ def test_bloom_free_encode_is_byte_stable():
 
 
 GOLDEN_DIGEST = "7d2d0db16cf12e3f5dcfcfd56237394d24ed24c6e9fd61a0932e6982cc159af9"
+
+
+# -- unsigned statistics order (pyarrow-written UINT_32 / UINT_64) -----------
+
+U_CASES = [
+    # (column, op, value): values at and past the signed range
+    ("u64", "==", 2**63 + 5),
+    ("u64", ">", 2**63),
+    ("u64", "<", 2**63),
+    ("u64", "in", [2**64 - 1, 3]),
+    ("u32", "==", 2**31 + 5),
+    ("u32", ">", 2**31),
+    ("u32", "<", 2**31),
+    ("u32", "in", [2**32 - 1, 3]),
+]
+
+
+@pytest.fixture(scope="module")
+def unsigned_file(tmp_path_factory):
+    """Rows sorted so low row groups hold small values and high ones hold
+    values past 2^31 / 2^63: signed decoding of their bounds prunes wrongly."""
+    n = 4000
+    lo = np.arange(n // 2, dtype=np.uint64)
+    u64 = np.concatenate([lo, np.uint64(2**63) + lo])
+    u64[-1] = 2**64 - 1
+    u32 = np.concatenate([lo, np.uint64(2**31) + lo])
+    u32[-1] = 2**32 - 1
+    tbl = pa.table({"u64": pa.array(u64, pa.uint64()), "u32": pa.array(u32.astype(np.uint32))})
+    path = str(tmp_path_factory.mktemp("unsigned") / "u.parquet")
+    pq.write_table(tbl, path, row_group_size=1000, data_page_size=512, write_page_index=True)
+    return path, tbl
+
+
+@pytest.mark.parametrize("col,op,val", U_CASES)
+def test_unsigned_stats_prune_in_unsigned_order(unsigned_file, col, op, val):
+    path, tbl = unsigned_file
+    want = tbl.filter(pc.is_in(tbl[col], pa.array(val, tbl[col].type)) if op == "in"
+                      else {"==": pc.equal, ">": pc.greater, "<": pc.less}[op](
+                          tbl[col], pa.scalar(val, tbl[col].type)))
+    got, st = read_par1_pruned(path, None, (col, op, val))
+    assert got.num_rows == want.num_rows > 0
+    assert got[col].type == tbl[col].type
+    assert sorted(got[col].to_pylist()) == sorted(want[col].to_pylist())
+    assert st["row_groups_read"] < st["row_groups_total"]  # still prunes
+
+
+@pytest.mark.parametrize("col,op,val", U_CASES)
+def test_unsigned_manifest_stats_admit(unsigned_file, col, op, val):
+    from parquet_go_ray.formats.par1 import _normalize_predicate
+    from parquet_go_ray.pipelines import native_io
+
+    path, _tbl = unsigned_file
+    man = pa.table({"path": [path], "stats": [native_io._part_stats_json(path)]})
+    assert native_io._manifest_admit_rows(man, _normalize_predicate((col, op, val))) == {path}

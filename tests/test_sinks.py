@@ -243,3 +243,109 @@ def test_table_commit_faults(monkeypatch, tmp_path):
 
     assert _run_faults(monkeypatch, str(tmp_path / "tbl"), setup, op) == 1
     assert table.table_versions(str(tmp_path / "tbl")) == [1, 2]
+
+
+# -- sinks whose writes run in Ray tasks --------------------------------------
+
+
+class _Inline:
+    """The slice of `ray.data.Dataset` these sinks use, run eagerly in this
+    process: the patched `uri.open_any` would not reach a Ray worker, and
+    the write order (the N to tear) must be fixed."""
+
+    def __init__(self, blocks: list[pa.Table]):
+        self.blocks = blocks
+
+    def map_batches(self, fn, **_kw):
+        out = []
+        for b in self.blocks:
+            r = fn(b)
+            out += [r] if isinstance(r, pa.Table) else list(r)
+        return _Inline(out)
+
+    def materialize(self):
+        return self
+
+
+def test_compact_par1_dataset_faults(monkeypatch, root):
+    from parquet_go_ray.pipelines import native_io
+
+    monkeypatch.setattr(
+        native_io, "_fan_out", lambda items, sizes: _Inline([pa.Table.from_pylist(items)])
+    )
+
+    def setup(r):
+        for i, t in enumerate(_parts(5, seed=3)):
+            native_io._write_part(t, f"{r}/in/p={i % 2}", f"p={i % 2}", {})
+
+    def op(r):
+        native_io.compact_par1_dataset(
+            r + "/in", r + "/out", target_bytes=2500, sort_by="k", codec="zstd"
+        ).materialize()
+
+    # parts of ~1.1 kB, two per bin: p=0 (3 parts) packs 2 bins, p=1 one
+    assert _run_faults(monkeypatch, root, setup, op) == 3
+    from parquet_go_ray.formats.par1 import read_par1
+
+    outs = sorted(native_io._ls_parquet(root + "/out"))
+    assert len(outs) == 3 and sum(read_par1(p).num_rows for p in outs) == 5 * 500
+
+
+def test_driver_query_sink_faults(monkeypatch, root, sf_dir):
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.pipelines import native_io
+
+    def read_parquet(path, columns=None):
+        t = pq.read_table(path, columns=columns)
+        half = t.num_rows // 2
+        return _Inline([t.slice(0, half), t.slice(half)])
+
+    monkeypatch.setattr(native_io, "_read_parquet_any", read_parquet)
+    monkeypatch.setattr(native_io, "_scratch", lambda kind: f"{root}/{kind}")
+    results = []
+
+    def op(r):
+        results.append(native_io.scan_native_pruned(sf_dir, lo=100))
+
+    assert _run_faults(monkeypatch, root, lambda r: None, op) == 2  # one part per block
+    keys = pq.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"])["l_orderkey"]
+    got = pa.concat_tables(results[-1].blocks)["l_orderkey"]
+    assert sorted(got.to_pylist()) == sorted(k for k in keys.to_pylist() if k >= 100)
+
+
+def test_par1_files_are_written_only_inside_publish():
+    """Every direct `write_par1` / `write_par1_legacy_list` call in the
+    package sits in a callback handed to `uri.publish`: a lambda argument,
+    or a function passed by name."""
+    import ast
+    import pathlib
+
+    import parquet_go_ray
+
+    def name(f):
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    bad = []
+    for path in pathlib.Path(parquet_go_ray.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        callbacks = [
+            a
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and name(n.func) == "publish"
+            for a in n.args[1:2] + [k.value for k in n.keywords if k.arg == "write"]
+        ]
+        by_name = {a.id for a in callbacks if isinstance(a, ast.Name)}
+        for n in ast.walk(tree):
+            if not (isinstance(n, ast.Call) and name(n.func) in ("write_par1", "write_par1_legacy_list")):
+                continue
+            fn = parent[n]
+            while not isinstance(fn, (ast.Lambda, ast.FunctionDef, ast.Module)):
+                fn = parent[fn]
+            if not (
+                any(fn is a for a in callbacks)
+                or (isinstance(fn, ast.FunctionDef) and fn.name in by_name)
+            ):
+                bad.append(f"{path.name}:{n.lineno}")
+    assert not bad, f"PAR1 writes outside uri.publish: {bad}"
