@@ -3,9 +3,11 @@
 Semantics follow the Parquet encoding spec, pinned by the reference's golden
 byte vectors (reference: encoding/encodingwrite.go:132-270 for
 varint / RLE / LSB-first bit-packing; encoding/encodingwrite_test.go:33-102).
-All hot paths are vectorized numpy.  Python loops touch only per-run /
-per-block headers (varints, width bytes); per-miniblock and per-value work
-is whole-page numpy, with one `unpack_bits` call per distinct bit width.
+All hot paths are vectorized numpy.  `uvarints` writes a whole array of
+ULEB128 headers at once, `pack_bits` packs a whole span of values, and
+`unpack_bits` reads every equal-width run of a page in one call; a codec's
+remaining Python loops visit only what it must emit one at a time (the
+decoders' run and block headers, the hybrid encoder's RLE runs).
 """
 
 from __future__ import annotations
@@ -86,12 +88,19 @@ def pack_bits(vals: np.ndarray, width: int) -> bytes:
     """Pack len(vals) unsigned ints LSB-first at `width` bits each.
 
     len(vals)*width must be a multiple of 8 (callers pad to 8-value groups).
+    Up to 8 bits, a value's bits come from a shift matrix; above that, the
+    low ceil(width / 8) little-endian bytes of each uint64 are unpacked to
+    bits, of which the low `width` are kept.
     """
     if width == 0 or len(vals) == 0:
         return b""
-    v = np.ascontiguousarray(vals, dtype=np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((v[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    v = np.ascontiguousarray(vals, dtype="<u8")
+    if width <= 8:
+        shifts = np.arange(width, dtype=np.uint64)
+        bits = ((v[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    else:
+        low = v.view(np.uint8).reshape(-1, 8)[:, : (width + 7) // 8]
+        bits = np.unpackbits(low, axis=1, bitorder="little")[:, :width]
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
 
 
@@ -134,6 +143,17 @@ def unpack_bits(
     return vals
 
 
-def write_uvarints(vals: np.ndarray) -> bytes:
-    """Vectorized-ish multi-varint writer for header streams (small arrays)."""
-    return b"".join(write_uvarint(int(v)) for v in vals)
+_VARINT_SHIFTS = np.arange(0, 64, 7, dtype=np.uint64)  # 10 bytes cover 64 bits
+
+
+def uvarints(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ULEB128 of every value at once: (the varints back to back as uint8,
+    the byte length of each).  Byte k of a varint holds bits 7k..7k+6 and
+    is present when k is 0 or bits remain at or above 7k; every byte but
+    the last sets the continuation bit."""
+    u = np.asarray(vals, dtype=np.uint64)[:, None]
+    lens = 1 + np.count_nonzero(u >> _VARINT_SHIFTS[1:], axis=1)
+    k = np.arange(len(_VARINT_SHIFTS))
+    out = ((u >> _VARINT_SHIFTS) & np.uint64(0x7F)).astype(np.uint8)
+    out[k < lens[:, None] - 1] |= 0x80
+    return out[k < lens[:, None]], lens

@@ -10,13 +10,17 @@ final block padded with min-delta (so pad packs as 0); empty trailing
 miniblocks get width 0 and no payload.
 
 Vectorization: np.diff for deltas (wraparound int64 semantics, same as Go),
-per-block/per-miniblock reductions via reshape, packing grouped BY WIDTH so
-each distinct width costs one vectorized packbits call instead of a Python
-loop per miniblock.  Decode has the same shape: one Python pass over the
-block headers only (min-delta varint, width bytes, payload length), then the
-miniblock offsets come from a cumsum of the width matrix, every miniblock of
-one width is unpacked by one `unpack_bits` call, each block's min delta is
-added by broadcasting, and one cumsum rebuilds the values.
+per-block/per-miniblock reductions via reshape, and no Python loop per
+block on either side.  Encode writes every block's min-delta varint with
+one `bits.uvarints` call, takes each block's and miniblock's byte offset
+from cumsums of the varint lengths and the width matrix, and scatters the
+varints, the width bytes and the payloads into one output array; every
+miniblock of one width is packed by one `pack_bits` call.  Decode has the
+mirror shape, except for one Python pass over the block headers (a block's
+offset depends on the varint before it): the miniblock offsets come from a
+cumsum of the width matrix, every miniblock of one width is unpacked by one
+`unpack_bits` call, each block's min delta is added by broadcasting, and
+one cumsum rebuilds the values.
 
 DELTA_BYTE_ARRAY prefix lengths are computed vectorized on a byte matrix of
 the first `PREFIX_CAP` bytes of each value (any prefix <= the true common
@@ -34,9 +38,11 @@ from ..bits import (
     pack_bits,
     read_uvarint,
     unpack_bits,
+    uvarints,
     write_uvarint,
     zigzag_decode,
     zigzag_decode_scalar,
+    zigzag_encode,
     zigzag_encode_scalar,
 )
 from .base import arr_values_np, binary_parts, build_binary, register
@@ -58,15 +64,12 @@ def delta_bp_encode_np(v: np.ndarray, bits: int = 64) -> bytes:
     then stay within 32 bits)."""
     v = v.astype(np.int64, copy=False)
     n = len(v)
-    out = bytearray()
-    out += write_uvarint(BLOCK)
-    out += write_uvarint(MINIBLOCKS)
-    out += write_uvarint(n)
+    head = write_uvarint(BLOCK) + write_uvarint(MINIBLOCKS) + write_uvarint(n)
     if n == 0:
-        return bytes(out)
-    out += write_uvarint(zigzag_encode_scalar(int(v[0])))
+        return head
+    head += write_uvarint(zigzag_encode_scalar(int(v[0])))
     if n == 1:
-        return bytes(out)
+        return head
 
     with np.errstate(over="ignore"):
         deltas = np.subtract(v[1:], v[:-1])  # wraparound int64, like Go
@@ -75,7 +78,8 @@ def delta_bp_encode_np(v: np.ndarray, bits: int = 64) -> bytes:
     nd = len(deltas)
     nblocks = (nd + BLOCK - 1) // BLOCK
 
-    # pad deltas to whole blocks; pad value = that block's min so it packs as 0
+    # pad deltas to whole blocks; pad value = that block's min so it packs as
+    # 0, and a miniblock holding only padding gets width 0 and no payload
     padded = np.empty(nblocks * BLOCK, dtype=np.int64)
     padded[:nd] = deltas
     blocks = padded.reshape(nblocks, BLOCK)
@@ -97,37 +101,31 @@ def delta_bp_encode_np(v: np.ndarray, bits: int = 64) -> bytes:
     _, lo_len = np.frexp((mb_max & np.uint64(0xFFFFFFFF)).astype(np.float64))
     widths = np.where(hi_len > 0, hi_len + 32, lo_len).astype(np.int64)
 
-    # number of miniblocks that actually carry values, per block
-    mb_counts = np.full(nblocks, MINIBLOCKS, dtype=np.int64)
-    last_mb = (last_real + MB_VALUES - 1) // MB_VALUES
-    mb_counts[-1] = last_mb
-    widths[-1, last_mb:] = 0
 
-    # pack all miniblocks grouped by width
+    # a block is varint(zigzag(min delta)), its width bytes, then the
+    # payloads of its miniblocks (width * MB_VALUES / 8 bytes each): the
+    # offsets of all three come from the lengths, and each part is
+    # scattered into one output array
+    min_vi, min_len = uvarints(zigzag_encode(mins))
+    mb_bytes = widths * (MB_VALUES // 8)
+    block_len = min_len + MINIBLOCKS + mb_bytes.sum(axis=1)
+    block_off = len(head) + np.cumsum(block_len) - block_len
+    out = np.empty(len(head) + int(block_len.sum()), dtype=np.uint8)
+    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    # byte j of the concatenated varints belongs at its block's offset plus
+    # j minus the bytes of the varints before it
+    out[np.repeat(block_off - np.cumsum(min_len) + min_len, min_len) + np.arange(len(min_vi))] = min_vi
+    width_off = block_off + min_len
+    out[width_off[:, None] + np.arange(MINIBLOCKS)] = widths
+    mb_off = (width_off + MINIBLOCKS)[:, None] + np.cumsum(mb_bytes, axis=1) - mb_bytes
+    flat_w, flat_off = widths.reshape(-1), mb_off.reshape(-1)
     flat_mb = mb.reshape(-1, MB_VALUES)
-    flat_w = widths.reshape(-1)
-    active = np.zeros(nblocks * MINIBLOCKS, dtype=bool)
-    for b in range(nblocks):
-        active[b * MINIBLOCKS : b * MINIBLOCKS + mb_counts[b]] = True
-    payload_of: dict[int, bytes] = {}
-    sizes = np.where(active, flat_w * MB_VALUES // 8, 0)
-    for w in np.unique(flat_w[active]):
-        w = int(w)
-        if w == 0:
-            continue
-        sel = np.flatnonzero(active & (flat_w == w))
-        packed = pack_bits(flat_mb[sel].reshape(-1), w)
+    for w in np.unique(flat_w[flat_w > 0]).tolist():
+        sel = np.flatnonzero(flat_w == w)
+        packed = np.frombuffer(pack_bits(flat_mb[sel].reshape(-1), w), dtype=np.uint8)
         step = w * MB_VALUES // 8
-        for j, m in enumerate(sel):
-            payload_of[int(m)] = packed[j * step : (j + 1) * step]
-
-    for b in range(nblocks):
-        out += write_uvarint(zigzag_encode_scalar(int(mins[b])))
-        out += bytes(int(x) for x in widths[b])
-        for m in range(b * MINIBLOCKS, b * MINIBLOCKS + int(mb_counts[b])):
-            if sizes[m]:
-                out += payload_of[m]
-    return bytes(out)
+        out[flat_off[sel][:, None] + np.arange(step)] = packed.reshape(-1, step)
+    return out.tobytes()
 
 
 def delta_bp_decode_np(buf: bytes, pos: int = 0) -> tuple[np.ndarray, int]:

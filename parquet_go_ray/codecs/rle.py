@@ -10,6 +10,13 @@ ceil(w/8) LE bytes``; everything else -> bit-packed groups of 8 with header
 up); only the final span may carry zero padding, which the decoder drops via
 the known total count.
 
+Vectorization: encode finds run boundaries with numpy and loops in Python
+only over the runs of at least _MIN_RLE_RUN values; the short runs between
+them are never visited one by one, since a pending bit-packed span is just
+the values from the end of the last RLE run to the start of the next long
+one, packed by one `pack_bits` call.  Decode makes one Python pass over the
+run headers, then one `unpack_bits` call reads every bit-packed group.
+
 Also exposes the u32-length-prefixed framing used for definition levels
 (reference: encoding/encodingwrite.go:174-181, layout/page.go:219-232) and the
 dict-index form with a leading bit-width byte (layout/dictpage.go:155-225).
@@ -30,55 +37,38 @@ _MIN_RLE_RUN = 8  # shortest run worth an RLE encoding after group-borrowing
 
 
 def encode_hybrid(values: np.ndarray, width: int) -> bytes:
-    """values: non-negative ints fitting in `width` bits -> hybrid byte stream."""
+    """values: non-negative ints fitting in `width` bits -> hybrid byte stream.
+    The loop visits only runs of at least _MIN_RLE_RUN values (see the
+    module docstring)."""
     n = len(values)
     if n == 0:
         return b""
     v = np.ascontiguousarray(values, dtype=np.uint64)
-    vbytes = max((width + 7) // 8, 0)
+    vbytes = (width + 7) // 8
 
-    # run boundaries
-    change = np.flatnonzero(v[1:] != v[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    run_lens = np.diff(np.concatenate((starts, [n])))
-    n_runs = len(starts)
-
+    bounds = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1, [n]))
     # mostly-unique fast path: single bit-packed span
-    if n_runs > n - (n >> 2):
+    if len(bounds) - 1 > n - (n >> 2):
         return _bitpacked_span(v, 0, n, width, final=True)
+    lens = np.diff(bounds)
+    long = np.flatnonzero(lens >= _MIN_RLE_RUN)
 
     out = bytearray()
-    i = 0  # run index
-    bp_start = -1  # start position of pending bit-pack span
-    bp_count = 0
-    while i < n_runs:
-        s, l = int(starts[i]), int(run_lens[i])
-        if l >= _MIN_RLE_RUN:
-            take = l
-            if bp_count:
-                # round pending span up to a full group by borrowing from this run
-                pad = (-bp_count) % 8
-                if l - pad >= _MIN_RLE_RUN:
-                    bp_count += pad
-                    take = l - pad
-                    out += _bitpacked_span(v, bp_start, bp_count, width, final=False)
-                    bp_start, bp_count = -1, 0
-                    out += _rle_run(int(v[s + pad]), take, vbytes)
-                    i += 1
-                    continue
-                else:  # run too short after borrowing: fold it into the span
-                    bp_count += l
-                    i += 1
-                    continue
-            out += _rle_run(int(v[s]), l, vbytes)
-            i += 1
-        else:
-            if bp_count == 0:
-                bp_start = s
-            bp_count += l
-            i += 1
-    if bp_count:
-        out += _bitpacked_span(v, bp_start, bp_count, width, final=True)
+    done = 0  # values emitted so far; v[done:start] is the pending span
+    for start, end, value in zip(
+        bounds[long].tolist(), bounds[long + 1].tolist(), v[bounds[long]].tolist()
+    ):
+        pending = start - done
+        if pending:
+            # round the span up to a full group by borrowing from this run
+            pending += -pending % 8
+            if end - done - pending < _MIN_RLE_RUN:
+                continue  # run too short after borrowing: fold it into the span
+            out += _bitpacked_span(v, done, pending, width, final=False)
+        out += _rle_run(value, end - done - pending, vbytes)
+        done = end
+    if done < n:
+        out += _bitpacked_span(v, done, n - done, width, final=True)
     return bytes(out)
 
 

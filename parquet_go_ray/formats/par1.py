@@ -396,6 +396,60 @@ def _trunc_max_bytes(b: bytes, limit: int = _STAT_TRUNCATE) -> bytes:
     return bytes(p)
 
 
+def _arrow_bounds(vals: pa.Array, pt: int) -> tuple[bytes | None, bytes | None]:
+    """(min, max) stat bytes of `vals` from Arrow's min_max (NaN skipped;
+    an all-NaN float array has no bound).  BYTE_ARRAY bounds are truncated."""
+    mm = pc.min_max(vals)
+    lo, hi = mm["min"].as_py(), mm["max"].as_py()
+    if pt in (PT_FLOAT, PT_DOUBLE) and lo is not None and lo > hi:
+        lo = hi = None  # all NaN: Arrow yields inverted +/-inf
+    lo_b, hi_b = _stat_bytes(lo, pt), _stat_bytes(hi, pt)
+    if pt == PT_BYTE_ARRAY and lo_b is not None and hi_b is not None:
+        lo_b, hi_b = _trunc_min_bytes(lo_b), _trunc_max_bytes(hi_b)
+    return lo_b, hi_b
+
+
+def _leaf_stats(
+    vals: pa.Array, pt: int, spans: list[tuple[int, int]]
+) -> tuple[list, list, tuple[bytes, bytes] | None]:
+    """Statistics of one leaf chunk whose pages hold the value ranges
+    `spans`: per page its min and max stat bytes (b"" for a page without
+    values, None where a bound is not representable), and the chunk's
+    (min, max), or None unless every page has both bounds.
+
+    Fixed-width numeric and boolean pages take their bounds from one
+    np.fmin / np.fmax reduceat over the page starts, and the chunk bounds
+    from the page bounds.  Byte arrays, whose truncated bounds do not
+    combine, and float chunks holding both signs of zero take theirs from
+    Arrow's min_max, which keeps the sign of the zero it meets first."""
+    full = [i for i, (v0, v1) in enumerate(spans) if v1 > v0]
+    mins: list = [b""] * len(spans)
+    maxs: list = [b""] * len(spans)
+    arr = None
+    if (pt in _STAT_PACK or pt == PT_BOOLEAN) and vals.null_count == 0 and full:
+        arr = vals.to_numpy(zero_copy_only=False)
+        if pt in (PT_FLOAT, PT_DOUBLE):
+            neg = np.signbit(arr[arr == 0])
+            if neg.any() and not neg.all():
+                arr = None
+    if arr is not None:
+        at = [spans[i][0] for i in full]
+        lo = np.fmin.reduceat(arr, at).tolist()
+        hi = np.fmax.reduceat(arr, at).tolist()
+        for i, a, b in zip(full, lo, hi):
+            mins[i], maxs[i] = _stat_bytes(a, pt), _stat_bytes(b, pt)
+    else:
+        for i in full:
+            v0, v1 = spans[i]
+            mins[i], maxs[i] = _arrow_bounds(vals.slice(v0, v1 - v0), pt)
+    if not full or None in mins or None in maxs:
+        return mins, maxs, None
+    if arr is not None:
+        return mins, maxs, (_stat_bytes(min(lo), pt), _stat_bytes(max(hi), pt))
+    lo_b, hi_b = _arrow_bounds(vals, pt)
+    return mins, maxs, (None if lo_b is None or hi_b is None else (lo_b, hi_b))
+
+
 def _boundary_order(null_pages: list[bool], mins: list[bytes], maxs: list[bytes], pt: int) -> int:
     if any(null_pages) or len(mins) < 2:
         return BO_UNORDERED
@@ -596,11 +650,9 @@ def _write_leaf_chunk(
             chunk_unc += u
             chunk_comp += c
     data_off = out.tell()
-    page_locs: list[dict] = []
-    null_pages: list[bool] = []
-    null_counts: list[int] = []
-    mins: list[bytes | None] = []
-    maxs: list[bytes | None] = []
+    # pages as (first row, slot range, value range); a chunk without rows
+    # still writes one empty page
+    pages = []
     for rlo in range(0, max(n_rows, 1), page_rows):
         if n_rows:
             pos0 = int(row_starts[rlo])
@@ -609,25 +661,17 @@ def _write_leaf_chunk(
             pos0 = pos1 = 0
         v0 = int(val_cum[pos0 - 1]) if pos0 else 0
         v1 = int(val_cum[pos1 - 1]) if pos1 else 0
+        pages.append((rlo, pos0, pos1, v0, v1))
+    null_pages = [v1 == v0 for *_, v0, v1 in pages]
+    null_counts = [(pos1 - pos0) - (v1 - v0) for _, pos0, pos1, v0, v1 in pages]
+    if pt_override is not None:  # INT96: no defined order -> no index/stats
+        mins = maxs = [None] * len(pages)
+        chunk_bounds = None
+    else:
+        mins, maxs, chunk_bounds = _leaf_stats(vals, pt, [(v0, v1) for *_, v0, v1 in pages])
+    page_locs: list[dict] = []
+    for rlo, pos0, pos1, v0, v1 in pages:
         page_off = out.tell()
-        null_pages.append(v1 == v0)
-        null_counts.append((pos1 - pos0) - (v1 - v0))
-        if pt_override is not None:
-            mins.append(None)  # INT96: no defined order -> no index/stats
-            maxs.append(None)
-        elif v1 > v0:
-            mm = pc.min_max(vals.slice(v0, v1 - v0))
-            lo, hi = mm["min"].as_py(), mm["max"].as_py()
-            if pt in (PT_FLOAT, PT_DOUBLE) and lo is not None and lo > hi:
-                lo = hi = None  # all-NaN page: Arrow yields inverted +/-inf
-            lo_b, hi_b = _stat_bytes(lo, pt), _stat_bytes(hi, pt)
-            if pt == PT_BYTE_ARRAY and lo_b is not None and hi_b is not None:
-                lo_b, hi_b = _trunc_min_bytes(lo_b), _trunc_max_bytes(hi_b)
-            mins.append(lo_b)
-            maxs.append(hi_b)
-        else:
-            mins.append(b"")
-            maxs.append(b"")
         if enc == "dict":
             w_bits = bit_width(max(len(dict_vals) - 1, 0))
             values_b = bytes([w_bits]) + encode_hybrid(idx_np[v0:v1], w_bits)
@@ -709,8 +753,6 @@ def _write_leaf_chunk(
         page_locs.append(
             {"offset": page_off, "compressed_page_size": c, "first_row_index": rlo}
         )
-        if not n_rows:
-            break
     lvl_enc = (
         ENC_BIT_PACKED
         if level_encoding == "bit_packed" and page_version == 1
@@ -750,19 +792,12 @@ def _write_leaf_chunk(
             "boundary_order": _boundary_order(null_pages, mins, maxs, pt),
             "null_counts": null_counts,
         }
-        if len(vals):
-            mm = pc.min_max(vals)
-            lo_b = _stat_bytes(mm["min"].as_py(), pt)
-            hi_b = _stat_bytes(mm["max"].as_py(), pt)
-            if lo_b is not None and hi_b is not None:
-                if pt == PT_BYTE_ARRAY:
-                    lo_b = _trunc_min_bytes(lo_b)
-                    hi_b = _trunc_max_bytes(hi_b)
-                meta["statistics"] = {
-                    "min_value": lo_b,
-                    "max_value": hi_b,
-                    "null_count": sum(null_counts),
-                }
+        if chunk_bounds is not None:
+            meta["statistics"] = {
+                "min_value": chunk_bounds[0],
+                "max_value": chunk_bounds[1],
+                "null_count": sum(null_counts),
+            }
     return {
         "file_offset": first_off,
         "meta_data": meta,
@@ -1796,7 +1831,8 @@ def scan_par1_column(
     node = {n.name: n for n in _schema_tree(fmd)}[column]
     if node.kind != "leaf":
         raise NotImplementedError("scan_par1_column: flat leaf columns only")
-    pt, _, _, storage = _physical(node.type)
+    storage = _read_storage(node.type)
+    unsigned = pa.types.is_unsigned_integer(node.type)
     if predicate:
         ((_c, op, val),) = _normalize_predicate((column, *predicate))[0]
     else:
@@ -1814,7 +1850,7 @@ def scan_par1_column(
             ci = idx[rg_i][col_i]["column_index"]
             oi = idx[rg_i][col_i]["offset_index"]
             pages_total += len(oi["page_locations"]) if oi is not None else 1
-            if op is not None and not _chunk_admits_clause(f, md, op, val):
+            if op is not None and not _chunk_admits_clause(f, md, op, val, unsigned):
                 continue  # chunk Statistics / bloom / dictionary exclude it
             if oi is None:
                 # no index: fall back to the full chunk walk
@@ -1826,33 +1862,16 @@ def scan_par1_column(
                 arrays.append(arr)
                 continue
             locs = oi["page_locations"]
-            take = []
-            for i, loc in enumerate(locs):
-                if op is None or ci is None:
-                    take.append(loc)
-                elif _page_admits_clause(ci, i, pt, op, val):
-                    take.append(loc)
+            take = [
+                loc
+                for i, loc in enumerate(locs)
+                if op is None
+                or ci is None
+                or _page_admits_clause(ci, i, md["type"], op, val, unsigned)
+            ]
             if not take:
                 continue
-            dict_vals = None
-            d_off = md.get("dictionary_page_offset")
-            if d_off is not None and d_off < md["data_page_offset"]:
-                f.seek(d_off)
-                head = f.read(md["data_page_offset"] - d_off)
-                rdr = CompactReader(SPECS, head)
-                hdr, pos = rdr.read_struct("PageHeader", 0)
-                if verify_crc:
-                    _check_crc(
-                        hdr, head[pos : pos + hdr["compressed_page_size"]], "dict page"
-                    )
-                raw = _decompress(
-                    head[pos : pos + hdr["compressed_page_size"]],
-                    md["codec"],
-                    hdr["uncompressed_page_size"],
-                )
-                dict_vals = decode_plain(
-                    raw, {"rows": hdr["dictionary_page_header"]["num_values"]}, storage
-                )
+            dict_vals = _load_dict_page(f, md, storage, verify_crc)
             for loc in take:
                 f.seek(loc["offset"])
                 buf = f.read(loc["compressed_page_size"])
@@ -1865,11 +1884,9 @@ def scan_par1_column(
                 )
                 pages_decoded += 1
                 arrays.append(_with_validity(vals, (defv == 1).astype(np.int64)))
-    col = (
-        pa.chunked_array(arrays, type=node.type)
-        if arrays
-        else pa.chunked_array([], type=node.type)
-    )
+    col = pa.chunked_array(arrays, type=storage)
+    if col.type != node.type:
+        col = col.cast(node.type, safe=node.type not in _UNSIGNED_STORAGE)
     if op is not None:
         # exact re-filter inside the surviving pages
         col = col.filter(_clause_mask(col, op, val, node.type))

@@ -1127,9 +1127,12 @@ def table_compact(
     # a bucketed layout is a table invariant: bin-pack WITHIN each bucket
     # and keep outputs under their _bucket=<i>/ directory
     bucketed = snap.get("bucket") is not None
+    # bins follow path order, not the manifest's row order (the order in
+    # which Ray finished the sink's write tasks): the same table always
+    # compacts into the same parts
     bins = _pack_bins(
         [(_bucket_of(e["path"]) if bucketed else None, e["path"], e["bytes"])
-         for e in entries],
+         for e in sorted(entries, key=lambda e: e["path"])],
         target_bytes,
     )
     write = _block_writer(

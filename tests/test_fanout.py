@@ -284,8 +284,8 @@ def test_table_compact_packs_bins_into_slot_tasks(ray_session, two_slots, monkey
         return ds
 
     monkeypatch.setattr(nio, "_fan_out", spy)
-    # one part per bin: which parts share a bin follows the table manifest's
-    # row order, which Ray's write order sets
+    # one part per bin; test_table_compact_bins_ignore_manifest_row_order
+    # checks two-part bins
     table.table_compact(d, target_bytes=1, txn_id="c0", sort_by="v")
     monkeypatch.undo()
     assert (10, 2) in fanned  # ten one-part bins, two tasks
@@ -293,3 +293,31 @@ def test_table_compact_packs_bins_into_slot_tasks(ray_session, two_slots, monkey
     got = _collect(table.table_scan(d))
     assert got.num_rows == 10 * ROWS - 100
     assert _parts_digest(f"{d}/{table.DATA_DIR}/c0") == TABLE_COMPACT_DIGEST
+
+
+def test_table_compact_bins_ignore_manifest_row_order(ray_session, monkeypatch, tmp_path):
+    """The table manifest lists parts in the order Ray finished the write
+    tasks; two-part bins must pair the same parts whatever that order is."""
+    import shutil
+
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines import table
+
+    d = str(tmp_path / "tbl")
+    table.table_write(
+        rd.from_arrow([_part(f) for f in range(10)]), d, txn_id="w0", page_rows=64
+    )
+    rotated = str(tmp_path / "rotated")
+    shutil.copytree(d, rotated)
+    live = table._live_entries
+    target = 2 * max(e["bytes"] for e in live(d, table.load_snapshot(d)))
+    digests = []
+    for tdir, shift in ((d, 0), (rotated, 1)):
+        monkeypatch.setattr(
+            table, "_live_entries", lambda *a, s=shift: live(*a)[s:] + live(*a)[:s]
+        )
+        table.table_compact(tdir, target_bytes=target, txn_id="c0", sort_by="v")
+        assert len(os.listdir(f"{tdir}/{table.DATA_DIR}/c0")) == 5  # two parts a bin
+        digests.append(_parts_digest(f"{tdir}/{table.DATA_DIR}/c0"))
+    assert digests[0] == digests[1]

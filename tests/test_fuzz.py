@@ -102,6 +102,87 @@ def _ref_decode_hybrid(buf, width, count, pos=0):
     return out, pos
 
 
+# ---------------------------------------------------------------------------
+# Reference encoders: the per-run / per-block loops and the shift-matrix
+# packer the vectorized encoders replaced, kept as the oracle they must match
+# byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def _ref_pack_bits(vals, width):
+    if width == 0 or len(vals) == 0:
+        return b""
+    v = np.ascontiguousarray(vals, dtype=np.uint64)
+    shifts = np.arange(width, dtype=np.uint64)
+    bits = ((v[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+
+
+def _ref_bitpacked_span(v, start, count, width):
+    vals = v[start : start + count]
+    if count % 8:
+        vals = np.concatenate((vals, np.zeros((-count) % 8, dtype=np.uint64)))
+    return write_uvarint((((count + 7) // 8) << 1) | 1) + _ref_pack_bits(vals, width)
+
+
+def _ref_encode_hybrid(values, width):
+    n = len(values)
+    if n == 0:
+        return b""
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    vbytes = (width + 7) // 8
+    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
+    run_lens = np.diff(np.concatenate((starts, [n])))
+    if len(starts) > n - (n >> 2):
+        return _ref_bitpacked_span(v, 0, n, width)
+    out = bytearray()
+    bp_start = -1
+    bp_count = 0
+    for s, l in zip(starts.tolist(), run_lens.tolist()):
+        if l >= 8:
+            if bp_count:
+                pad = (-bp_count) % 8
+                if l - pad >= 8:
+                    out += _ref_bitpacked_span(v, bp_start, bp_count + pad, width)
+                    bp_start, bp_count = -1, 0
+                    out += write_uvarint((l - pad) << 1) + int(v[s]).to_bytes(vbytes, "little")
+                else:
+                    bp_count += l
+                continue
+            out += write_uvarint(l << 1) + int(v[s]).to_bytes(vbytes, "little")
+        else:
+            if bp_count == 0:
+                bp_start = s
+            bp_count += l
+    if bp_count:
+        out += _ref_bitpacked_span(v, bp_start, bp_count, width)
+    return bytes(out)
+
+
+def _ref_delta_bp_encode(v, bits=64):
+    v = v.astype(np.int64, copy=False)
+    n = len(v)
+    out = bytearray(write_uvarint(128) + write_uvarint(4) + write_uvarint(n))
+    if n == 0:
+        return bytes(out)
+    out += write_uvarint(zigzag_encode_scalar(int(v[0])))
+    with np.errstate(over="ignore"):
+        deltas = np.subtract(v[1:], v[:-1])
+    if bits == 32:
+        deltas = deltas.astype(np.int32).astype(np.int64)
+    for b0 in range(0, len(deltas), 128):
+        block = deltas[b0 : b0 + 128]
+        lo = int(block.min())
+        norm = [(int(d) - lo) & ((1 << 64) - 1) for d in block]
+        norm += [0] * (128 - len(norm))
+        used = -(-len(block) // 32)
+        widths = [max(norm[m * 32 : m * 32 + 32]).bit_length() if m < used else 0 for m in range(4)]
+        out += write_uvarint(zigzag_encode_scalar(lo)) + bytes(widths)
+        for m in range(used):
+            out += _ref_pack_bits(np.array(norm[m * 32 : m * 32 + 32], dtype=np.uint64), widths[m])
+    return bytes(out)
+
+
 def _assert_same_delta(buf, pos=0):
     got, got_pos = delta_bp_decode_np(buf, pos)
     want, want_pos = _ref_delta_bp_decode(buf, pos)
@@ -372,3 +453,179 @@ def test_fsst_fuzz(seed):
     p, m = encode("fsst", arr)
     out = decode(p, m, arr.type)
     assert out.cast(arr.type).equals(arr) or out.equals(arr)
+
+
+# ---------------------------------------------------------------------------
+# Encoder oracles: the vectorized encoders must write the reference encoders'
+# bytes exactly.
+# ---------------------------------------------------------------------------
+
+ORACLE_NS = (0, 1, 7, 8, 9, 128, 129)
+
+
+def _rand_width(rng, n, width):
+    if width == 0:
+        return np.zeros(n, dtype=np.uint64)
+    return rng.integers(0, 1 << 64, n, dtype=np.uint64, endpoint=False) >> np.uint64(64 - width)
+
+
+def _hybrid_inputs(width):
+    """All-equal, all-distinct, random and run-structured inputs of `width`
+    bits, at every length in ORACLE_NS and longer."""
+    rng = np.random.default_rng(500 + width)
+    top = np.uint64((1 << width) - 1)
+    out = []
+    for n in ORACLE_NS + (1000,):
+        out += [
+            np.full(n, top, dtype=np.uint64),
+            np.arange(n, dtype=np.uint64) & top,
+            _rand_width(rng, n, width),
+        ]
+    # short spans of odd length, each followed by a run of 8-15: after
+    # borrowing up to 7 values to round the span up, a run may fall under 8
+    # and fold into the span
+    parts = []
+    for _ in range(80):
+        parts.append(_rand_width(rng, 2 * int(rng.integers(0, 7)) + 1, width))
+        parts.append(np.full(int(rng.integers(8, 16)), _rand_width(rng, 1, width)[0]))
+    out.append(np.concatenate(parts))
+    # long runs, short runs and noise
+    parts = []
+    for _ in range(60):
+        k = int(rng.integers(0, 3))
+        ln = int(rng.integers(8, 100) if k == 0 else rng.integers(1, 8) if k == 1 else rng.integers(1, 40))
+        val = _rand_width(rng, 1, width)[0]
+        parts.append(np.full(ln, val) if k < 2 else _rand_width(rng, ln, width))
+    out.append(np.concatenate(parts).astype(np.uint64))
+    return out
+
+
+@pytest.mark.parametrize("width", range(65))
+def test_pack_bits_matches_reference(width):
+    rng = np.random.default_rng(width)
+    top = np.uint64((1 << width) - 1)
+    for n in (0, 8, 128, 1024):
+        for v in (_rand_width(rng, n, width), np.full(n, top, dtype=np.uint64)):
+            assert pack_bits(v, width) == _ref_pack_bits(v, width)
+
+
+@pytest.mark.parametrize("width", range(65))
+def test_encode_hybrid_matches_reference(width):
+    for v in _hybrid_inputs(width):
+        got = encode_hybrid(v, width)
+        assert got == _ref_encode_hybrid(v, width), len(v)
+        if len(v):
+            assert np.array_equal(decode_hybrid(got, width, len(v))[0], v)
+
+
+def test_encode_hybrid_fold_branch():
+    """A 3-value span borrows 5 values from the 9-run after it, leaving 4:
+    the run folds into the span, which then ends at the next long run."""
+    v = np.array([1, 2, 1] + [3] * 9 + [0] * 20, dtype=np.uint64)
+    got = encode_hybrid(v, 2)
+    assert got == _ref_encode_hybrid(v, 2)
+    # one 16-value bit-packed span (12 values + 4 borrowed), then RLE 0 x 16
+    assert got[0] == (2 << 1) | 1 and got[5:] == write_uvarint(16 << 1) + b"\x00"
+
+
+def _delta_inputs(rng, n):
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    return [
+        np.full(n, -7, dtype=np.int64),
+        np.arange(n, dtype=np.int64) * 3 - 100,
+        rng.integers(-(1 << 40), 1 << 40, n),
+        rng.integers(lo, hi, n, dtype=np.int64, endpoint=True),
+        np.resize(np.array([hi, lo, 0, -1], dtype=np.int64), n),
+        np.sort(rng.integers(0, 1 << 20, n)),
+    ]
+
+
+@pytest.mark.parametrize("n", ORACLE_NS + (2, 127, 255, 256, 257, 1000))
+def test_delta_bp_encode_matches_reference(n):
+    rng = np.random.default_rng(n)
+    for v in _delta_inputs(rng, n):
+        assert delta_bp_encode_np(v) == _ref_delta_bp_encode(v)
+    # INT32 columns: deltas wrap at 32 bits
+    i32 = np.iinfo(np.int32)
+    for v in (
+        rng.integers(i32.min, i32.max, n, endpoint=True).astype(np.int32),
+        np.resize(np.array([i32.max, i32.min, 0, -1], dtype=np.int32), n),
+    ):
+        assert delta_bp_encode_np(v, bits=32) == _ref_delta_bp_encode(v, bits=32)
+
+
+@pytest.mark.parametrize("width", range(65))
+def test_delta_bp_encode_matches_reference_every_width(width):
+    """Miniblocks whose normalized deltas are `width` bits wide, next to
+    miniblocks of other widths."""
+    rng = np.random.default_rng(700 + width)
+    d = _rand_width(rng, 600, width)
+    d[::32] = np.uint64((1 << width) - 1)
+    d[200:264] = _rand_width(rng, 64, min(width, 5))
+    with np.errstate(over="ignore"):
+        v = np.cumsum(d.view(np.int64) + np.int64(-(1 << 40)))
+    for k in (len(v), 129, 130, 161):
+        assert delta_bp_encode_np(v[:k]) == _ref_delta_bp_encode(v[:k])
+
+
+# sha256 of the three files _digest_writes() makes, as the per-run /
+# per-block loop encoders wrote them
+WRITE_PAR1_DIGEST = "1aabdc5b9ae6b520ae6ff234974abfe7f8370becead3eef9a1f6fa191f669b65"
+
+
+def _digest_table() -> pa.Table:
+    """Seeded table touching every write-path kernel: dict, delta_bp,
+    byte_stream_split and plain values, optional columns with nulls and NaN,
+    floats holding both signs of zero, a column whose first page is all
+    null, and a list column."""
+    rng = np.random.default_rng(2026)
+    n = 700
+    i32 = np.iinfo(np.int32)
+    f = rng.normal(size=n)
+    f[rng.random(n) < 0.1] = np.nan
+    first_null = rng.integers(0, 50, n)
+    lists = [None if rng.random() < 0.1 else rng.integers(0, 9, int(rng.integers(0, 4))).tolist()
+             for _ in range(n)]
+    return pa.table(
+        {
+            "k": pa.array(np.sort(rng.integers(0, 1 << 40, n)), pa.int64()),
+            "i32": pa.array(rng.integers(i32.min, i32.max, n, endpoint=True), pa.int32()),
+            "code": pa.array(rng.integers(0, 5, n), pa.int32()),
+            "cat": pa.array(np.array(["a", "bb", "ccc"])[rng.integers(0, 3, n)], mask=rng.random(n) < 0.2),
+            "f": pa.array(f, mask=rng.random(n) < 0.1),
+            "g": pa.array(rng.normal(size=n).astype(np.float32)),
+            "z": pa.array(np.array([0.0, -0.0, 2.5])[rng.integers(0, 3, n)]),
+            "first_null": pa.array(first_null, pa.int64(), mask=np.arange(n) < 80),
+            "flag": pa.array(rng.random(n) < 0.3),
+            "s": pa.array([f"v{x}" for x in rng.integers(0, 10_000, n)]),
+            "ts": pa.array(np.sort(rng.integers(0, 10**15, n)), pa.timestamp("us")),
+            "lst": pa.array(lists, pa.list_(pa.int64())),
+        }
+    )
+
+
+def _digest_writes(tmp_path):
+    import hashlib
+
+    from parquet_go_ray.formats.par1 import write_par1
+
+    tbl = _digest_table()
+    enc = {
+        "k": "delta_bp", "i32": "delta_bp", "code": "dict", "cat": "dict", "f": "byte_stream_split",
+        "g": "plain", "first_null": "delta_bp", "flag": "plain", "s": "plain", "ts": "delta_bp",
+    }
+    writes = [
+        dict(codec="snappy", bloom=["k", "cat"], row_group_rows=400),
+        dict(codec="zstd", data_page_version=2),
+        dict(codec="none", level_encoding="bit_packed"),
+    ]
+    h = hashlib.sha256()
+    for i, kw in enumerate(writes):
+        path = tmp_path / f"{i}.parquet"
+        write_par1(tbl, str(path), encodings=enc, page_rows=64, **kw)
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def test_write_par1_bytes_pinned(tmp_path):
+    assert _digest_writes(tmp_path) == WRITE_PAR1_DIGEST

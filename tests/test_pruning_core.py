@@ -295,6 +295,20 @@ def test_unsigned_stats_prune_in_unsigned_order(unsigned_file, col, op, val):
 
 
 @pytest.mark.parametrize("col,op,val", U_CASES)
+def test_unsigned_scan_par1_column(unsigned_file, col, op, val):
+    from parquet_go_ray.formats.par1 import scan_par1_column
+
+    path, tbl = unsigned_file
+    want = tbl.filter(pc.is_in(tbl[col], pa.array(val, tbl[col].type)) if op == "in"
+                      else {"==": pc.equal, ">": pc.greater, "<": pc.less}[op](
+                          tbl[col], pa.scalar(val, tbl[col].type)))
+    got, st = scan_par1_column(path, col, (op, val))
+    assert got[col].type == tbl[col].type
+    assert sorted(got[col].to_pylist()) == sorted(want[col].to_pylist())
+    assert 0 < st["pages_decoded"] < st["pages_total"]  # prunes in unsigned order
+
+
+@pytest.mark.parametrize("col,op,val", U_CASES)
 def test_unsigned_manifest_stats_admit(unsigned_file, col, op, val):
     from parquet_go_ray.formats.par1 import _normalize_predicate
     from parquet_go_ray.pipelines import native_io
