@@ -178,22 +178,23 @@ def delta_bp_decode_np(buf: bytes, pos: int = 0) -> tuple[np.ndarray, int]:
     mb_bytes = widths * (mb_vals // 8)
     mb_start = (heads + mbs)[:, None] + np.cumsum(mb_bytes, axis=1) - mb_bytes
     flat_w, flat_start = widths.reshape(-1), mb_start.reshape(-1)
-    deltas = np.zeros((nblocks * mbs, mb_vals), dtype=np.uint64)
-    for w in np.unique(flat_w[flat_w > 0]):
-        sel = np.flatnonzero(flat_w == w)
-        deltas[sel] = unpack_bits(buf, int(w), mb_vals, starts=flat_start[sel]).reshape(-1, mb_vals)
+    uniq = np.unique(flat_w).tolist()
+    if len(uniq) == 1:  # one width: the unpacked runs are the deltas
+        deltas = unpack_bits(buf, uniq[0], mb_vals, starts=flat_start)
+    else:  # zero-filled only when some miniblock has width 0 (uniq is sorted)
+        deltas = (np.zeros if uniq[0] == 0 else np.empty)(nblocks * block, dtype=np.uint64)
+        rows = deltas.reshape(-1, mb_vals)
+        for w in filter(None, uniq):
+            sel = np.flatnonzero(flat_w == w)
+            rows[sel] = unpack_bits(buf, w, mb_vals, starts=flat_start[sel]).reshape(-1, mb_vals)
     try:
         mins = zigzag_decode(np.array(min_zz, dtype=np.uint64)).view(np.uint64)
     except OverflowError:
         raise ValueError("DELTA_BINARY_PACKED: min delta wider than 64 bits") from None
-    deltas = deltas.reshape(nblocks, block)
-    deltas += mins[:, None]  # uint64 add: wraps like Go's int64
-    np.cumsum(deltas.reshape(-1)[:nd], out=out[1:].view(np.uint64))
-    np.add(
-        out[1:].view(np.uint64),
-        np.uint64(first & 0xFFFFFFFFFFFFFFFF),  # negative first: mask before uint64 cast
-        out=out[1:].view(np.uint64),
-    )
+    deltas.reshape(nblocks, block)[:] += mins[:, None]  # uint64 add: wraps like Go's int64
+    # first rides in the first delta, so one cumsum yields every value
+    deltas[:1] += np.uint64(first & 0xFFFFFFFFFFFFFFFF)  # negative first: mask before uint64 cast
+    np.cumsum(deltas[:nd], out=out[1:].view(np.uint64))
     return out, pos
 
 

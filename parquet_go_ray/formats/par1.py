@@ -27,13 +27,14 @@ old writers so the path stays testable.
 
 from __future__ import annotations
 
+import datetime
 import zlib
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..bits import bit_width
+from ..bits import bit_width, read_uvarint
 from ..codecs.bss import decode_bss, encode_bss
 from ..codecs.delta import (
     decode_delta_ba,
@@ -1240,12 +1241,14 @@ def read_par1_meta(path: str) -> dict:
     return fmd
 
 
-def read_par1_page_index(path: str) -> list[list[dict]]:
+def read_par1_page_index(path: str, fmd: dict | None = None) -> list[list[dict]]:
     """Read back the ColumnIndex/OffsetIndex pair for every column chunk:
     result[row_group][column] = {"column_index": dict|None, "offset_index":
     dict|None}.  Engine-side analog of the reference's index readers so tests
-    (and page-pruning scans) can use the structures without parquet-cpp."""
-    fmd = read_par1_meta(path)
+    (and page-pruning scans) can use the structures without parquet-cpp.
+    `fmd` is the file's FileMetaData when the caller has parsed it already."""
+    if fmd is None:
+        fmd = read_par1_meta(path)
     out: list[list[dict]] = []
     with _fs_open(path, "rb") as f:
         for rg in fmd.get("row_groups", []):
@@ -1275,7 +1278,7 @@ def _decode_value_bytes(
             raise ValueError("dictionary-encoded page without a dictionary page")
         w = buf[0]
         idx, _ = decode_hybrid(buf, w, nn, 1) if nn else (np.empty(0, np.uint64), 0)
-        return dict_vals.take(pa.array(idx.astype(np.int64)))
+        return dict_vals.take(pa.array(idx))
     if enc == ENC_DELTA_BINARY_PACKED:
         v, _ = delta_bp_decode_np(buf)
         return pa.array(v.astype(atype.to_pandas_dtype(), copy=False), type=atype)
@@ -1291,11 +1294,30 @@ def _decode_value_bytes(
     raise NotImplementedError(f"PAR1 reader: encoding {enc}")
 
 
+def _opens_full_run(buf: bytes, pos: int, end: int, max_def: int, n: int) -> bool:
+    """True when the hybrid definition-level stream at buf[pos:end] opens
+    with one RLE run of at least `n` values equal to `max_def`: every slot
+    of the page is defined.  This engine and pyarrow frame a page without
+    nulls that way, so its levels need not be decoded."""
+    if pos >= end:
+        return False
+    header, p = read_uvarint(buf, pos)
+    vbytes = (bit_width(max_def) + 7) // 8
+    return (
+        not header & 1
+        and header >> 1 >= n
+        and int.from_bytes(buf[p : p + vbytes], "little") == max_def
+    )
+
+
 def _decode_data_page(
     hdr: dict, body: bytes, comp: int, storage: pa.DataType,
     max_rep: int, max_def: int, dict_vals,
-) -> tuple[np.ndarray, np.ndarray, pa.Array]:
-    """Decode ONE v1/v2 data page body -> (rep, def, dense values)."""
+) -> tuple[np.ndarray | None, np.ndarray | None, pa.Array, int]:
+    """Decode ONE v1/v2 data page body -> (rep, def, dense values, slots).
+    rep is None when max_rep is 0; def is None when every slot is defined
+    (max_def is 0, or the levels open with a full run of max_def)."""
+    repv = defv = None
     if hdr["type"] == PAGE_DATA:
         raw = _decompress(body, comp, hdr["uncompressed_page_size"])
         dph = hdr["data_page_header"]
@@ -1314,121 +1336,157 @@ def _decode_data_page(
             repv, vpos = _lvls(
                 dph.get("repetition_level_encoding", ENC_RLE), max_rep, vpos
             )
-        else:
-            repv = np.zeros(n, np.uint64)
         if max_def:
-            defv, vpos = _lvls(
-                dph.get("definition_level_encoding", ENC_RLE), max_def, vpos
+            enc = dph.get("definition_level_encoding", ENC_RLE)
+            end = vpos + 4 + int.from_bytes(raw[vpos : vpos + 4], "little")
+            if enc != ENC_BIT_PACKED and _opens_full_run(raw, vpos + 4, end, max_def, n):
+                vpos = end
+            else:
+                defv, vpos = _lvls(enc, max_def, vpos)
+        vals_body = raw[vpos:]
+    else:
+        dph = hdr["data_page_header_v2"]
+        n = dph["num_values"]
+        dl_len = dph.get("definition_levels_byte_length", 0)
+        rl_len = dph.get("repetition_levels_byte_length", 0)
+        # v2 layout: rep levels, then def levels (raw hybrid, no u32 prefix,
+        # never compressed), then the value bytes
+        if max_rep and rl_len:
+            repv, _ = decode_hybrid(body[:rl_len], bit_width(max_rep), n)
+        elif max_rep:
+            repv = np.zeros(n, np.uint64)
+        if max_def and not _opens_full_run(body, rl_len, rl_len + dl_len, max_def, n):
+            if dl_len:
+                defv, _ = decode_hybrid(body[rl_len : rl_len + dl_len], bit_width(max_def), n)
+            else:
+                defv = np.zeros(n, np.uint64)
+        vals_body = body[rl_len + dl_len :]
+        if dph.get("is_compressed", True):
+            vals_body = _decompress(
+                vals_body, comp, hdr["uncompressed_page_size"] - dl_len - rl_len
             )
-        else:
-            defv = np.zeros(n, np.uint64)
-        nn = int((defv == max_def).sum()) if max_def else n
-        values = _decode_value_bytes(
-            dph["encoding"], raw[vpos:], nn, None, storage, dict_vals
-        )
-        return repv, defv, values
-    dph = hdr["data_page_header_v2"]
-    n = dph["num_values"]
-    dl_len = dph.get("definition_levels_byte_length", 0)
-    rl_len = dph.get("repetition_levels_byte_length", 0)
-    # v2 layout: rep levels, then def levels (raw hybrid, no u32 prefix,
-    # never compressed), then the value bytes
-    if max_rep and rl_len:
-        repv, _ = decode_hybrid(body[:rl_len], bit_width(max_rep), n)
-    else:
-        repv = np.zeros(n, np.uint64)
-    if max_def and dl_len:
-        defv, _ = decode_hybrid(body[rl_len : rl_len + dl_len], bit_width(max_def), n)
-    else:
-        defv = np.zeros(n, np.uint64)
-    vals_body = body[rl_len + dl_len :]
-    if dph.get("is_compressed", True):
-        vals_body = _decompress(
-            vals_body, comp, hdr["uncompressed_page_size"] - dl_len - rl_len
-        )
-    nn = int((defv == max_def).sum()) if max_def else n
+    nn = n if defv is None else int(np.count_nonzero(defv == max_def))
     values = _decode_value_bytes(
         dph["encoding"], vals_body, nn, None, storage, dict_vals
     )
-    return repv, defv, values
+    return repv, defv, values, n
 
 
 def _with_validity(values: pa.Array, present: np.ndarray) -> pa.Array:
-    if present.all():
+    if len(values) == len(present):
         return values
     pos = np.cumsum(present) - 1
     idx = pa.array(pos.astype(np.int64), mask=~present.astype(bool))
     return values.take(idx)
 
 
-def read_par1_chunk_streams(
-    f, chunk: dict, storage: pa.DataType, max_rep: int, max_def: int,
-    verify_crc: bool = False,
-) -> tuple[np.ndarray, np.ndarray, pa.Array]:
-    """Decode one leaf column chunk from an open file through the engine
-    decoders into raw Dremel streams (rep, defs, dense values) — page walk
-    mirrors reference layout/page.go:721-937 / reader/columnbuffer.go:105-156.
-    For a flat column max_rep=0 and the rep stream is all zeros."""
-    md = chunk["meta_data"]
+def _chunk_pages(f, md: dict, pages: list[dict] | None, verify_crc: bool):
+    """Yield (PageHeader, body) for a column chunk's pages in file order:
+    every page until the chunk's value count is reached, or with `pages`
+    (OffsetIndex page locations) the dictionary page and those pages."""
     start = md.get("dictionary_page_offset")
     if start is None or start > md["data_page_offset"]:
         start = md["data_page_offset"]
-    f.seek(start)
-    buf = f.read(md["total_compressed_size"])
-    comp = md["codec"]
-    pos = 0
-    rdr = CompactReader(SPECS, buf)
-    dict_vals = None
-    rep_parts: list[np.ndarray] = []
-    def_parts: list[np.ndarray] = []
-    parts: list[pa.Array] = []
-    slots_done = 0
-    while slots_done < md["num_values"]:
-        hdr, pos = rdr.read_struct("PageHeader", pos)
+    if pages is None:
+        f.seek(start)
+        buf = f.read(md["total_compressed_size"])
+        rdr = CompactReader(SPECS, buf)
+        pos, left = 0, md["num_values"]
+        while left > 0:
+            hdr, pos = rdr.read_struct("PageHeader", pos)
+            body = buf[pos : pos + hdr["compressed_page_size"]]
+            pos += hdr["compressed_page_size"]
+            if verify_crc:
+                _check_crc(hdr, body, "chunk page walk")
+            if hdr["type"] in (PAGE_DATA, PAGE_DATA_V2):
+                left -= (hdr.get("data_page_header") or hdr["data_page_header_v2"])["num_values"]
+            yield hdr, body
+        return
+    spans = [(loc["offset"], loc["compressed_page_size"]) for loc in pages]
+    if start < md["data_page_offset"]:
+        spans.insert(0, (start, md["data_page_offset"] - start))
+    for off, ln in spans:
+        f.seek(off)
+        buf = f.read(ln)
+        hdr, pos = CompactReader(SPECS, buf).read_struct("PageHeader", 0)
         body = buf[pos : pos + hdr["compressed_page_size"]]
-        pos += hdr["compressed_page_size"]
         if verify_crc:
-            _check_crc(hdr, body, "chunk page walk")
+            _check_crc(hdr, body, "pruned page read")
+        yield hdr, body
+
+
+def read_par1_chunk_streams(
+    f, chunk: dict, storage: pa.DataType, max_rep: int, max_def: int,
+    verify_crc: bool = False, pages: list[dict] | None = None,
+) -> tuple[np.ndarray | None, np.ndarray | None, pa.Array]:
+    """Decode one leaf column chunk from an open file through the engine
+    decoders into raw Dremel streams (rep, defs, dense values) — page walk
+    mirrors reference layout/page.go:721-937 / reader/columnbuffer.go:105-156.
+    `pages` (OffsetIndex page locations) decodes only those data pages;
+    without it the whole chunk is walked.  rep is None when max_rep is 0 and
+    defs is None when every slot is defined; otherwise both are int32."""
+    comp = chunk["meta_data"]["codec"]
+    dict_vals = None
+    reps: list = []
+    defs: list = []
+    parts: list[pa.Array] = []
+    for hdr, body in _chunk_pages(f, chunk["meta_data"], pages, verify_crc):
         if hdr["type"] == PAGE_DICTIONARY:
             raw = _decompress(body, comp, hdr["uncompressed_page_size"])
             dph = hdr["dictionary_page_header"]
             if dph["encoding"] not in (ENC_PLAIN, ENC_PLAIN_DICTIONARY):
                 raise NotImplementedError("non-PLAIN dictionary page")
             dict_vals = decode_plain(raw, {"rows": dph["num_values"]}, storage)
-            continue
-        if hdr["type"] in (PAGE_DATA, PAGE_DATA_V2):
-            repv, defv, values = _decode_data_page(
+        elif hdr["type"] in (PAGE_DATA, PAGE_DATA_V2):
+            repv, defv, values, n = _decode_data_page(
                 hdr, body, comp, storage, max_rep, max_def, dict_vals
             )
-            rep_parts.append(repv.astype(np.int32))
-            def_parts.append(defv.astype(np.int32))
-            parts.append(values)
-            slots_done += len(repv)
-            continue
+            reps.append(repv)
+            defs.append((defv, n))
+            parts.append(values.combine_chunks() if isinstance(values, pa.ChunkedArray) else values)
         # index or unknown page: skip
-    rep = np.concatenate(rep_parts) if rep_parts else np.empty(0, np.int32)
-    defs = np.concatenate(def_parts) if def_parts else np.empty(0, np.int32)
+    rep = np.concatenate(reps).astype(np.int32) if max_rep and reps else None
+    dl = None
+    if any(d is not None for d, _n in defs):
+        dl = np.concatenate(
+            [np.full(n, max_def, np.uint64) if d is None else d for d, n in defs]
+        ).astype(np.int32)
     if not parts:
         vals = pa.nulls(0, storage)
     elif len(parts) == 1:
         vals = parts[0]
     else:
-        vals = pa.concat_arrays(
-            [p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p for p in parts]
-        )
-    return rep, defs, vals
+        vals = pa.concat_arrays(parts)
+    return rep, dl, vals
 
 
-def read_par1_chunk(
-    f, chunk: dict, storage: pa.DataType, optional: bool, verify_crc: bool = False
+def _leaf_storage(leaf: Node) -> pa.DataType:
+    """Arrow type a leaf's pages decode into (INT96 as its 12 raw bytes)."""
+    return pa.binary(12) if leaf.phys == PT_INT96 else _read_storage(leaf.type)
+
+
+def _leaf_values(vals: pa.Array, leaf: Node) -> pa.Array:
+    """Decoded storage values as the leaf's logical type: INT96 converted to
+    timestamps, unsigned storage reinterpreted by a wrapping cast."""
+    if leaf.phys == PT_INT96:
+        from ..functions.converters import int96_to_timestamp
+
+        return int96_to_timestamp(vals, "ns")
+    if vals.type != leaf.type:
+        return vals.cast(leaf.type, safe=leaf.type not in _UNSIGNED_STORAGE)
+    return vals
+
+
+def _read_flat_chunk(
+    f, chunk: dict, leaf: Node, verify_crc: bool, pages: list[dict] | None = None
 ) -> pa.Array:
-    """Back-compat flat-chunk read: decode one flat column chunk to an Array."""
-    rep, defs, vals = read_par1_chunk_streams(
-        f, chunk, storage, 0, 1 if optional else 0, verify_crc=verify_crc
+    """A flat leaf's chunk, or only its `pages`, as the leaf's logical type."""
+    max_def = 1 if leaf.opt else 0
+    _, defs, vals = read_par1_chunk_streams(
+        f, chunk, _leaf_storage(leaf), 0, max_def, verify_crc, pages
     )
-    if not optional:
-        return vals
-    return _with_validity(vals, (defs == 1).astype(np.int64))
+    vals = _leaf_values(vals, leaf)
+    return vals if defs is None else _with_validity(vals, defs == max_def)
 
 
 def _schema_tree(fmd: dict) -> list[Node]:
@@ -1552,21 +1610,23 @@ def read_par1(
                 tuple(c["meta_data"]["path_in_schema"]): c for c in rg["columns"]
             }
             for node in want:
+                if node.kind == "leaf":  # flat: no levels to assemble
+                    chunk = chunk_by_path[(node.name,)]
+                    cols[node.name].append(_read_flat_chunk(f, chunk, node, verify_crc))
+                    continue
                 streams = []
                 for lpath, leaf, mr, md in leaf_specs(node):
-                    if leaf.phys == PT_INT96:
-                        storage = pa.binary(12)
-                    else:
-                        storage = _read_storage(leaf.type)
                     rep, defs, vals = read_par1_chunk_streams(
-                        f, chunk_by_path[tuple(lpath)], storage, mr, md,
+                        f, chunk_by_path[tuple(lpath)], _leaf_storage(leaf), mr, md,
                         verify_crc=verify_crc,
                     )
-                    if leaf.phys == PT_INT96:
-                        from ..functions.converters import int96_to_timestamp
-
-                        vals = int96_to_timestamp(vals, "ns")
-                    streams.append(LeafStream(lpath, leaf, mr, md, rep, defs, vals))
+                    n = len(vals) if defs is None else len(defs)
+                    streams.append(LeafStream(
+                        lpath, leaf, mr, md,
+                        np.zeros(n, np.int32) if rep is None else rep,
+                        np.full(n, md, np.int32) if defs is None else defs,
+                        _leaf_values(vals, leaf),
+                    ))
                 cols[node.name].append(assemble(node, streams))
     out = {}
     for node in want:
@@ -1628,12 +1688,43 @@ _NULL_OPS = ("is_null", "not_null")
 _PROBE_OPS = ("==", "in")
 
 
-def _normalize_predicate(predicate) -> list[list[tuple[str, str, object]]]:
+# microseconds per unit of a date32 or timestamp column's stored integer
+_US_PER_UNIT = {"date": 86_400_000_000, "ms": 1_000, "us": 1}
+_EPOCH_DAY = datetime.date(1970, 1, 1)
+# a probe strictly between stored integers q and q+1: the op on q that
+# keeps the same rows (== keeps none, != every non-null one)
+_INEXACT_OP = {"<": "<=", "<=": "<=", ">": ">", ">=": ">", "==": "in", "!=": "not_null"}
+
+
+def _temporal_probe(x, typ: pa.DataType) -> tuple[object, bool]:
+    """A date/datetime probe on a date32 or timestamp column as (q, exact):
+    q is the largest integer the column can store at or below the probe
+    (days, or timestamp units; naive datetimes read as UTC on tz-aware
+    columns, as pyarrow does).  Other values come back unchanged."""
+    if isinstance(x, datetime.datetime):
+        us = pa.scalar(x, pa.timestamp("us")).value
+    elif isinstance(x, datetime.date):
+        us = (x - _EPOCH_DAY).days * _US_PER_UNIT["date"]
+    else:
+        return x, True
+    if pa.types.is_timestamp(typ) and typ.unit == "ns":
+        return us * 1000, True
+    q, r = divmod(us, _US_PER_UNIT["date" if pa.types.is_date32(typ) else typ.unit])
+    return q, r == 0
+
+
+def _normalize_predicate(
+    predicate, types: dict | None = None
+) -> list[list[tuple[str, str, object]]]:
     """Normalize the user predicate into DNF: a list of OR branches, each an
     AND list of (column, op, value) clauses.  Accepted shapes:
     one tuple -> single clause; list of tuples -> AND; list of lists of
-    tuples -> OR of ANDs.  String values (and elements of `in` lists) are
-    encoded to bytes to match Statistics/ColumnIndex byte order."""
+    tuples -> OR of ANDs.  Values move into the column's storage domain,
+    the order of Statistics/ColumnIndex bounds: strings (and elements of
+    `in` lists) are encoded to bytes, and with `types` (column -> Arrow
+    type) a date or datetime on a date32/timestamp column becomes its
+    stored integer.  A probe between two stored integers rewrites the
+    clause to the equivalent one on integers."""
     if predicate is None:
         return []
     if isinstance(predicate, tuple):
@@ -1650,10 +1741,19 @@ def _normalize_predicate(predicate) -> list[list[tuple[str, str, object]]]:
         for c, op, v in br:
             if op not in _PRED_OPS and op not in _NULL_OPS:
                 raise ValueError(f"unknown predicate op {op!r}")
+            typ = (types or {}).get(c)
+            temporal = typ is not None and (pa.types.is_date32(typ) or pa.types.is_timestamp(typ))
             if op == "in":
                 v = [x.encode() if isinstance(x, str) else x for x in v]
+                if temporal:
+                    v = [q for q, exact in (_temporal_probe(x, typ) for x in v) if exact]
             elif isinstance(v, str):
                 v = v.encode()
+            elif temporal and op in _PRED_OPS:
+                v, exact = _temporal_probe(v, typ)
+                if not exact:
+                    op = _INEXACT_OP[op]
+                    v = {"in": [], "not_null": None}.get(op, v)
             clauses.append((c, op, v))
         out.append(clauses)
     return out
@@ -1811,91 +1911,6 @@ def _union_ranges(
     return out
 
 
-def scan_par1_column(
-    path: str,
-    column: str,
-    predicate: tuple[str, object] | None = None,
-    verify_crc: bool = False,
-) -> tuple[pa.Table, dict]:
-    """Page-pruned single-column scan of an indexed parquet file: the
-    ColumnIndex min/max decides per PAGE whether the predicate can match;
-    only overlapping pages' bytes are read + decoded (OffsetIndex gives the
-    exact byte ranges).  This is what the reference's ColumnIndex exists for
-    (writer/writer.go:157-204) — here it drives the engine's own reader.
-
-    Flat (non-repeated) columns.  Returns (table, stats) with
-    stats = {"pages_total", "pages_decoded"} so callers/tests can assert the
-    pruning actually happened; rows are exact (decoded pages re-filter)."""
-    fmd = read_par1_meta(path)
-    idx = read_par1_page_index(path)
-    node = {n.name: n for n in _schema_tree(fmd)}[column]
-    if node.kind != "leaf":
-        raise NotImplementedError("scan_par1_column: flat leaf columns only")
-    storage = _read_storage(node.type)
-    unsigned = pa.types.is_unsigned_integer(node.type)
-    if predicate:
-        ((_c, op, val),) = _normalize_predicate((column, *predicate))[0]
-    else:
-        op = val = None
-    arrays: list[pa.Array] = []
-    pages_total = pages_decoded = 0
-    with _fs_open(path, "rb") as f:
-        for rg_i, rg in enumerate(fmd["row_groups"]):
-            col_i, chunk = next(
-                (i, c)
-                for i, c in enumerate(rg["columns"])
-                if c["meta_data"]["path_in_schema"] == [column]
-            )
-            md = chunk["meta_data"]
-            ci = idx[rg_i][col_i]["column_index"]
-            oi = idx[rg_i][col_i]["offset_index"]
-            pages_total += len(oi["page_locations"]) if oi is not None else 1
-            if op is not None and not _chunk_admits_clause(f, md, op, val, unsigned):
-                continue  # chunk Statistics / bloom / dictionary exclude it
-            if oi is None:
-                # no index: fall back to the full chunk walk
-                _, defs, vals = read_par1_chunk_streams(
-                    f, chunk, storage, 0, 1, verify_crc=verify_crc
-                )
-                arr = _with_validity(vals, (defs == 1).astype(np.int64))
-                pages_decoded += 1
-                arrays.append(arr)
-                continue
-            locs = oi["page_locations"]
-            take = [
-                loc
-                for i, loc in enumerate(locs)
-                if op is None
-                or ci is None
-                or _page_admits_clause(ci, i, md["type"], op, val, unsigned)
-            ]
-            if not take:
-                continue
-            dict_vals = _load_dict_page(f, md, storage, verify_crc)
-            for loc in take:
-                f.seek(loc["offset"])
-                buf = f.read(loc["compressed_page_size"])
-                hdr, pos = CompactReader(SPECS, buf).read_struct("PageHeader", 0)
-                body = buf[pos : pos + hdr["compressed_page_size"]]
-                if verify_crc:
-                    _check_crc(hdr, body, "pruned page read")
-                _, defv, vals = _decode_data_page(
-                    hdr, body, md["codec"], storage, 0, 1, dict_vals
-                )
-                pages_decoded += 1
-                arrays.append(_with_validity(vals, (defv == 1).astype(np.int64)))
-    col = pa.chunked_array(arrays, type=storage)
-    if col.type != node.type:
-        col = col.cast(node.type, safe=node.type not in _UNSIGNED_STORAGE)
-    if op is not None:
-        # exact re-filter inside the surviving pages
-        col = col.filter(_clause_mask(col, op, val, node.type))
-    return pa.table({column: col}), {
-        "pages_total": pages_total,
-        "pages_decoded": pages_decoded,
-    }
-
-
 def _load_dict_page(f, md: dict, storage: pa.DataType, verify_crc: bool):
     """Load a chunk's dictionary page (None when the chunk has none)."""
     d_off = md.get("dictionary_page_offset")
@@ -2015,7 +2030,7 @@ def read_par1_pruned(
     node_list = _schema_tree(fmd)
     nodes = {n.name: n for n in node_list}
     names = list(columns) if columns is not None else [n.name for n in node_list]
-    branches = _normalize_predicate(predicate)
+    branches = _normalize_predicate(predicate, {n.name: n.type for n in node_list})
     need = list(names)
     for br in branches:
         for c, _op, _v in br:
@@ -2026,7 +2041,7 @@ def read_par1_pruned(
             raise KeyError(f"column {nm!r} not in {path}")
         if nodes[nm].kind != "leaf":
             raise NotImplementedError("read_par1_pruned: flat leaf columns only")
-    idx = read_par1_page_index(path)
+    idx = read_par1_page_index(path, fmd)
     rg_sel = None if row_groups is None else set(row_groups)
     stats = {
         "row_groups_total": (
@@ -2113,76 +2128,32 @@ def read_par1_pruned(
             for nm in need:
                 node = nodes[nm]
                 ch = rg["columns"][pos_map[nm]]
-                md_c = ch["meta_data"]
-                if md_c["type"] == PT_INT96:
-                    storage = pa.binary(12)
-                else:
-                    storage = _read_storage(node.type)
-                mdl = 1 if node.opt else 0
                 oi_c = idx[rg_i][pos_map[nm]]["offset_index"]
-                pieces: list[pa.Array] = []
                 if ranges is None or oi_c is None:
-                    _, defs, vals = read_par1_chunk_streams(
-                        f, ch, storage, 0, mdl, verify_crc=verify_crc
-                    )
-                    arr = (
-                        _with_validity(vals, (defs == mdl).astype(np.int64))
-                        if mdl
-                        else vals
-                    )
-                    if isinstance(arr, pa.ChunkedArray):
-                        arr = arr.combine_chunks()
-                    stats["pages_decoded"] += (
-                        len(oi_c["page_locations"]) if oi_c else 1
-                    )
-                    for a, b in ranges or [(0, rg_rows)]:
-                        pieces.append(arr.slice(a, b - a))
+                    pages, spans = None, ranges or [(0, rg_rows)]
+                    stats["pages_decoded"] += len(oi_c["page_locations"]) if oi_c else 1
                 else:
+                    # the pages that hold a range, and the ranges' offsets
+                    # in those pages' decoded values
                     locs = oi_c["page_locations"]
                     firsts = [loc["first_row_index"] for loc in locs] + [rg_rows]
-                    dict_vals = _load_dict_page(f, md_c, storage, verify_crc)
+                    pages, spans, base = [], [], 0
                     for i, loc in enumerate(locs):
                         p0, p1 = firsts[i], firsts[i + 1]
-                        sub = [
-                            (max(a, p0), min(b, p1))
-                            for a, b in ranges
-                            if a < p1 and b > p0
-                        ]
+                        sub = [(max(a, p0), min(b, p1)) for a, b in ranges if a < p1 and b > p0]
                         if not sub:
                             continue
-                        f.seek(loc["offset"])
-                        buf = f.read(loc["compressed_page_size"])
-                        hdr, pos = CompactReader(SPECS, buf).read_struct(
-                            "PageHeader", 0
-                        )
-                        body = buf[pos : pos + hdr["compressed_page_size"]]
-                        if verify_crc:
-                            _check_crc(hdr, body, "pruned page read")
-                        _, defv, vals = _decode_data_page(
-                            hdr, body, md_c["codec"], storage, 0, mdl, dict_vals
-                        )
-                        stats["pages_decoded"] += 1
-                        arr = (
-                            _with_validity(vals, (defv == mdl).astype(np.int64))
-                            if mdl
-                            else vals
-                        )
-                        if isinstance(arr, pa.ChunkedArray):
-                            arr = arr.combine_chunks()
+                        pages.append(loc)
                         for a, b in sub:
-                            pieces.append(arr.slice(a - p0, b - a))
-                col = (
-                    pa.chunked_array(pieces)
-                    if pieces
-                    else pa.chunked_array([], type=storage)
-                )
-                if md_c["type"] == PT_INT96:
-                    from ..functions.converters import int96_to_timestamp
-
-                    col = pa.chunked_array([int96_to_timestamp(col.combine_chunks(), "ns")])
-                elif col.type != node.type:
-                    col = col.cast(node.type, safe=node.type not in _UNSIGNED_STORAGE)
-                cols[nm] = col
+                            a, b = base + a - p0, base + b - p0
+                            if spans and spans[-1][1] == a:
+                                spans[-1] = (spans[-1][0], b)
+                            else:
+                                spans.append((a, b))
+                        base += p1 - p0
+                    stats["pages_decoded"] += len(pages)
+                arr = _read_flat_chunk(f, ch, node, verify_crc, pages)
+                cols[nm] = pa.chunked_array([arr.slice(a, b - a) for a, b in spans], type=node.type)
             tbl = pa.table({nm: cols[nm] for nm in need})
             if branches:
                 or_mask = dnf_mask(tbl, branches, {nm: nodes[nm].type for nm in need})
@@ -2195,3 +2166,18 @@ def read_par1_pruned(
         )
         return empty, stats
     return pa.concat_tables(out_tables), stats
+
+
+def scan_par1_column(
+    path: str,
+    column: str,
+    predicate: tuple[str, object] | None = None,
+    verify_crc: bool = False,
+) -> tuple[pa.Table, dict]:
+    """Page-pruned scan of one flat column: ``read_par1_pruned`` with the
+    clause ``(column, *predicate)``.  Returns (table, {"pages_total",
+    "pages_decoded"}) so callers can assert the pruning happened."""
+    tbl, st = read_par1_pruned(
+        path, [column], (column, *predicate) if predicate else None, verify_crc
+    )
+    return tbl, {"pages_total": st["pages_total"], "pages_decoded": st["pages_decoded"]}

@@ -3,6 +3,7 @@ hypothesis strategies (all bit widths, run-structured patterns, many seeds)."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from parquet_go_ray.bits import (
@@ -604,9 +605,8 @@ def _digest_table() -> pa.Table:
     )
 
 
-def _digest_writes(tmp_path):
-    import hashlib
-
+def _digest_files(tmp_path) -> list:
+    """The three files whose bytes WRITE_PAR1_DIGEST pins."""
     from parquet_go_ray.formats.par1 import write_par1
 
     tbl = _digest_table()
@@ -619,13 +619,141 @@ def _digest_writes(tmp_path):
         dict(codec="zstd", data_page_version=2),
         dict(codec="none", level_encoding="bit_packed"),
     ]
-    h = hashlib.sha256()
+    paths = []
     for i, kw in enumerate(writes):
-        path = tmp_path / f"{i}.parquet"
-        write_par1(tbl, str(path), encodings=enc, page_rows=64, **kw)
+        paths.append(tmp_path / f"{i}.parquet")
+        write_par1(tbl, str(paths[-1]), encodings=enc, page_rows=64, **kw)
+    return paths
+
+
+def _digest_writes(tmp_path):
+    import hashlib
+
+    h = hashlib.sha256()
+    for path in _digest_files(tmp_path):
         h.update(path.read_bytes())
     return h.hexdigest()
 
 
 def test_write_par1_bytes_pinned(tmp_path):
     assert _digest_writes(tmp_path) == WRITE_PAR1_DIGEST
+
+
+# sha256 of the Arrow IPC of what read_par1 and read_par1_pruned (whole, and
+# under a page-pruning DNF) return for the three _digest_files, as the
+# per-page level decoders read them
+READ_PAR1_DIGEST = "7ccc5f3bf8db5f4443a8f53f6750239f0f1bc948ccf4015cb9d8c8e371a13727"
+
+
+def _ipc(tbl: pa.Table) -> bytes:
+    tbl = tbl.combine_chunks()
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, tbl.schema) as w:
+        w.write_table(tbl)
+    return sink.getvalue().to_pybytes()
+
+
+def test_read_par1_values_pinned(tmp_path):
+    import hashlib
+
+    from parquet_go_ray.formats.par1 import read_par1, read_par1_pruned
+
+    tbl = _digest_table()
+    flat = [c for c in tbl.column_names if c != "lst"]
+    k = tbl["k"].to_pylist()
+    dnf = [[("k", ">=", k[200]), ("k", "<", k[260])], [("k", ">=", k[500]), ("k", "<", k[530]), ("cat", "==", "bb")]]
+    h = hashlib.sha256()
+    for path in _digest_files(tmp_path):
+        h.update(_ipc(read_par1(str(path))))
+        h.update(_ipc(read_par1_pruned(str(path), flat)[0]))
+        got, st = read_par1_pruned(str(path), flat, dnf)
+        assert 0 < st["pages_decoded"] < st["pages_total"]
+        h.update(_ipc(got))
+    assert h.hexdigest() == READ_PAR1_DIGEST
+
+
+def _ref_decode_bss(payload: bytes, meta: dict, typ: pa.DataType) -> pa.Array:
+    """BYTE_STREAM_SPLIT decode as one transpose copy of the byte planes."""
+    n, k = meta["rows"], meta["k"]
+    planes = np.frombuffer(payload, dtype=np.uint8).reshape(k, n)
+    v = np.ascontiguousarray(planes.T).reshape(-1).view(typ.to_pandas_dtype())
+    return pa.array(v, type=typ)
+
+
+@pytest.mark.parametrize("typ", [pa.float32(), pa.int32(), pa.float64(), pa.int64()])
+@pytest.mark.parametrize("n", [0, 1, 7, 8192])
+def test_decode_bss_matches_reference(typ, n):
+    from parquet_go_ray.codecs.bss import decode_bss
+
+    k = typ.bit_width // 8
+    payload = np.random.default_rng(n * k).integers(0, 256, n * k, dtype=np.uint8).tobytes()
+    got = decode_bss(payload, {"rows": n, "k": k}, typ)
+    want = _ref_decode_bss(payload, {"rows": n, "k": k}, typ)
+    assert got.type == want.type and len(got) == n
+    assert got.buffers()[1].to_pybytes()[: n * k] == want.buffers()[1].to_pybytes()[: n * k]
+
+
+def _level_edge_table() -> pa.Table:
+    """64-row pages whose definition levels sit next to the full-run skip:
+    a leading run of max_def shorter than the page, then nulls; a page that
+    is all null; a null-free optional column; scattered nulls."""
+    rng = np.random.default_rng(11)
+    n = 256
+    vals = rng.integers(0, 1000, n)
+    return pa.table(
+        {
+            "partial": pa.array(vals, mask=np.arange(n) % 64 >= 40),
+            "null_page": pa.array(vals, mask=np.arange(n) < 64),
+            "dense": pa.array(vals),
+            "f": pa.array(rng.normal(size=n), mask=rng.random(n) < 0.3),
+            "s": pa.array([f"s{x}" for x in vals], mask=rng.random(n) < 0.3),
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, {"data_page_version": 2}, {"level_encoding": "bit_packed"}], ids=["v1", "v2", "bit_packed"]
+)
+def test_level_edge_pages(tmp_path, kw):
+    from parquet_go_ray.formats.par1 import read_par1, read_par1_pruned, write_par1
+
+    tbl = _level_edge_table()
+    path = str(tmp_path / "levels.parquet")
+    enc = {"partial": "delta_bp", "null_page": "plain", "dense": "plain", "f": "byte_stream_split"}
+    write_par1(tbl, path, encodings=enc, page_rows=64, **kw)
+    assert read_par1(path).equals(tbl)
+    assert read_par1_pruned(path)[0].equals(tbl)
+    got, _st = read_par1_pruned(path, None, ("partial", ">=", 0))
+    assert got.equals(tbl.filter(tbl["partial"].is_valid()))
+
+
+@pytest.mark.parametrize("version", ["1.0", "2.0"])
+def test_level_edge_pages_pyarrow_written(tmp_path, version):
+    from parquet_go_ray.formats.par1 import read_par1, read_par1_pruned
+
+    tbl = _level_edge_table()
+    path = str(tmp_path / "levels.parquet")
+    pq.write_table(tbl, path, data_page_size=256, write_page_index=True, data_page_version=version)
+    want = pq.read_table(path)
+    assert read_par1(path).equals(want)
+    assert read_par1_pruned(path)[0].equals(want)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_null_free_pages_decode_no_levels(tmp_path, monkeypatch, version):
+    from parquet_go_ray.formats import par1
+
+    tbl = _level_edge_table()
+    path = str(tmp_path / "dense.parquet")
+    par1.write_par1(tbl, path, encodings={"dense": "plain"}, page_rows=64, data_page_version=version)
+    calls = []
+
+    def counting(fn):
+        return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
+
+    for name in ("decode_levels", "decode_hybrid", "decode_levels_bitpacked"):
+        monkeypatch.setattr(par1, name, counting(getattr(par1, name)))
+    assert par1.read_par1(path, columns=["dense"]).equals(tbl.select(["dense"]))
+    assert calls == []
+    assert par1.read_par1(path, columns=["partial"]).equals(tbl.select(["partial"]))
+    assert calls  # a page with nulls decodes its levels

@@ -1389,3 +1389,28 @@ def test_delta_bp_int32_full_range_wraps_at_32_bits(tmp_path):
     write_par1(pa.table({"i": v}), path, encodings={"i": "delta_bp"})
     assert pq.read_table(path)["i"].to_pylist() == v.tolist()
     assert read_par1(path)["i"].to_pylist() == v.tolist()
+
+
+def test_pruned_reads_parse_the_footer_once(tmp_path, monkeypatch):
+    """read_par1_pruned hands its FileMetaData to read_par1_page_index, and
+    scan_par1_column is one read_par1_pruned call."""
+    from parquet_go_ray.formats import par1
+
+    p = str(tmp_path / "once.parquet")
+    tbl = pa.table({"a": pa.array(np.arange(5000)), "s": pa.array([f"v{i % 50}" for i in range(5000)])})
+    write_par1(tbl, p, page_rows=500)
+    parses = []
+
+    class Counting(CompactReader):
+        def read_struct(self, spec_name, pos=0):
+            if spec_name == "FileMetaData":
+                parses.append(spec_name)
+            return super().read_struct(spec_name, pos)
+
+    monkeypatch.setattr(par1, "CompactReader", Counting)
+    got, st = par1.read_par1_pruned(p, None, ("a", ">=", 4200))
+    assert len(parses) == 1 and got.num_rows == 800 and st["pages_decoded"] == 4
+    parses.clear()
+    got, st = par1.scan_par1_column(p, "a", (">=", 4200))
+    assert len(parses) == 1 and got.num_rows == 800
+    assert st == {"pages_total": 10, "pages_decoded": 2}

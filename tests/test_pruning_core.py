@@ -5,6 +5,7 @@ both containers answer every predicate the same way, and the same as Arrow."""
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 from collections import Counter
 
@@ -316,3 +317,70 @@ def test_unsigned_manifest_stats_admit(unsigned_file, col, op, val):
     path, _tbl = unsigned_file
     man = pa.table({"path": [path], "stats": [native_io._part_stats_json(path)]})
     assert native_io._manifest_admit_rows(man, _normalize_predicate((col, op, val))) == {path}
+
+
+# -- date and timestamp probes ----------------------------------------------
+
+T_DAY0 = datetime.date(2020, 1, 1)
+T_TS0 = datetime.datetime(2020, 1, 1, 8, 30)
+
+
+@pytest.fixture(scope="module", params=["write_par1", "pq.write_table"])
+def temporal_file(request, tmp_path_factory):
+    """Sorted date32, timestamp[ms]/[us] and tz-aware timestamp columns
+    over many small pages, with nulls, from this engine's writer and from
+    pyarrow's."""
+    n = 2000
+    rng = np.random.default_rng(7)
+    days = np.sort(rng.integers(0, 400, n))
+    ms = np.sort(rng.integers(0, 10**9, n))
+    null = rng.random(n) < 0.05
+    tbl = pa.table(
+        {
+            "d": pa.array(days + 18_262, pa.int32(), mask=null).cast(pa.date32()),  # from T_DAY0
+            "ts_ms": pa.array(ms + 1_577_867_400_000, pa.timestamp("ms")),
+            "ts_us": pa.array(ms * 1000 + 1_577_867_400_000_000, pa.timestamp("us"), mask=null),
+            "ts_tz": pa.array(ms * 1000 + 1_577_867_400_000_000, pa.timestamp("us", tz="UTC")),
+            "v": pa.array(np.arange(n)),
+        }
+    )
+    path = str(tmp_path_factory.mktemp("temporal") / "t.parquet")
+    if request.param == "write_par1":
+        write_par1(tbl, path, page_rows=100)
+    else:
+        pq.write_table(tbl, path, data_page_size=512, write_page_index=True)
+    return path
+
+
+def _temporal_cases():
+    day = lambda k: T_DAY0 + datetime.timedelta(days=k)  # noqa: E731
+    at = lambda s: T_TS0 + datetime.timedelta(seconds=s)  # noqa: E731
+    plus2 = datetime.timezone(datetime.timedelta(hours=2))
+    at_tz = lambda s: (at(s) + datetime.timedelta(hours=2)).replace(tzinfo=plus2)  # noqa: E731
+    sub_ms = T_TS0 + datetime.timedelta(seconds=400_000, microseconds=1)
+    cases = []
+    for col, probe in (("d", day), ("ts_ms", at), ("ts_us", at), ("ts_tz", at_tz)):
+        mid = probe(200 if col == "d" else 500_000)
+        cases += [
+            (col, "==", mid), (col, "<", probe(30 if col == "d" else 60_000)),
+            (col, ">=", mid), (col, "in", [probe(3 if col == "d" else 7), mid]),
+        ]
+    # a probe between two stored milliseconds rewrites to integer bounds
+    cases += [("ts_ms", op, sub_ms) for op in ("<", "<=", ">", ">=", "==", "!=")]
+    # a datetime probe on a date column compares as that instant
+    cases += [("d", op, datetime.datetime(2020, 7, 1, 12)) for op in ("<", ">=")]
+    return cases
+
+
+@pytest.mark.parametrize("col,op,val", _temporal_cases())
+def test_temporal_probes_match_arrow(temporal_file, col, op, val):
+    from parquet_go_ray.formats.par1 import scan_par1_column
+
+    want = pq.read_table(temporal_file, filters=[(col, op, val)])
+    got, st = read_par1_pruned(temporal_file, None, (col, op, val))
+    assert got.schema == want.schema
+    assert got.equals(want)
+    one, st1 = scan_par1_column(temporal_file, col, (op, val))
+    assert one.equals(want.select([col]))
+    if op in ("==", "<", "in"):
+        assert st["pages_decoded"] < st["pages_total"]  # the probe prunes pages
