@@ -1245,24 +1245,29 @@ def read_par1_page_index(path: str, fmd: dict | None = None) -> list[list[dict]]
     """Read back the ColumnIndex/OffsetIndex pair for every column chunk:
     result[row_group][column] = {"column_index": dict|None, "offset_index":
     dict|None}.  Engine-side analog of the reference's index readers so tests
-    (and page-pruning scans) can use the structures without parquet-cpp.
-    `fmd` is the file's FileMetaData when the caller has parsed it already."""
+    can use the structures without parquet-cpp (page-pruning scans parse
+    only the entries they use, through ``_read_index``).  `fmd` is the
+    file's FileMetaData when the caller has parsed it already."""
     if fmd is None:
         fmd = read_par1_meta(path)
-    out: list[list[dict]] = []
     with _fs_open(path, "rb") as f:
-        for rg in fmd.get("row_groups", []):
-            row = []
-            for ch in rg.get("columns", []):
-                entry: dict = {"column_index": None, "offset_index": None}
-                for key, spec in (("column_index", "ColumnIndex"), ("offset_index", "OffsetIndex")):
-                    off, ln = ch.get(f"{key}_offset"), ch.get(f"{key}_length")
-                    if off is not None and ln:
-                        f.seek(off)
-                        entry[key], _ = CompactReader(SPECS, f.read(ln)).read_struct(spec)
-                row.append(entry)
-            out.append(row)
-    return out
+        return [
+            [{key: _read_index(f, ch, key) for key in _INDEX_SPEC} for ch in rg.get("columns", [])]
+            for rg in fmd.get("row_groups", [])
+        ]
+
+
+_INDEX_SPEC = {"column_index": "ColumnIndex", "offset_index": "OffsetIndex"}
+
+
+def _read_index(f, ch: dict, key: str) -> dict | None:
+    """One column chunk's "column_index" or "offset_index" from the open
+    file `f`, or None when the chunk has none."""
+    off, ln = ch.get(f"{key}_offset"), ch.get(f"{key}_length")
+    if off is None or not ln:
+        return None
+    f.seek(off)
+    return CompactReader(SPECS, f.read(ln)).read_struct(_INDEX_SPEC[key])[0]
 
 
 def _decode_value_bytes(
@@ -1983,6 +1988,25 @@ def _stat_min_max(
     return None
 
 
+def _flat_chunk_bounds(fmd: dict):
+    """Yield (row group index, column name, chunk meta_data, (lo, hi) or
+    None) for every flat column chunk of a footer: the chunk Statistics
+    bounds as Python values, UINT_32/UINT_64 in unsigned order."""
+    unsigned = {
+        n.name for n in _schema_tree(fmd) if pa.types.is_unsigned_integer(n.type)
+    }
+    for rg_i, rg in enumerate(fmd["row_groups"]):
+        for ch in rg["columns"]:
+            m = ch["meta_data"]
+            if len(m["path_in_schema"]) != 1:
+                continue
+            name, pt = m["path_in_schema"][0], m["type"]
+            uns = name in unsigned
+            mm = _stat_min_max(m.get("statistics"), pt, uns)
+            bounds = None if mm is None else (_stat_py(mm[0], pt, uns), _stat_py(mm[1], pt, uns))
+            yield rg_i, name, m, bounds
+
+
 def _intersect_ranges(
     r1: list[tuple[int, int]], r2: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
@@ -2041,7 +2065,6 @@ def read_par1_pruned(
             raise KeyError(f"column {nm!r} not in {path}")
         if nodes[nm].kind != "leaf":
             raise NotImplementedError("read_par1_pruned: flat leaf columns only")
-    idx = read_par1_page_index(path, fmd)
     rg_sel = None if row_groups is None else set(row_groups)
     stats = {
         "row_groups_total": (
@@ -2051,25 +2074,24 @@ def read_par1_pruned(
         "pages_total": 0,
         "pages_decoded": 0,
     }
-    chunk_pos_by_rg = []
-    for rg_i, rg in enumerate(fmd["row_groups"]):
-        pos_map = {
-            c["meta_data"]["path_in_schema"][0]: i
-            for i, c in enumerate(rg["columns"])
-            if len(c["meta_data"]["path_in_schema"]) == 1
-        }
-        chunk_pos_by_rg.append(pos_map)
-        if rg_sel is not None and rg_i not in rg_sel:
-            continue
-        for nm in need:
-            oi = idx[rg_i][pos_map[nm]]["offset_index"]
-            stats["pages_total"] += len(oi["page_locations"]) if oi else 1
     out_tables: list[pa.Table] = []
     with _fs_open(path, "rb") as f:
         for rg_i, rg in enumerate(fmd["row_groups"]):
             if rg_sel is not None and rg_i not in rg_sel:
                 continue
-            pos_map = chunk_pos_by_rg[rg_i]
+            chunks = {
+                c["meta_data"]["path_in_schema"][0]: c
+                for c in rg["columns"]
+                if len(c["meta_data"]["path_in_schema"]) == 1
+            }
+            # the page index is parsed only where it is used: the OffsetIndex
+            # of the read columns, the ColumnIndex of a predicate column once
+            # its chunk Statistics admit the row group
+            offsets = {nm: _read_index(f, chunks[nm], "offset_index") for nm in need}
+            col_idx: dict[str, dict | None] = {}
+            stats["pages_total"] += sum(
+                len(oi["page_locations"]) if oi else 1 for oi in offsets.values()
+            )
             rg_rows = rg["num_rows"]
             # Each OR branch prunes independently (chunk metadata, then page
             # ranges); the row group survives if ANY branch admits it, and
@@ -2079,7 +2101,7 @@ def read_par1_pruned(
             for br in branches or [[]]:
                 admit = True
                 for pcol, pop, pval in br:
-                    md_p = rg["columns"][pos_map[pcol]]["meta_data"]
+                    md_p = chunks[pcol]["meta_data"]
                     uns = pa.types.is_unsigned_integer(nodes[pcol].type)
                     if not _chunk_admits_clause(f, md_p, pop, pval, uns):
                         admit = False  # whole row group excluded for this branch
@@ -2088,10 +2110,11 @@ def read_par1_pruned(
                     continue
                 br_ranges: list[tuple[int, int]] | None = None
                 for pcol, pop, pval in br:
-                    pt_p = rg["columns"][pos_map[pcol]]["meta_data"]["type"]
+                    pt_p = chunks[pcol]["meta_data"]["type"]
                     uns = pa.types.is_unsigned_integer(nodes[pcol].type)
-                    ent = idx[rg_i][pos_map[pcol]]
-                    ci, oi = ent["column_index"], ent["offset_index"]
+                    if pcol not in col_idx:
+                        col_idx[pcol] = _read_index(f, chunks[pcol], "column_index")
+                    ci, oi = col_idx[pcol], offsets[pcol]
                     if ci is None or oi is None:
                         continue
                     locs = oi["page_locations"]
@@ -2127,8 +2150,8 @@ def read_par1_pruned(
             cols: dict[str, pa.ChunkedArray] = {}
             for nm in need:
                 node = nodes[nm]
-                ch = rg["columns"][pos_map[nm]]
-                oi_c = idx[rg_i][pos_map[nm]]["offset_index"]
+                ch = chunks[nm]
+                oi_c = offsets[nm]
                 if ranges is None or oi_c is None:
                     pages, spans = None, ranges or [(0, rg_rows)]
                     stats["pages_decoded"] += len(oi_c["page_locations"]) if oi_c else 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import uuid
+from typing import NamedTuple
 
 import pyarrow as pa
 
@@ -334,16 +335,15 @@ def build_par1_manifest(dir_path: str) -> str:
     def footer_stats(batch: pa.Table) -> pa.Table:
         rows = []
         for p, size in zip(batch["path"].to_pylist(), batch["bytes"].to_pylist()):
+            md = read_par1_meta(p)
             rows.append(
                 {
                     "path": p,
                     "partition": _rel_subdir(p, dir_path),
-                    "rows": sum(
-                        rg["num_rows"] for rg in read_par1_meta(p)["row_groups"]
-                    ),
+                    "rows": sum(rg["num_rows"] for rg in md["row_groups"]),
                     "bytes": size,
                     "skipped": False,
-                    "stats": _part_stats_json(p),
+                    "stats": _part_stats_json(md),
                 }
             )
         return _manifest_table(rows)
@@ -355,7 +355,7 @@ def build_par1_manifest(dir_path: str) -> str:
     )
     mpath = dir_path.rstrip("/") + "/" + MANIFEST_NAME
     # row-grouped so huge manifests admit distributed evaluation
-    # (_manifest_prune fans out over row groups past its threshold);
+    # (_manifest_admit fans out over row groups past its threshold);
     # path order makes a rebuild over the same parts byte-identical
     table = _manifest_table(sorted(rows, key=lambda r: r["path"]))
     uri.publish(
@@ -405,84 +405,34 @@ def explain_par1_scan(
     union_by_name: bool = False,
 ) -> dict:
     """Observability for the pruning ladder: run the SAME pruning decisions
-    a read would make and report counts at every level WITHOUT returning
-    data — {files_total, files_after_manifest, row_groups_total,
-    row_groups_read, pages_total, pages_decoded, rows_out}.  Files go out
-    in ``_fan_out`` tasks sized by their bytes, as a read's do; the decode
-    still happens for surviving pages (rows_out is exact), so use small
-    predicates for pure exploration."""
-    from ..formats.par1 import _normalize_predicate, _schema_tree, read_par1_pruned
-
-    sizes = _ls_parquet(dir_path)
-    paths = list(sizes)
-    files_total = len(paths)
-    if not paths:
-        raise ValueError(f"explain_par1_scan: no parts under {dir_path}")
-    mpath = dir_path.rstrip("/") + "/" + MANIFEST_NAME
-    if predicate is not None and uri.exists(mpath):
-        paths = _manifest_prune(paths, mpath, _normalize_predicate(predicate))
-    out = {
-        "files_total": files_total,
-        "files_after_manifest": len(paths),
-        "row_groups_total": 0,
-        "row_groups_read": 0,
-        "pages_total": 0,
-        "pages_decoded": 0,
-        "rows_out": 0,
-    }
-    if not paths:
+    a read would make (its ``_plan_scan`` and per-file ``_scan_file``) and
+    report counts at every level WITHOUT returning data — {files_total,
+    files_after_manifest, row_groups_total, row_groups_read, pages_total,
+    pages_decoded, rows_out}.  Files go out in ``_fan_out`` tasks sized by
+    their bytes, as a read's do; the decode still happens for surviving
+    pages (rows_out is exact), so use small predicates for pure
+    exploration."""
+    plan = _plan_scan(dir_path, columns, predicate, union_by_name=union_by_name)
+    out = {"files_total": plan.files_total, "files_after_manifest": len(plan.paths)}
+    keys = (*_NO_STATS, "rows_out")
+    out.update(dict.fromkeys(keys, 0))
+    if not plan.paths:
         return out
-
-    branches = _normalize_predicate(predicate)
 
     def probe(batch: pa.Table) -> pa.Table:
         rows = []
         for p in batch["path"].to_pylist():
-            cols_p, pred_p = columns, predicate
-            if union_by_name:
-                present = {n.name for n in _schema_tree(read_par1_meta(p))}
-                pred_p = (
-                    _adapt_branches_for_file(branches, present) if branches else None
-                )
-                if pred_p == _BRANCH_EXCLUDES_FILE:
-                    continue  # file contributes nothing under this predicate
-                cols_p = [c for c in (columns or present) if c in present]
-                if not cols_p:
-                    cols_p = (
-                        sorted({c for br in pred_p for c, _o, _v in br})
-                        if pred_p
-                        else sorted(present)[:1]
-                    )
-            tbl, st = read_par1_pruned(p, cols_p, pred_p)
-            rows.append({**st, "rows_out": tbl.num_rows})
-        if not rows:
-            rows = [
-                {
-                    "row_groups_total": 0,
-                    "row_groups_read": 0,
-                    "pages_total": 0,
-                    "pages_decoded": 0,
-                    "rows_out": 0,
-                }
-            ]
-        return pa.table(
-            {k: pa.array([r[k] for r in rows], pa.int64()) for k in rows[0]}
-        )
+            tbl, st = _scan_file(plan, p, None)
+            rows.append([st[k] for k in _NO_STATS] + [0 if tbl is None else tbl.num_rows])
+        return pa.table({k: pa.array(v, pa.int64()) for k, v in zip(keys, zip(*rows))})
 
     agg = (
-        _fan_out([{"path": p} for p in paths], [sizes[p] for p in paths])
+        _fan_out([{"path": p} for p in plan.paths], [plan.sizes.get(p) for p in plan.paths])
         .map_batches(probe, batch_format="pyarrow", batch_size=None)
         .to_pandas()
         .sum()
     )
-    for k in (
-        "row_groups_total",
-        "row_groups_read",
-        "pages_total",
-        "pages_decoded",
-        "rows_out",
-    ):
-        out[k] = int(agg[k])
+    out.update({k: int(agg[k]) for k in keys})
     return out
 
 
@@ -500,7 +450,7 @@ def validate_par1_dataset(
     windows.  Also flags stray `*.tmp.*` leftovers from crashed writers."""
     import pyarrow.compute as pc
 
-    from ..formats.par1 import _schema_tree, _stat_min_max, _stat_py, read_par1
+    from ..formats.par1 import _flat_chunk_bounds, _schema_tree, read_par1
 
     sizes = _ls_parquet(dir_path)
     if not sizes:
@@ -534,7 +484,11 @@ def validate_par1_dataset(
 
     def check_file(p: str) -> str:
         md = read_par1_meta(p)
-        flat = {n.name: n for n in _schema_tree(md) if n.kind == "leaf"}
+        flat = {n.name for n in _schema_tree(md) if n.kind == "leaf"}
+        bounds: dict[int, list] = {}
+        for rg_i, name, _m, b in _flat_chunk_bounds(md):
+            if b is not None and name in flat:
+                bounds.setdefault(rg_i, []).append((name, *b))
         total_rows = 0
         # ONE ROW GROUP AT A TIME: a 10 GB file never materializes whole
         for rg_i, rg in enumerate(md["row_groups"]):
@@ -545,18 +499,7 @@ def validate_par1_dataset(
                     f"row group {rg_i}: decoded {tbl.num_rows} rows "
                     f"!= footer {rg['num_rows']}"
                 )
-            for ch in rg["columns"]:
-                m = ch["meta_data"]
-                if len(m["path_in_schema"]) != 1:
-                    continue
-                name = m["path_in_schema"][0]
-                if name not in flat:
-                    continue
-                uns = pa.types.is_unsigned_integer(flat[name].type)
-                mm = _stat_min_max(m.get("statistics"), m["type"], uns)
-                if mm is None:
-                    continue
-                lo, hi = _stat_py(mm[0], m["type"], uns), _stat_py(mm[1], m["type"], uns)
+            for name, lo, hi in bounds.get(rg_i, []):
                 col = tbl[name]
                 if pa.types.is_temporal(col.type):
                     # stats are raw physical ints; compare in that domain
@@ -607,12 +550,24 @@ def validate_par1_dataset(
     ).map_batches(run, batch_format="pyarrow", batch_size=None)
 
 
+def to_json_stat(v):
+    """A manifest stat or predicate value in its JSON-safe wire form:
+    bytes travel as ``{"b64": ...}``, lists encode element-wise.  THE one
+    encoder; ``from_json_stat`` is its inverse."""
+    import base64
+
+    if isinstance(v, bytes):
+        return {"b64": base64.b64encode(v).decode()}
+    if isinstance(v, list):
+        return [to_json_stat(x) for x in v]
+    return v
+
+
 def from_json_stat(v):
-    """Inverse of the manifest's JSON-safe stat encoding: bytes values
-    travel as ``{"b64": ...}`` (see the ``enc`` closure in
-    ``_file_stats_agg``); lists decode recursively.  THE one decoder —
-    every consumer (manifest admission here, table-layer stats/predicate/
-    bucket-bound decode) must use it so the wire convention can't drift."""
+    """Inverse of ``to_json_stat``: ``{"b64": ...}`` back to bytes, lists
+    decode recursively.  THE one decoder — every consumer (manifest
+    admission, table-layer stats/predicate/bucket-bound decode) must use it
+    so the wire convention can't drift."""
     import base64
 
     if isinstance(v, dict) and "b64" in v:
@@ -620,6 +575,17 @@ def from_json_stat(v):
     if isinstance(v, list):
         return [from_json_stat(x) for x in v]
     return v
+
+
+def _stats_from_json(stats_json: str) -> dict:
+    """A manifest row's stats JSON -> {col: {pt, min, max, nulls, nv}} with
+    the bounds decoded."""
+    import json
+
+    return {
+        c: {**e, "min": from_json_stat(e["min"]), "max": from_json_stat(e["max"])}
+        for c, e in json.loads(stats_json).items()
+    }
 
 
 def _manifest_admits_file(stats: dict, branches) -> bool:
@@ -654,68 +620,68 @@ def _manifest_admits_file(stats: dict, branches) -> bool:
     return False
 
 
-_MANIFEST_DISTRIBUTE_THRESHOLD = 20_000  # files; below this, evaluate inline
+_MANIFEST_DISTRIBUTE_THRESHOLD = 20_000  # manifest rows; below this, evaluate inline
 
 
-def _manifest_admit_rows(mtab: pa.Table, branches) -> set[str]:
-    """Evaluate the DNF against one manifest slice; return admitted paths."""
-    import json
+def _admit_rows(mt: pa.Table, branches) -> tuple[list, list, list]:
+    """(every path, admitted paths, their bytes) of one manifest slice."""
+    paths, sizes = mt["path"].to_pylist(), mt["bytes"].to_pylist()
+    if not branches:
+        return paths, paths, sizes
+    ok = [
+        not sj or _manifest_admits_file(_stats_from_json(sj), branches)
+        for sj in mt["stats"].to_pylist()
+    ]
+    return (
+        paths,
+        [p for p, k in zip(paths, ok) if k],
+        [b for b, k in zip(sizes, ok) if k],
+    )
 
-    dec = from_json_stat
-    admitted: set[str] = set()
-    for p, sj in zip(mtab["path"].to_pylist(), mtab["stats"].to_pylist()):
-        st = {
-            c: {**e, "min": dec(e["min"]), "max": dec(e["max"])}
-            for c, e in json.loads(sj).items()
-        }
-        if _manifest_admits_file(st, branches):
-            admitted.add(p)
-    return admitted
 
-
-def _manifest_prune(
-    paths: list[str], manifest_path: str, branches
-) -> list[str]:
-    """Drop files the manifest's stats exclude before any data task spawns.
-    Files absent from the manifest are kept (stale-manifest safe); manifest
-    rows for deleted files are ignored.  Small manifests evaluate inline on
-    the driver; past _MANIFEST_DISTRIBUTE_THRESHOLD rows the JSON-decode +
-    admission loop fans out over the manifest's row groups (``_fan_out``)
-    and only the admitted path list returns — the driver never holds more
-    than the listing it already owns."""
-    from ..formats.par1 import read_par1, read_par1_meta
-
-    fmd = read_par1_meta(manifest_path)
-    if fmd["num_rows"] <= _MANIFEST_DISTRIBUTE_THRESHOLD:
-        mtab = read_par1(manifest_path, columns=["path", "stats"])
-        known = set(mtab["path"].to_pylist())
-        admitted = _manifest_admit_rows(mtab, branches)
+def _manifest_admit(mpaths: list[str], branches) -> tuple[dict[str, int], set[str]]:
+    """THE file-level pruning rung of datasets (one ``_manifest.parquet``)
+    and tables (the ``_manifests/<txn>/`` parts): the rows of the manifest
+    files `mpaths` (columns path, bytes, stats) whose stats admit the typed
+    DNF `branches`.  Returns ({admitted path: bytes}, every path the
+    manifests list); callers keep files a manifest does not list
+    (stale-manifest safe).  Up to _MANIFEST_DISTRIBUTE_THRESHOLD rows the
+    JSON decode and admission run inline on the driver; past it they fan
+    out over (manifest, row group) items (``_fan_out``) and only the path
+    lists return."""
+    cols = ["path", "bytes", "stats"] if branches else ["path", "bytes"]
+    # without a predicate there is nothing to decode: always inline
+    metas = [read_par1_meta(mp) for mp in mpaths] if branches else []
+    if sum(md["num_rows"] for md in metas) <= _MANIFEST_DISTRIBUTE_THRESHOLD:
+        rows = [_admit_rows(read_par1(mp, columns=cols), branches) for mp in mpaths]
     else:
-        rgs = fmd["row_groups"]
 
         def admit(batch: pa.Table) -> pa.Table:
-            ks, ads = [], []
-            for rg_i in batch["rg"].to_pylist():
-                mt = read_par1(
-                    manifest_path, columns=["path", "stats"], row_groups=[rg_i]
+            known, ads, sizes = zip(
+                *(
+                    _admit_rows(read_par1(mp, columns=cols, row_groups=[rg]), branches)
+                    for mp, rg in zip(batch["m"].to_pylist(), batch["rg"].to_pylist())
                 )
-                ks.extend(mt["path"].to_pylist())
-                ads.extend(sorted(_manifest_admit_rows(mt, branches)))
+            )
             return pa.table(
                 {
-                    "known": pa.array([ks], pa.list_(pa.string())),
-                    "admitted": pa.array([ads], pa.list_(pa.string())),
+                    "known": pa.array(known, pa.list_(pa.string())),
+                    "admitted": pa.array(ads, pa.list_(pa.string())),
+                    "bytes": pa.array(sizes, pa.list_(pa.int64())),
                 }
             )
 
-        rows = (
-            _fan_out([{"rg": i} for i in range(len(rgs))], [_rg_bytes(rg) for rg in rgs])
+        items = [
+            {"m": mp, "rg": i} for mp, md in zip(mpaths, metas) for i in range(len(md["row_groups"]))
+        ]
+        rows = [
+            (r["known"], r["admitted"], r["bytes"])
+            for r in _fan_out(items, [_rg_bytes(rg) for md in metas for rg in md["row_groups"]])
             .map_batches(admit, batch_format="pyarrow", batch_size=None)
             .take_all()
-        )
-        known = {p for r in rows for p in r["known"]}
-        admitted = {p for r in rows for p in r["admitted"]}
-    return [p for p in paths if p not in known or p in admitted]
+        ]
+    admitted = {p: b for _k, ps, bs in rows for p, b in zip(ps, bs)}
+    return admitted, {p for ks, _a, _b in rows for p in ks}
 
 
 _BRANCH_EXCLUDES_FILE = "exclude-file"
@@ -749,6 +715,136 @@ def _adapt_branches_for_file(
             return None  # this branch is TRUE for every row of the file
         kept.append(new)
     return kept if kept else _BRANCH_EXCLUDES_FILE
+
+
+class _ScanPlan(NamedTuple):
+    """What a PAR1 dataset scan reads, decided once on the driver."""
+
+    paths: list[str]  # the files to read, in listing order
+    sizes: dict[str, int]  # listed bytes by path ({} for a bare path list)
+    files_total: int  # files listed, before manifest admission
+    types: dict[str, pa.DataType]  # the scan schema
+    names: list[str]  # projected columns
+    branches: list  # the predicate as DNF, typed against `types`
+    union_by_name: bool
+
+
+def _union_types(paths: list[str]) -> dict[str, pa.DataType]:
+    """Distributed footer-only schema pass: one serialized-schema row per
+    file (KBs) comes back to the driver and unifies by name (strict: a type
+    conflict raises)."""
+    from ..formats.par1 import _schema_tree
+
+    def file_schema(batch: pa.Table) -> pa.Table:
+        out = []
+        for p in batch["path"].to_pylist():
+            ns = _schema_tree(read_par1_meta(p))
+            sch = pa.schema([pa.field(n.name, n.type) for n in ns])
+            out.append(sch.serialize().to_pybytes())
+        return pa.table({"schema": pa.array(out, pa.binary())})
+
+    rows = (
+        _fan_out([{"path": p} for p in paths], [0] * len(paths))
+        .map_batches(file_schema, batch_format="pyarrow", batch_size=None)
+        .take_all()
+    )
+    unified = pa.unify_schemas(
+        [pa.ipc.read_schema(pa.py_buffer(r["schema"])) for r in rows]
+    )
+    return {f.name: f.type for f in unified}
+
+
+def _plan_scan(
+    paths: str | list[str],
+    columns: list[str] | None,
+    predicate,
+    partitions: dict[str, object] | None = None,
+    union_by_name: bool = False,
+    use_manifest: bool | str = "auto",
+) -> _ScanPlan:
+    """THE planning of a PAR1 dataset scan, shared by read_par1_dataset and
+    explain_par1_scan: list the files and apply `partitions`; take the
+    column types from the first file's footer, or with `union_by_name` from
+    the union of every listed file's schema; normalize the predicate ONCE
+    against those types (and, outside union_by_name, reject unknown
+    columns); then admit files through the directory's
+    ``_manifest.parquet``, when there is one."""
+    from ..formats.par1 import _normalize_predicate, _schema_tree
+
+    src_dir = None
+    sizes: dict[str, int] = {}
+    if isinstance(paths, str):
+        if uri.isdir(paths):
+            src_dir = paths
+            sizes = _ls_parquet(paths)
+            paths = list(sizes)
+        else:
+            paths = [paths]
+    if partitions:
+        # hive-style directory pruning: drop whole partitions from the
+        # listing before a single footer is read (URIs always use '/')
+        want = {f"{k}={v}" for k, v in partitions.items()}
+        paths = [p for p in paths if want <= set(p.replace(os.sep, "/").split("/"))]
+    if not paths:
+        raise ValueError(f"no input files in {src_dir or paths!r}")
+    if union_by_name:
+        types = _union_types(paths)
+    else:
+        types = {n.name: n.type for n in _schema_tree(read_par1_meta(paths[0]))}
+    names = list(columns) if columns is not None else list(types)
+    branches = _normalize_predicate(predicate, types)
+    if not union_by_name:
+        for c in names + [c for br in branches for c, _op, _v in br]:
+            if c not in types:
+                raise ValueError(f"unknown column {c!r} (not in {paths[0]})")
+    files_total = len(paths)
+    mpath = (src_dir or "").rstrip("/") + "/" + MANIFEST_NAME
+    if branches and use_manifest and src_dir is not None and uri.exists(mpath):
+        admitted, known = _manifest_admit([mpath], branches)
+        paths = [p for p in paths if p not in known or p in admitted]
+    return _ScanPlan(paths, sizes, files_total, types, names, branches, union_by_name)
+
+
+_NO_STATS = {"row_groups_total": 0, "row_groups_read": 0, "pages_total": 0, "pages_decoded": 0}
+
+
+def _scan_file(
+    plan: _ScanPlan, p: str, rgs: list[int] | None, verify_crc: bool = False
+) -> tuple[pa.Table | None, dict]:
+    """THE per-file step of a planned scan: one ``read_par1_pruned`` call
+    under the plan's typed predicate, returning (the rows in the plan's
+    columns and types, or None when the file cannot match; the read's
+    pruning stats).  Under union_by_name a column the file lacks reads as
+    typed nulls, and the predicate is adapted to that
+    (``_adapt_branches_for_file``); when no projected column lives in the
+    file, its predicate columns (or its first column) are read to count
+    the matching rows, which come back all-null."""
+    from ..formats.par1 import _schema_tree, read_par1_pruned
+
+    pred = plan.branches or None
+    if not plan.union_by_name:
+        return read_par1_pruned(p, plan.names, pred, verify_crc=verify_crc, row_groups=rgs)
+    present = {n.name for n in _schema_tree(read_par1_meta(p))}
+    if pred:
+        pred = _adapt_branches_for_file(pred, present)
+        if pred == _BRANCH_EXCLUDES_FILE:
+            return None, dict(_NO_STATS)
+    cols = [n for n in plan.names if n in present]
+    if cols:
+        read = cols
+    elif pred:
+        read = sorted({c for br in pred for c, _op, _v in br})
+    else:
+        read = sorted(present)[:1]
+    tbl, st = read_par1_pruned(p, read, pred, verify_crc=verify_crc, row_groups=rgs)
+    arrs = {}
+    for n in plan.names:
+        t = plan.types[n]
+        if n not in cols:
+            arrs[n] = pa.nulls(tbl.num_rows, t)
+        else:
+            arrs[n] = tbl[n] if tbl[n].type == t else tbl[n].cast(t)
+    return pa.table(arrs), st
 
 
 def read_par1_dataset(
@@ -799,126 +895,29 @@ def read_par1_dataset(
     listing, never data.
 
     ``union_by_name=True`` handles SCHEMA EVOLUTION across a long-lived
-    corpus: a distributed footer-only pass unifies the files' schemas by
-    name (strict: a type conflict raises), columns absent from an older
+    corpus: a distributed footer-only pass over the whole listing (before
+    manifest admission) unifies the files' schemas by name (strict: a type
+    conflict raises), columns absent from an older
     file materialize as typed nulls, and predicate clauses on absent
     columns evaluate with all-null semantics per file (is_null -> true,
     anything else -> that branch is false there)."""
-    from ..formats.par1 import _normalize_predicate, _schema_tree, read_par1_pruned
-
-    src_dir = None
-    sizes: dict[str, int | None] = {}  # a bare path list: sizes unknown
-    if isinstance(paths, str):
-        if uri.isdir(paths):
-            src_dir = paths
-            sizes = _ls_parquet(paths)
-            paths = list(sizes)
-        else:
-            paths = [paths]
-    if partitions:
-        # hive-style directory pruning: drop whole partitions from the
-        # listing before a single footer is read (URIs always use '/')
-        want = {f"{k}={v}" for k, v in partitions.items()}
-        paths = [p for p in paths if want <= set(p.replace(os.sep, "/").split("/"))]
-    if not paths:
-        raise ValueError("read_par1_dataset: no input files")
-    all_paths = list(paths)
-    if src_dir is not None and predicate is not None and use_manifest:
-        mpath = src_dir.rstrip("/") + "/" + MANIFEST_NAME
-        if uri.exists(mpath):
-            paths = _manifest_prune(
-                paths, mpath, _normalize_predicate(predicate)
-            )
-    # every file excluded by the manifest: the schema pass still runs over
-    # the ORIGINAL listing (union semantics must not depend on pruning), and
-    # the typed empty returns after types are known
-    pruned_empty = not paths
-    if pruned_empty:
-        paths = all_paths
-    if union_by_name:
-        # distributed footer-only schema pass: one serialized-schema row per
-        # file (KBs) comes back to the driver and unifies by name
-        def file_schema(batch: pa.Table) -> pa.Table:
-            out = []
-            for p in batch["path"].to_pylist():
-                ns = _schema_tree(read_par1_meta(p))
-                sch = pa.schema([pa.field(n.name, n.type) for n in ns])
-                out.append(sch.serialize().to_pybytes())
-            return pa.table({"schema": pa.array(out, pa.binary())})
-
-        rows = (
-            _fan_out([{"path": p} for p in paths], [0] * len(paths))
-            .map_batches(file_schema, batch_format="pyarrow", batch_size=None)
-            .take_all()
-        )
-        unified = pa.unify_schemas(
-            [pa.ipc.read_schema(pa.py_buffer(r["schema"])) for r in rows]
-        )
-        types = {f.name: f.type for f in unified}
-    else:
-        types = {n.name: n.type for n in _schema_tree(read_par1_meta(paths[0]))}
-    names = list(columns) if columns is not None else list(types)
-    branches = _normalize_predicate(predicate)
-    if not union_by_name:
-        for c in names + [c for br in branches for c, _op, _v in br]:
-            if c not in types:
-                raise ValueError(
-                    f"read_par1_dataset: unknown column {c!r} (not in {paths[0]})"
-                )
-    empty = pa.table({nm: pa.chunked_array([], type=types[nm]) for nm in names})
-    if pruned_empty:
+    plan = _plan_scan(paths, columns, predicate, partitions, union_by_name, use_manifest)
+    empty = pa.table(
+        {nm: pa.chunked_array([], type=plan.types[nm]) for nm in plan.names}
+    )
+    if not plan.paths:
         return rd.from_arrow(empty)
-
-    def _read_one(p: str, rgs: list[int] | None) -> pa.Table | None:
-        if not union_by_name:
-            tbl, _st = read_par1_pruned(
-                p, names, predicate, verify_crc=verify_crc, row_groups=rgs
-            )
-            return tbl
-        meta = read_par1_meta(p)
-        present = {n.name for n in _schema_tree(meta)}
-        pred = _adapt_branches_for_file(branches, present) if branches else None
-        if pred == _BRANCH_EXCLUDES_FILE:
-            return None
-        cols_here = [n for n in names if n in present]
-        if not cols_here:
-            # no PROJECTED column lives in this file, but the adapted
-            # predicate may still reference present columns: read those to
-            # count the matching rows, then emit that many all-null rows
-            if pred:
-                pcols = sorted({c for br in pred for c, _op, _v in br})
-                tbl_p, _st = read_par1_pruned(
-                    p, pcols, pred, verify_crc=verify_crc, row_groups=rgs
-                )
-                cnt = tbl_p.num_rows
-            else:
-                cnt = sum(
-                    rg["num_rows"]
-                    for i, rg in enumerate(meta["row_groups"])
-                    if rgs is None or i in set(rgs)
-                )
-            return pa.table({n: pa.nulls(cnt, types[n]) for n in names})
-        tbl, _st = read_par1_pruned(
-            p, cols_here, pred, verify_crc=verify_crc, row_groups=rgs
-        )
-        arrs = {}
-        for n in names:
-            if n in present:
-                col = tbl[n]
-                if col.type != types[n]:
-                    col = col.cast(types[n])
-                arrs[n] = col
-            else:
-                arrs[n] = pa.nulls(tbl.num_rows, types[n])
-        return pa.table(arrs)
 
     if not split_row_groups:
 
         def read_file(batch: pa.Table):
-            return _stream((_read_one(p, None) for p in batch["path"].to_pylist()), empty)
+            return _stream(
+                (_scan_file(plan, p, None, verify_crc)[0] for p in batch["path"].to_pylist()),
+                empty,
+            )
 
         return _fan_out(
-            [{"path": p} for p in paths], [sizes.get(p) for p in paths]
+            [{"path": p} for p in plan.paths], [plan.sizes.get(p) for p in plan.paths]
         ).map_batches(read_file, batch_format="pyarrow", batch_size=None)
 
     def list_rgs(batch: pa.Table) -> pa.Table:
@@ -932,7 +931,7 @@ def read_par1_dataset(
 
     # (path, rg, bytes) listing, one tiny row per row group, to the driver
     listing = (
-        _fan_out([{"path": p} for p in paths], [0] * len(paths))
+        _fan_out([{"path": p} for p in plan.paths], [0] * len(plan.paths))
         .map_batches(list_rgs, batch_format="pyarrow", batch_size=None)
         .take_all()
     )
@@ -942,7 +941,7 @@ def read_par1_dataset(
     def read_rgs(batch: pa.Table):
         return _stream(
             (
-                _read_one(p, [rg_i])
+                _scan_file(plan, p, [rg_i], verify_crc)[0]
                 for p, rg_i in zip(batch["path"].to_pylist(), batch["rg"].to_pylist())
             ),
             empty,
@@ -986,53 +985,36 @@ def _ipc_content_tag(batch: "pa.Table") -> str:
     return h.hexdigest()[:16]
 
 
-def _part_stats_json(path: str) -> str:
+def _part_stats_json(md: dict) -> str:
     """Per-file column stats for the sink manifest, aggregated from the
-    file's own footer: {col: {pt, min, max, nulls, nv}} as JSON.  min/max
-    are the decoded chunk Statistics bounds (already soundly truncated for
-    long byte arrays by the writer); BYTE_ARRAY bounds are base64 so the
-    JSON stays valid.  Columns lacking stats in any row group record
-    min/max null -> scans treat them as unknown (admit)."""
-    import base64
+    file's FileMetaData `md`: {col: {pt, min, max, nulls, nv}} as JSON.
+    min/max are the decoded chunk Statistics bounds (already soundly
+    truncated for long byte arrays by the writer), in ``to_json_stat``
+    form.  Columns lacking stats in any row group record min/max null ->
+    scans treat them as unknown (admit)."""
     import json
 
-    from ..formats.par1 import _schema_tree, _stat_min_max, _stat_py
+    from ..formats.par1 import _flat_chunk_bounds
 
-    md = read_par1_meta(path)
-    unsigned = {
-        n.name for n in _schema_tree(md) if pa.types.is_unsigned_integer(n.type)
-    }
     agg: dict[str, dict] = {}
-    for rg in md["row_groups"]:
-        for ch in rg["columns"]:
-            m = ch["meta_data"]
-            if len(m["path_in_schema"]) != 1:
-                continue
-            name = m["path_in_schema"][0]
-            ent = agg.setdefault(
-                name, {"pt": m["type"], "min": None, "max": None, "nulls": 0, "nv": 0}
-            )
-            ent["nv"] += m["num_values"]
-            st = m.get("statistics")
-            uns = name in unsigned
-            mm = _stat_min_max(st, m["type"], uns)
-            if mm is None:
-                ent["unknown"] = True
-            else:
-                lo, hi = _stat_py(mm[0], m["type"], uns), _stat_py(mm[1], m["type"], uns)
-                if ent["min"] is None or lo < ent["min"]:
-                    ent["min"] = lo
-                if ent["max"] is None or hi > ent["max"]:
-                    ent["max"] = hi
-            if st is not None and st.get("null_count") is not None:
-                ent["nulls"] += st["null_count"]
-            else:
-                ent["unknown_nulls"] = True
-
-    def enc(v):
-        if isinstance(v, bytes):
-            return {"b64": base64.b64encode(v).decode()}
-        return v
+    for _rg, name, m, bounds in _flat_chunk_bounds(md):
+        ent = agg.setdefault(
+            name, {"pt": m["type"], "min": None, "max": None, "nulls": 0, "nv": 0}
+        )
+        ent["nv"] += m["num_values"]
+        if bounds is None:
+            ent["unknown"] = True
+        else:
+            lo, hi = bounds
+            if ent["min"] is None or lo < ent["min"]:
+                ent["min"] = lo
+            if ent["max"] is None or hi > ent["max"]:
+                ent["max"] = hi
+        st = m.get("statistics")
+        if st is not None and st.get("null_count") is not None:
+            ent["nulls"] += st["null_count"]
+        else:
+            ent["unknown_nulls"] = True
 
     out = {}
     for name, ent in agg.items():
@@ -1040,8 +1022,8 @@ def _part_stats_json(path: str) -> str:
             ent["min"] = ent["max"] = None
         out[name] = {
             "pt": ent["pt"],
-            "min": enc(ent["min"]),
-            "max": enc(ent["max"]),
+            "min": to_json_stat(ent["min"]),
+            "max": to_json_stat(ent["max"]),
             "nulls": None if ent.get("unknown_nulls") else ent["nulls"],
             "nv": ent["nv"],
         }
@@ -1073,12 +1055,13 @@ def _write_part(batch: "pa.Table", part_dir: str, partition: str, write_kwargs: 
     skipped forever."""
     path = f"{uri.norm(part_dir).rstrip('/')}/part_{_ipc_content_tag(batch)}.parquet"
     skipped = uri.exists(path) and _footer_ok(path)
+    written: list[dict] = []  # the FileMetaData write_par1 returns
     if not skipped:
-        uri.publish(path, lambda target: write_par1(batch, target, **write_kwargs))
+        uri.publish(path, lambda target: written.append(write_par1(batch, target, **write_kwargs)))
     return {
         "path": path, "partition": partition, "rows": batch.num_rows,
         "bytes": uri.size(path), "skipped": skipped,
-        "stats": _part_stats_json(path),
+        "stats": _part_stats_json(written[0] if written else read_par1_meta(path)),
     }
 
 

@@ -34,16 +34,17 @@ files, all Ray-Data-first:
   live version still needs.
 
 Scans prune whole files from the manifests' per-file stats before any
-data task spawns — inline for small tables, fanned out over the manifest
-parts (``native_io._fan_out``) past ``_MANIFEST_DISTRIBUTE_THRESHOLD`` so
-the driver only ever holds the admitted path listing.  Clean files then
+data task spawns, through the rung datasets use (``native_io.
+_manifest_admit``, the predicate typed against the table schema) — inline
+for small tables, fanned out over the manifest parts' row groups past
+``_MANIFEST_DISTRIBUTE_THRESHOLD`` so the driver only ever holds the
+admitted path listing.  Clean files then
 take ``read_par1_dataset``'s full pruning ladder; position-deleted files
 take a row-group-streamed merge path.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -68,13 +69,14 @@ from .native_io import (
     _block_writer,
     _compact,
     _fan_out,
-    _manifest_admit_rows,
+    _manifest_admit,
     _manifest_admits_file,
     _pack_bins,
-    _rg_bytes,
+    _stats_from_json,
     _stream,
     from_json_stat,
     read_par1_dataset,
+    to_json_stat,
     write_par1_dataset,
 )
 
@@ -226,69 +228,22 @@ def _live_entries(table_dir: str, snap: dict) -> list[dict]:
     return out
 
 
-def _decode_stats(stats_json: str) -> dict:
-    st = json.loads(stats_json)
-    dec = from_json_stat  # THE shared wire decoder (native_io)
-    return {c: {**e, "min": dec(e["min"]), "max": dec(e["max"])} for c, e in st.items()}
+def _manifest_paths(table_dir: str, snap: dict) -> list[str]:
+    return [os.path.join(table_dir, m) for m in snap["manifests"]]
 
 
-def _entry_admits(entry: dict, branches) -> bool:
-    sj = entry.get("stats")
-    if not sj or not branches:
-        return True
-    return _manifest_admits_file(_decode_stats(sj), branches)
-
-
-def _admitted_paths(table_dir: str, snap: dict, branches) -> dict[str, int]:
-    """Live data files whose manifest stats admit the DNF, as {rel path:
-    bytes} in manifest order — the file-level pruning rung, with the sizes
-    the read fan-outs pack by.  Small tables evaluate inline; past
-    _MANIFEST_DISTRIBUTE_THRESHOLD rows the JSON-decode + admission loop
-    fans out over the manifest parts (``_fan_out``) and only admitted
-    entries return to the driver."""
-    mpaths = [os.path.join(table_dir, m) for m in snap["manifests"]]
-    if not mpaths:
-        return {}
-    if not branches:
-        out: dict[str, int] = {}
-        for mp in mpaths:
-            t = read_par1(mp, columns=["path", "bytes"])
-            out.update(zip(t["path"].to_pylist(), t["bytes"].to_pylist()))
-        return out
-    metas = [read_par1_meta(mp) for mp in mpaths]
-    if sum(md["num_rows"] for md in metas) <= _MANIFEST_DISTRIBUTE_THRESHOLD:
-        return {
-            e["path"]: e["bytes"]
-            for e in _live_entries(table_dir, snap)
-            if _entry_admits(e, branches)
-        }
-
-    def admit(batch: pa.Table) -> pa.Table:
-        ads: list[str] = []
-        sizes: list[int] = []
-        for mp in batch["m"].to_pylist():
-            mt = read_par1(mp, columns=["path", "bytes", "stats"])
-            ok = _manifest_admit_rows(mt, branches)
-            for p, b in zip(mt["path"].to_pylist(), mt["bytes"].to_pylist()):
-                if p in ok:
-                    ads.append(p)
-                    sizes.append(b)
-        return pa.table(
-            {
-                "admitted": pa.array([ads], pa.list_(pa.string())),
-                "bytes": pa.array([sizes], pa.list_(pa.int64())),
-            }
-        )
-
-    rows = (
-        _fan_out(
-            [{"m": mp} for mp in mpaths],
-            [sum(_rg_bytes(rg) for rg in md["row_groups"]) for md in metas],
-        )
-        .map_batches(admit, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
-    return {p: b for r in rows for p, b in zip(r["admitted"], r["bytes"])}
+def _table_plan(table_dir: str, snap: dict, predicate) -> tuple[dict, list]:
+    """(the table schema's column types, the predicate as DNF typed against
+    them).  The schema is the first live data file's ({} for a snapshot
+    with no data files)."""
+    types: dict = {}
+    if snap["manifests"]:
+        first = read_par1(
+            _manifest_paths(table_dir, snap)[0], columns=["path"], row_groups=[0]
+        )["path"][0].as_py()
+        nodes = _schema_tree(read_par1_meta(os.path.join(table_dir, first)))
+        types = {n.name: n.type for n in nodes}
+    return types, _normalize_predicate(predicate, types)
 
 
 BUCKET_COL = "_bucket"
@@ -428,7 +383,7 @@ def table_write(
 
 
 def _stat_bound(stats_json: str, col: str, which: str):
-    v = _decode_stats(stats_json).get(col, {}).get(which)
+    v = _stats_from_json(stats_json).get(col, {}).get(which)
     return v.decode("utf-8", "replace") if isinstance(v, bytes) else v
 
 
@@ -443,7 +398,7 @@ def _write_position_deletes(
     scans load only the delete files covering their data file).  Returns
     the new delete entries ([] when nothing matched)."""
     pcols = sorted({c for br in branches for c, _op, _v in br})
-    cand = _admitted_paths(table_dir, snap, branches)
+    cand, _known = _manifest_admit(_manifest_paths(table_dir, snap), branches)
     if not cand:
         return []
 
@@ -515,11 +470,12 @@ def table_delete(
     they match.  No data file is rewritten in either mode.  Returns the
     new version (a position delete that matches nothing is a no-op, not a
     commit)."""
-    branches = _normalize_predicate(predicate)
-    if not branches:
-        raise ValueError("table_delete needs a predicate")
     if mode not in ("position", "equality"):
         raise ValueError(f"mode {mode!r}")
+    snap = load_snapshot(table_dir)
+    _types, branches = _table_plan(table_dir, snap, predicate)
+    if not branches:
+        raise ValueError("table_delete needs a predicate")
     if mode == "equality":
         pred_json = _pred_to_json(branches)
 
@@ -538,7 +494,6 @@ def table_delete(
             }
 
         return _commit(table_dir, "delete", build_eq)
-    snap = load_snapshot(table_dir)
     txn = txn_id or uuid.uuid4().hex[:12]
     new_del = _write_position_deletes(table_dir, snap, branches, txn)
     if not new_del:
@@ -618,7 +573,7 @@ def table_upsert(
         keys = ds.unique(key)
         if not keys:
             raise ValueError("table_upsert: empty dataset")
-        branches = _normalize_predicate((key, "in", keys))
+        _types, branches = _table_plan(table_dir, snap, (key, "in", keys))
         new_del = _write_position_deletes(table_dir, snap, branches, txn)
     man = write_par1_dataset(
         ds, os.path.join(table_dir, DATA_DIR, txn), **write_kwargs
@@ -663,16 +618,12 @@ def table_changes(
         m for m in to_snap["manifests"] if m not in set(from_snap["manifests"])
     ]
     if not new_manifests:
-        ref = _live_entries(table_dir, to_snap)
-        if not ref:
+        types, _ = _table_plan(table_dir, to_snap, None)
+        if not types:
             raise ValueError("table_changes: empty table")
-        nodes = _schema_tree(
-            read_par1_meta(os.path.join(table_dir, ref[0]["path"]))
-        )
-        names = list(columns) if columns is not None else [n.name for n in nodes]
+        names = list(columns) if columns is not None else list(types)
         return rd.from_arrow(
-            pa.table({nm: pa.chunked_array([], type=dict(
-                (n.name, n.type) for n in nodes)[nm]) for nm in names})
+            pa.table({nm: pa.chunked_array([], type=types[nm]) for nm in names})
         )
     paths: list[str] = []
     for m in new_manifests:
@@ -705,17 +656,8 @@ def _txn_of(rel: str) -> str:
 
 
 def _pred_to_json(branches) -> list:
-    """Normalized DNF branches -> JSON-safe nesting (bytes values, which
-    _normalize_predicate produces for strings, travel base64-wrapped)."""
-
-    def enc(v):
-        if isinstance(v, bytes):
-            return {"b64": base64.b64encode(v).decode()}
-        if isinstance(v, list):
-            return [enc(x) for x in v]
-        return v
-
-    return [[[c, op, enc(v)] for c, op, v in br] for br in branches]
+    """Normalized DNF branches -> JSON-safe nesting (``to_json_stat``)."""
+    return [[[c, op, to_json_stat(v)] for c, op, v in br] for br in branches]
 
 
 def _pred_from_json(obj) -> list[list[tuple[str, str, object]]]:
@@ -734,7 +676,7 @@ def _eq_deletes_for_file(snap: dict, rel: str, stats_json: str | None = None):
     stats = None
     if stats_json:
         try:
-            stats = _decode_stats(stats_json)
+            stats = _stats_from_json(stats_json)
         except Exception:
             stats = None
     out = []
@@ -909,22 +851,18 @@ def table_scan(
     """Snapshot-consistent distributed scan (optionally time-traveled via
     `version`, or of a staging `branch` head).
     The manifests ARE the scan index: per-file stats prune whole files
-    before any data task spawns (inline or distributed — _admitted_paths).
+    before any data task spawns (inline or distributed — ``_manifest_admit``,
+    under the predicate typed against the table schema).
     Files untouched by deletes go through ``read_par1_dataset``'s full
     pruning ladder (row-group stats, ColumnIndex pages, blooms);
     position-deleted files take the merge-on-read path, packed into tasks
     by ``_fan_out`` from their manifest bytes.  The two streams union."""
     snap = load_snapshot(table_dir, version, branch=branch)
-    branches = _normalize_predicate(predicate)
     if not snap["manifests"]:
         raise ValueError(f"snapshot v{snap['version']} has no data files")
-    all_first = read_par1(
-        os.path.join(table_dir, snap["manifests"][0]), columns=["path"]
-    )["path"][0].as_py()
-    live = _admitted_paths(table_dir, snap, branches)
-    nodes = _schema_tree(read_par1_meta(os.path.join(table_dir, all_first)))
-    names = list(columns) if columns is not None else [n.name for n in nodes]
-    types = {n.name: n.type for n in nodes}
+    types, branches = _table_plan(table_dir, snap, predicate)
+    live, _known = _manifest_admit(_manifest_paths(table_dir, snap), branches)
+    names = list(columns) if columns is not None else list(types)
     if not live:
         return rd.from_arrow(
             pa.table({nm: pa.chunked_array([], type=types[nm]) for nm in names})
@@ -1013,13 +951,11 @@ def table_bucket_join(
         )
 
     def side(table_dir, snap, on, cols):
-        live = _admitted_paths(table_dir, snap, [])
+        live, _known = _manifest_admit(_manifest_paths(table_dir, snap), [])
         if not live:
             raise ValueError(f"{table_dir}: no live data files")
-        nodes = _schema_tree(
-            read_par1_meta(os.path.join(table_dir, next(iter(live))))
-        )
-        names = [n.name for n in nodes]
+        types, _ = _table_plan(table_dir, snap, None)
+        names = list(types)
         sel = [c for c in (cols if cols is not None else names) if c != BUCKET_COL]
         if on not in sel:
             sel = [on] + sel
@@ -1038,7 +974,6 @@ def table_bucket_join(
             if b is None:
                 raise ValueError(f"{table_dir}: unbucketed data file {rel}")
             by_bucket.setdefault(b, []).append((rel, dels, eqs))
-        types = {n.name: n.type for n in nodes}
         empty = pa.table({c: pa.chunked_array([], type=types[c]) for c in sel})
         return by_bucket, sel, empty, live
 
@@ -1228,17 +1163,9 @@ def explain_table_scan(
     (with their delete kinds).  All numbers come from snapshot JSON +
     manifest parquet only."""
     snap = load_snapshot(table_dir, version)
-    branches = _normalize_predicate(predicate)
-    # ONE manifest pass serves both the live count and the admission filter
-    # (this is observability — inline evaluation is fine at any size)
-    entries = _live_entries(table_dir, snap)
-    live_all = [e["path"] for e in entries]
-    admitted = (
-        [e["path"] for e in entries if _entry_admits(e, branches)]
-        if branches
-        else list(live_all)
-    )
-    clean, dirty = _split_clean_dirty(table_dir, snap, admitted)
+    _types, branches = _table_plan(table_dir, snap, predicate)
+    admitted, live_all = _manifest_admit(_manifest_paths(table_dir, snap), branches)
+    clean, dirty = _split_clean_dirty(table_dir, snap, list(admitted))
     kinds = {"pos": 0, "eq": 0, "eqfile": 0}
     for d in snap["deletes"]:
         kinds[d.get("kind", "pos")] += 1

@@ -1392,25 +1392,36 @@ def test_delta_bp_int32_full_range_wraps_at_32_bits(tmp_path):
 
 
 def test_pruned_reads_parse_the_footer_once(tmp_path, monkeypatch):
-    """read_par1_pruned hands its FileMetaData to read_par1_page_index, and
+    """read_par1_pruned parses the footer once, the OffsetIndex of the
+    columns it reads and the ColumnIndex of the predicate columns only, and
     scan_par1_column is one read_par1_pruned call."""
+    from collections import Counter
+
     from parquet_go_ray.formats import par1
 
     p = str(tmp_path / "once.parquet")
     tbl = pa.table({"a": pa.array(np.arange(5000)), "s": pa.array([f"v{i % 50}" for i in range(5000)])})
     write_par1(tbl, p, page_rows=500)
-    parses = []
+    parses = Counter()
 
     class Counting(CompactReader):
         def read_struct(self, spec_name, pos=0):
-            if spec_name == "FileMetaData":
-                parses.append(spec_name)
+            parses[spec_name] += 1
             return super().read_struct(spec_name, pos)
+
+    def counts():
+        got = {k: parses[k] for k in ("FileMetaData", "OffsetIndex", "ColumnIndex")}
+        parses.clear()
+        return got
 
     monkeypatch.setattr(par1, "CompactReader", Counting)
     got, st = par1.read_par1_pruned(p, None, ("a", ">=", 4200))
-    assert len(parses) == 1 and got.num_rows == 800 and st["pages_decoded"] == 4
-    parses.clear()
+    assert got.num_rows == 800 and st["pages_decoded"] == 4
+    assert counts() == {"FileMetaData": 1, "OffsetIndex": 2, "ColumnIndex": 1}
     got, st = par1.scan_par1_column(p, "a", (">=", 4200))
-    assert len(parses) == 1 and got.num_rows == 800
+    assert got.num_rows == 800
     assert st == {"pages_total": 10, "pages_decoded": 2}
+    assert counts() == {"FileMetaData": 1, "OffsetIndex": 1, "ColumnIndex": 1}
+    got, st = par1.read_par1_pruned(p)
+    assert got.equals(tbl) and st["pages_decoded"] == st["pages_total"] == 20
+    assert counts() == {"FileMetaData": 1, "OffsetIndex": 2, "ColumnIndex": 0}

@@ -872,7 +872,7 @@ def test_par1_manifest_file_pruning(ray_session, tmp_path):
     from parquet_go_ray.formats.par1 import _normalize_predicate, read_par1
     from parquet_go_ray.pipelines.native_io import (
         MANIFEST_NAME,
-        _manifest_prune,
+        _manifest_admit,
         build_par1_manifest,
         read_par1_dataset,
         write_par1_dataset,
@@ -901,7 +901,10 @@ def test_par1_manifest_file_pruning(ray_session, tmp_path):
         for p in glob.glob(d + "/**/*.parquet", recursive=True)
         if os.path.basename(p) != MANIFEST_NAME
     )
-    kept = _manifest_prune(paths, mpath, _normalize_predicate(("k", "<", 3000)))
+    admitted, known = _manifest_admit(
+        [mpath], _normalize_predicate(("k", "<", 3000), {"k": pa.int64()})
+    )
+    kept = [p for p in paths if p not in known or p in admitted]
     assert 0 < len(kept) < len(paths)
 
     got = read_par1_dataset(d, columns=["k"], predicate=("k", "<", 3000)).to_pandas()

@@ -6,7 +6,10 @@ both containers answer every predicate the same way, and the same as Arrow."""
 from __future__ import annotations
 
 import datetime
+import glob
 import hashlib
+import os
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -310,13 +313,18 @@ def test_unsigned_scan_par1_column(unsigned_file, col, op, val):
 
 
 @pytest.mark.parametrize("col,op,val", U_CASES)
-def test_unsigned_manifest_stats_admit(unsigned_file, col, op, val):
-    from parquet_go_ray.formats.par1 import _normalize_predicate
+def test_unsigned_manifest_stats_admit(unsigned_file, tmp_path, col, op, val):
+    from parquet_go_ray.formats.par1 import _normalize_predicate, read_par1_meta
     from parquet_go_ray.pipelines import native_io
 
-    path, _tbl = unsigned_file
-    man = pa.table({"path": [path], "stats": [native_io._part_stats_json(path)]})
-    assert native_io._manifest_admit_rows(man, _normalize_predicate((col, op, val))) == {path}
+    path, tbl = unsigned_file
+    row = {"path": path, "partition": "", "rows": tbl.num_rows, "bytes": 0, "skipped": False,
+           "stats": native_io._part_stats_json(read_par1_meta(path))}
+    mpath = str(tmp_path / native_io.MANIFEST_NAME)
+    write_par1(native_io._manifest_table([row]), mpath)
+    branches = _normalize_predicate((col, op, val), {c: tbl[c].type for c in tbl.column_names})
+    admitted, known = native_io._manifest_admit([mpath], branches)
+    assert set(admitted) == known == {path}
 
 
 # -- date and timestamp probes ----------------------------------------------
@@ -384,3 +392,160 @@ def test_temporal_probes_match_arrow(temporal_file, col, op, val):
     assert one.equals(want.select([col]))
     if op in ("==", "<", "in"):
         assert st["pages_decoded"] < st["pages_total"]  # the probe prunes pages
+
+
+# -- one typed scan plan: datasets, manifests and tables ---------------------
+
+PLAN_FILES, PLAN_ROWS = 3, 400  # file f holds rows [f * PLAN_ROWS, (f + 1) * PLAN_ROWS)
+_UTC = datetime.timezone.utc
+_PLUS2 = datetime.timezone(datetime.timedelta(hours=2))
+
+
+def _plan_table(lo: int, hi: int) -> pa.Table:
+    """Row i: date T_DAY0 + i // 8 days; timestamps T_TS0 + 1.5 s * i in ms,
+    T_TS0 + 2.000001 s * i in us (every 13th null) and T_TS0 + 1.5 s * i in
+    tz-aware us."""
+    i = np.arange(lo, hi)
+    base_us = 1_577_867_400_000_000  # T_TS0 as UTC microseconds
+    return pa.table(
+        {
+            "d": pa.array(18_262 + i // 8, pa.int32()).cast(pa.date32()),
+            "ts_ms": pa.array(base_us // 1000 + 1500 * i, pa.timestamp("ms")),
+            "ts_us": pa.array(base_us + 2_000_001 * i, pa.timestamp("us"), mask=i % 13 == 0),
+            "ts_tz": pa.array(base_us + 1_500_000 * i, pa.timestamp("us", tz="UTC")),
+            "v": pa.array(i, pa.int64()),
+        }
+    )
+
+
+def _plan_cases():
+    day = lambda k: T_DAY0 + datetime.timedelta(days=k)  # noqa: E731
+    at = lambda **kw: T_TS0 + datetime.timedelta(**kw)  # noqa: E731
+    return [
+        ("d", "==", day(60)),
+        ("d", "in", [day(3), day(140)]),
+        ("d", "<", day(20)),
+        ("d", ">=", datetime.datetime(2020, 4, 10, 12)),  # a datetime on a date column
+        ("ts_ms", ">=", at(seconds=900)),
+        ("ts_ms", "==", at(milliseconds=3000)),
+        ("ts_ms", "<", at(milliseconds=1500, microseconds=1)),  # between stored ms
+        ("ts_ms", "==", at(milliseconds=1500, microseconds=1)),
+        ("ts_us", "in", [at(microseconds=5 * 2_000_001), at(microseconds=1000 * 2_000_001)]),
+        ("ts_us", ">", at(seconds=1000, microseconds=3)),
+        ("ts_tz", ">=", (at(seconds=1500) + datetime.timedelta(hours=2)).replace(tzinfo=_PLUS2)),
+        ("ts_tz", "<", at(seconds=90).replace(tzinfo=_UTC)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def plan_data(ray_session, tmp_path_factory):
+    """The same rows as a PAR1 dataset with a `_manifest.parquet` and as a
+    table, one sorted file per PLAN_ROWS rows."""
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines import native_io, table
+
+    root = tmp_path_factory.mktemp("plan")
+    d = str(root / "ds")
+    os.makedirs(d)
+    parts = [_plan_table(f * PLAN_ROWS, (f + 1) * PLAN_ROWS) for f in range(PLAN_FILES)]
+    for f, t in enumerate(parts):
+        write_par1(t, f"{d}/part_{f}.parquet", page_rows=50)
+    native_io.build_par1_manifest(d)
+    tdir = str(root / "tbl")
+    table.table_write(rd.from_arrow(parts), tdir, page_rows=50)
+    return d, tdir
+
+
+def _plan_oracle(d: str, pred) -> list:
+    files = sorted(glob.glob(f"{d}/part_*.parquet"))
+    return sorted(pq.read_table(files, filters=[pred])["v"].to_pylist())
+
+
+def _vs(ds) -> list:
+    return sorted(v for b in ds.iter_batches(batch_format="pyarrow") for v in b["v"].to_pylist())
+
+
+@pytest.mark.parametrize("pred", _plan_cases(), ids=[f"{c}{op}{i}" for i, (c, op, _v) in enumerate(_plan_cases())])
+def test_typed_predicates_agree_across_entry_points(plan_data, tmp_path, pred):
+    """A date or datetime probe gives pyarrow's rows through every entry
+    point: dataset reads with and without the manifest, explain_par1_scan,
+    table_scan, explain_table_scan and both table_delete modes."""
+    from parquet_go_ray.pipelines import native_io, table
+
+    d, tdir = plan_data
+    want = _plan_oracle(d, pred)
+    assert _vs(native_io.read_par1_dataset(d, predicate=pred)) == want
+    assert _vs(native_io.read_par1_dataset(d, predicate=pred, use_manifest=False)) == want
+    ex = native_io.explain_par1_scan(d, predicate=pred)
+    assert ex["rows_out"] == len(want)
+    assert ex["files_after_manifest"] == len({v // PLAN_ROWS for v in want})
+    assert _vs(table.table_scan(tdir, predicate=pred)) == want
+    hit_files = sum(
+        pq.read_table(os.path.join(tdir, e["path"]), filters=[pred]).num_rows > 0
+        for e in table.table_files(tdir)
+    )
+    assert table.explain_table_scan(tdir, predicate=pred)["files_admitted"] == hit_files
+    everything = list(range(PLAN_FILES * PLAN_ROWS))
+    for mode in ("position", "equality"):
+        t = str(tmp_path / mode)
+        shutil.copytree(tdir, t)
+        table.table_delete(t, pred, mode=mode)
+        assert _vs(table.table_scan(t)) == sorted(set(everything) - set(want)), mode
+
+
+def test_dataset_manifest_admission_inline_matches_distributed(plan_data, monkeypatch):
+    from parquet_go_ray.formats.par1 import _normalize_predicate, read_par1_meta, _schema_tree
+    from parquet_go_ray.pipelines import native_io
+
+    d, _tdir = plan_data
+    mpath = f"{d}/{native_io.MANIFEST_NAME}"
+    types = {n.name: n.type for n in _schema_tree(read_par1_meta(f"{d}/part_0.parquet"))}
+    for pred in _plan_cases():
+        branches = _normalize_predicate(pred, types)
+        inline = native_io._manifest_admit([mpath], branches)
+        monkeypatch.setattr(native_io, "_MANIFEST_DISTRIBUTE_THRESHOLD", 0)
+        dist = native_io._manifest_admit([mpath], branches)
+        monkeypatch.undo()
+        assert dist == inline, pred
+        assert len(inline[1]) == PLAN_FILES
+
+
+def test_union_schema_does_not_depend_on_the_manifest(ray_session, tmp_path):
+    """union_by_name unifies the whole listing, not the files the manifest
+    admits: file b's extra column stays in the schema when b is pruned."""
+    from parquet_go_ray.pipelines import native_io
+
+    d = str(tmp_path / "evo")
+    os.makedirs(d)
+    write_par1(pa.table({"k": pa.array(range(100), pa.int64())}), f"{d}/a.parquet")
+    write_par1(pa.table({"k": pa.array(range(100, 200), pa.int64()),
+                         "y": pa.array(range(100), pa.int64())}), f"{d}/b.parquet")
+    native_io.build_par1_manifest(d)
+    schemas = []
+    for use_manifest in ("auto", False):
+        ds = native_io.read_par1_dataset(d, predicate=("k", "<", 50), union_by_name=True,
+                                         use_manifest=use_manifest)
+        schemas.append(ds.schema().names)
+        assert ds.count() == 50
+    assert schemas == [["k", "y"], ["k", "y"]]
+    assert native_io.explain_par1_scan(d, predicate=("k", "<", 50))["files_after_manifest"] == 1
+
+
+def test_every_scan_normalization_is_typed():
+    """Every _normalize_predicate call in the dataset and table scan paths
+    passes the schema's column types: an untyped one compares manifest
+    integers with date / datetime probes."""
+    import ast
+    import inspect
+
+    from parquet_go_ray.pipelines import native_io, table
+
+    calls = 0
+    for mod in (native_io, table):
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_normalize_predicate"):
+                calls += 1
+                assert len(node.args) + len(node.keywords) == 2, (mod.__name__, node.lineno)
+    assert calls >= 2

@@ -11,6 +11,7 @@ import pytest
 
 import ray.data as rd
 
+from parquet_go_ray.pipelines import native_io as nio
 from parquet_go_ray.pipelines import table as T
 
 
@@ -152,9 +153,9 @@ def test_scan_prunes_files_from_snapshot_stats(ray_session, tdir):
     T.table_write(rd.from_arrow(_mk(0, 500)), tdir)
     T.table_write(rd.from_arrow(_mk(10_000, 10_500)), tdir)
     snap = T.load_snapshot(tdir)
-    branches = T._normalize_predicate(("k", "<", 100))
+    _types, branches = T._table_plan(tdir, snap, ("k", "<", 100))
     assert len(T.table_files(tdir)) == 2
-    admitted = T._admitted_paths(tdir, snap, branches)
+    admitted, _known = nio._manifest_admit(T._manifest_paths(tdir, snap), branches)
     assert len(admitted) == 1
     got = _scan_pd(tdir, predicate=("k", "<", 100))
     assert list(got.k) == list(range(100))
@@ -190,10 +191,11 @@ def test_distributed_manifest_admission_matches_inline(ray_session, tdir, monkey
     T.table_write(rd.from_arrow(_mk(0, 500)).repartition(3), tdir)
     T.table_write(rd.from_arrow(_mk(20_000, 20_500)).repartition(2), tdir)
     snap = T.load_snapshot(tdir)
-    branches = T._normalize_predicate([[("k", "<", 100)], [("k", ">=", 20_400)]])
-    inline = sorted(T._admitted_paths(tdir, snap, branches))
-    monkeypatch.setattr(T, "_MANIFEST_DISTRIBUTE_THRESHOLD", 0)
-    dist = sorted(T._admitted_paths(tdir, snap, branches))
+    _types, branches = T._table_plan(tdir, snap, [[("k", "<", 100)], [("k", ">=", 20_400)]])
+    mpaths = T._manifest_paths(tdir, snap)
+    inline = sorted(nio._manifest_admit(mpaths, branches)[0])
+    monkeypatch.setattr(nio, "_MANIFEST_DISTRIBUTE_THRESHOLD", 0)
+    dist = sorted(nio._manifest_admit(mpaths, branches)[0])
     assert dist == inline and 0 < len(dist) < len(T.table_files(tdir))
 
 
@@ -275,7 +277,7 @@ def test_equality_delete_stats_keep_untouched_files_clean(ray_session, tdir):
     ]
     # only the low-key file can contain matching rows
     assert len(dirty) == 1
-    lo = T._decode_stats(ents[dirty[0]]["stats"])["k"]["min"]
+    lo = nio._stats_from_json(ents[dirty[0]]["stats"])["k"]["min"]
     assert lo == 0
     assert list(_scan_pd(tdir)["k"]) == list(range(10, 100)) + list(
         range(5000, 5100)
