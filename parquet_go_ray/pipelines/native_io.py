@@ -29,7 +29,9 @@ from typing import NamedTuple
 
 import pyarrow as pa
 
+import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 from ..sources.io import read_parquet_any as _read_parquet_any
 
@@ -265,8 +267,8 @@ def _rg_bytes(rg: dict) -> int:
 
 def _fan_out(items: list[dict], sizes: list[int | None]) -> rd.Dataset:
     """THE fan-out of every Ray job over a listing (scans, footer passes,
-    manifest admission, table reads, compaction bins): `items` as a
-    from_items dataset whose blocks the caller maps with
+    manifest admission, table reads, compaction bins, the sink's blocks):
+    `items` as a from_items dataset whose blocks the caller maps with
     ``batch_size=None``, one task per block.
 
     Task count: ``n = min(len(items), max(cpu_slots, ceil(sum(sizes) /
@@ -286,7 +288,10 @@ def _fan_out(items: list[dict], sizes: list[int | None]) -> rd.Dataset:
     slot starts at once; the global context and the caller's datasets are
     left alone.  UDFs that return data stream one table per item (a typed
     empty only when they yield nothing else), so a packed task holds one
-    item's table at a time."""
+    item's table at a time.  Packing is what parallelizes: a chain of
+    one-task-per-block maps holds a single worker lease (1 of 2 CPUs free
+    while two tasks are in flight), and the block-size bound alone does not
+    parallelize such a chain (8 MB let only 2 of 8 sink tasks overlap)."""
     target = DEFAULT.target_chunk_bytes
     sized = [target if s is None else s for s in sizes]
     n = min(len(items), max(cluster_cpus(), math.ceil(sum(sized) / target)))
@@ -639,21 +644,28 @@ def _admit_rows(mt: pa.Table, branches) -> tuple[list, list, list]:
     )
 
 
-def _manifest_admit(mpaths: list[str], branches) -> tuple[dict[str, int], set[str]]:
+def _manifest_admit(
+    mpaths: list[str], branches, stats: dict | None = None
+) -> tuple[dict[str, int], set[str]]:
     """THE file-level pruning rung of datasets (one ``_manifest.parquet``)
     and tables (the ``_manifests/<txn>/`` parts): the rows of the manifest
     files `mpaths` (columns path, bytes, stats) whose stats admit the typed
     DNF `branches`.  Returns ({admitted path: bytes}, every path the
     manifests list); callers keep files a manifest does not list
     (stale-manifest safe).  Up to _MANIFEST_DISTRIBUTE_THRESHOLD rows the
-    JSON decode and admission run inline on the driver; past it they fan
-    out over (manifest, row group) items (``_fan_out``) and only the path
-    lists return."""
-    cols = ["path", "bytes", "stats"] if branches else ["path", "bytes"]
-    # without a predicate there is nothing to decode: always inline
-    metas = [read_par1_meta(mp) for mp in mpaths] if branches else []
+    JSON decode and admission run inline on the driver, and a `stats` dict
+    receives {listed path: stats JSON} from the same read; past it they
+    fan out over (manifest, row group) items (``_fan_out``), only the path
+    lists return and `stats` stays empty."""
+    want = bool(branches) or stats is not None
+    cols = ["path", "bytes", "stats"] if want else ["path", "bytes"]
+    # without a predicate or wanted stats there is nothing to decode: always inline
+    metas = [read_par1_meta(mp) for mp in mpaths] if want else []
     if sum(md["num_rows"] for md in metas) <= _MANIFEST_DISTRIBUTE_THRESHOLD:
-        rows = [_admit_rows(read_par1(mp, columns=cols), branches) for mp in mpaths]
+        tables = [read_par1(mp, columns=cols) for mp in mpaths]
+        for t in tables if stats is not None else []:
+            stats.update(zip(t["path"].to_pylist(), t["stats"].to_pylist()))
+        rows = [_admit_rows(t, branches) for t in tables]
     else:
 
         def admit(batch: pa.Table) -> pa.Table:
@@ -721,7 +733,7 @@ class _ScanPlan(NamedTuple):
     """What a PAR1 dataset scan reads, decided once on the driver."""
 
     paths: list[str]  # the files to read, in listing order
-    sizes: dict[str, int]  # listed bytes by path ({} for a bare path list)
+    sizes: dict[str, int]  # listed or given bytes by path ({} for a bare path list)
     files_total: int  # files listed, before manifest admission
     types: dict[str, pa.DataType]  # the scan schema
     names: list[str]  # projected columns
@@ -755,7 +767,7 @@ def _union_types(paths: list[str]) -> dict[str, pa.DataType]:
 
 
 def _plan_scan(
-    paths: str | list[str],
+    paths: str | list[str] | dict[str, int],
     columns: list[str] | None,
     predicate,
     partitions: dict[str, object] | None = None,
@@ -773,7 +785,9 @@ def _plan_scan(
 
     src_dir = None
     sizes: dict[str, int] = {}
-    if isinstance(paths, str):
+    if isinstance(paths, dict):
+        sizes, paths = paths, list(paths)
+    elif isinstance(paths, str):
         if uri.isdir(paths):
             src_dir = paths
             sizes = _ls_parquet(paths)
@@ -848,7 +862,7 @@ def _scan_file(
 
 
 def read_par1_dataset(
-    paths: str | list[str],
+    paths: str | list[str] | dict[str, int],
     columns: list[str] | None = None,
     predicate: tuple | list | None = None,
     verify_crc: bool = False,
@@ -874,11 +888,12 @@ def read_par1_dataset(
     Driver-side state is just the file listing; footer parsing, chunk-
     Statistics row-group pruning, ColumnIndex page pruning and decode all
     run inside Ray tasks — ``_fan_out`` packs the files into tasks by their
-    listed bytes (a bare path list counts as unknown sizes: one task per
-    file), and each task streams one table per file.  This is the native
-    format's 100 TB scan path: per-task bytes are bounded by what the
-    indexes let through, and a predicate that misses a file costs one
-    footer read.  Flat leaf columns (read_par1_pruned semantics); outside
+    listed bytes, or the bytes a ``{path: bytes}`` input gives (a bare path
+    list counts as unknown sizes: one task per file), and each task streams
+    one table per file.  This is the native format's 100 TB scan path:
+    per-task bytes are bounded by what the indexes let through, and a
+    predicate that misses a file costs one footer read.  Flat leaf columns
+    (read_par1_pruned semantics); outside
     ``union_by_name`` a projected or predicate column missing from the
     first file's schema raises ValueError before any task runs.
 
@@ -1101,21 +1116,20 @@ def _pack_bins(entries, target_bytes: int) -> list[tuple]:
     return bins
 
 
-def _compact(bins: list[tuple], write_bin) -> rd.Dataset:
-    """Run `write_bin(group, paths) -> manifest rows` over every bin in
-    ``_fan_out`` tasks sized by the bins' bytes; returns the manifest
-    dataset."""
+def _write_in_slots(items: list, sizes: list[int | None], write_item) -> rd.Dataset:
+    """Run ``write_item(item) -> manifest rows`` over `items` (the sink's
+    block refs, the compactors' bins; they ride in the UDF's closure) in
+    ``_fan_out`` tasks sized by `sizes`; returns the manifest dataset."""
 
-    def compact_bin(batch: pa.Table) -> pa.Table:
-        rows = []
-        for i in batch["bin"].to_pylist():
-            group, paths, _bytes = bins[i]
-            rows += write_bin(group, paths)
-        return _manifest_table(rows)
+    def write(batch: pa.Table):
+        return _stream(
+            (_manifest_table(write_item(items[i])) for i in batch["i"].to_pylist()),
+            _manifest_table([]),
+        )
 
-    return _fan_out(
-        [{"bin": i} for i in range(len(bins))], [b for _g, _p, b in bins]
-    ).map_batches(compact_bin, batch_format="pyarrow", batch_size=None)
+    return _fan_out([{"i": i} for i in range(len(items))], sizes).map_batches(
+        write, batch_format="pyarrow", batch_size=None
+    )
 
 
 def compact_par1_dataset(
@@ -1155,10 +1169,10 @@ def compact_par1_dataset(
     bins = _pack_bins(
         [(_rel_subdir(p, in_dir), p, b) for p, b in sizes.items()], target_bytes
     )
-    return _compact(
-        bins,
-        lambda rel, paths: write(
-            pa.concat_tables([read_par1(p) for p in paths]), os.path.join(out_dir, rel), rel
+    return _write_in_slots(
+        bins, [b for _g, _p, b in bins],
+        lambda bin_: write(
+            pa.concat_tables([read_par1(p) for p in bin_[1]]), os.path.join(out_dir, bin_[0]), bin_[0]
         ),
     )
 
@@ -1571,8 +1585,11 @@ def write_par1_dataset(
     ``uri.publish`` (whole or absent), and an existing complete part is
     skipped — so a re-run of the same pipeline over the same input resumes
     instead of re-encoding, the same partitioned-output discipline as
-    encode_partitioned.  The parts follow the input's block layout: this
-    map runs on the caller's dataset and its context.
+    encode_partitioned.  Reads the input when called: `ds` is materialized
+    once (the caller's context is left alone) and its bytes sit in the
+    object store until the returned lazy dataset has written its blocks, in
+    ``_fan_out`` tasks packed by the blocks' bytes.  The parts follow the
+    input's block layout: one part per non-empty block.
 
     `partition_by`: hive-style layout — each block splits by that column's
     values into `out_dir/<col>=<value>/part_<tag>.parquet` (the column
@@ -1598,8 +1615,9 @@ def write_par1_dataset(
     if _fs_of(out_dir)[0] is None:
         os.makedirs(out_dir, exist_ok=True)
     write = _block_writer(write_kwargs, sort_by, cluster_by, partition_by)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        return _manifest_table(write(batch, out_dir))
-
-    return ds.map_batches(write_block, batch_format="pyarrow", batch_size=None)
+    blocks = [b for bundle in ds.materialize().iter_internal_ref_bundles() for b in bundle.blocks]
+    return _write_in_slots(
+        [ref for ref, _meta in blocks],
+        [meta.size_bytes for _ref, meta in blocks],
+        lambda ref: write(BlockAccessor.for_block(ray.get(ref)).to_arrow(), out_dir),
+    )

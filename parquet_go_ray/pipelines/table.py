@@ -65,15 +65,14 @@ from ..formats.par1 import (
     read_par1_pruned,
 )
 from .native_io import (
-    _MANIFEST_DISTRIBUTE_THRESHOLD,
     _block_writer,
-    _compact,
     _fan_out,
     _manifest_admit,
     _manifest_admits_file,
     _pack_bins,
     _stats_from_json,
     _stream,
+    _write_in_slots,
     from_json_stat,
     read_par1_dataset,
     to_json_stat,
@@ -811,33 +810,23 @@ def _read_file_with_deletes(
     return pa.concat_tables(out)
 
 
-def _split_clean_dirty(
-    table_dir: str, snap: dict, live: list[str]
-) -> tuple[list[str], list[tuple[str, list[str], list[dict]]]]:
-    """Partition the live file list into delete-free files (full pruning
-    ladder) and files needing the merge-on-read path, with their position
-    delete files and applicable equality deletes.  Equality deletes refine
-    by per-file stats when the table is small enough that the driver
-    already holds the manifest rows; in the distributed-admission regime
-    they gate by txn only (conservative — more files take the
-    merge-on-read path, never a wrong row)."""
-    stats_by_rel: dict[str, str] = {}
-    if any(d.get("kind") in ("eq", "eqfile") for d in snap["deletes"]):
-        total = sum(
-            read_par1_meta(os.path.join(table_dir, m))["num_rows"]
-            for m in snap["manifests"]
-        )
-        if total <= _MANIFEST_DISTRIBUTE_THRESHOLD:
-            stats_by_rel = {
-                e["path"]: e.get("stats") for e in _live_entries(table_dir, snap)
-            }
+def _admit_split(
+    table_dir: str, snap: dict, branches
+) -> tuple[dict[str, int], set[str], list[str], list[tuple[str, list[str], list[dict]]]]:
+    """({admitted rel: bytes}, every listed rel, delete-free rels, merge-on-read
+    (rel, position delete files, equality deletes)) of the snapshot's live
+    files under `branches` (``_manifest_admit``).  Equality deletes refine
+    by the per-file stats the inline admission read; past its threshold
+    they gate by txn only (more merge-on-read files, never a wrong row)."""
+    stats = {} if any(d.get("kind") in ("eq", "eqfile") for d in snap["deletes"]) else None
+    admitted, known = _manifest_admit(_manifest_paths(table_dir, snap), branches, stats)
     clean: list[str] = []
     dirty: list[tuple[str, list[str], list[dict]]] = []
-    for rel in live:
+    for rel in admitted:
         dels = _deletes_for_file(snap, rel)
-        eqs = _eq_deletes_for_file(snap, rel, stats_by_rel.get(rel))
+        eqs = _eq_deletes_for_file(snap, rel, (stats or {}).get(rel))
         (dirty.append((rel, dels, eqs)) if dels or eqs else clean.append(rel))
-    return clean, dirty
+    return admitted, known, clean, dirty
 
 
 def table_scan(
@@ -861,18 +850,17 @@ def table_scan(
     if not snap["manifests"]:
         raise ValueError(f"snapshot v{snap['version']} has no data files")
     types, branches = _table_plan(table_dir, snap, predicate)
-    live, _known = _manifest_admit(_manifest_paths(table_dir, snap), branches)
+    live, _known, clean, dirty = _admit_split(table_dir, snap, branches)
     names = list(columns) if columns is not None else list(types)
     if not live:
         return rd.from_arrow(
             pa.table({nm: pa.chunked_array([], type=types[nm]) for nm in names})
         )
-    clean, dirty = _split_clean_dirty(table_dir, snap, live)
     parts: list[rd.Dataset] = []
     if clean:
         parts.append(
             read_par1_dataset(
-                [os.path.join(table_dir, r) for r in clean],
+                {os.path.join(table_dir, r): live[r] for r in clean},
                 columns=names,
                 predicate=predicate,
                 **read_kwargs,
@@ -951,7 +939,7 @@ def table_bucket_join(
         )
 
     def side(table_dir, snap, on, cols):
-        live, _known = _manifest_admit(_manifest_paths(table_dir, snap), [])
+        live, _known, clean, dirty = _admit_split(table_dir, snap, [])
         if not live:
             raise ValueError(f"{table_dir}: no live data files")
         types, _ = _table_plan(table_dir, snap, None)
@@ -962,7 +950,6 @@ def table_bucket_join(
         unknown = [c for c in sel if c not in names]
         if unknown:
             raise ValueError(f"{table_dir}: unknown columns {unknown}")
-        clean, dirty = _split_clean_dirty(table_dir, snap, live)
         by_bucket: dict[int, list] = {}
         for rel in clean:
             b = _bucket_of(rel)
@@ -1083,7 +1070,8 @@ def table_compact(
     first = os.path.join(table_dir, entries[0]["path"])
     all_cols = [n.name for n in _schema_tree(read_par1_meta(first))]
 
-    def write_bin(bkt, rels: list[str]) -> list[dict]:
+    def write_bin(bin_: tuple) -> list[dict]:
+        bkt, rels, _bytes = bin_
         merged = pa.concat_tables(
             _read_file_with_deletes(
                 table_dir, rel, dels_by_file[rel], all_cols, [], eq_dels=eqs_by_file[rel]
@@ -1093,7 +1081,7 @@ def table_compact(
         dest = out_dir if bkt is None else os.path.join(out_dir, f"{BUCKET_COL}={bkt}")
         return write(merged, dest)
 
-    man = _compact(bins, write_bin)
+    man = _write_in_slots(bins, [b for _g, _p, b in bins], write_bin)
     rels, summary = _sink_manifest(table_dir, txn, man)
 
     base = snap  # the snapshot this rewrite was computed against
@@ -1164,8 +1152,7 @@ def explain_table_scan(
     manifest parquet only."""
     snap = load_snapshot(table_dir, version)
     _types, branches = _table_plan(table_dir, snap, predicate)
-    admitted, live_all = _manifest_admit(_manifest_paths(table_dir, snap), branches)
-    clean, dirty = _split_clean_dirty(table_dir, snap, list(admitted))
+    admitted, live_all, clean, dirty = _admit_split(table_dir, snap, branches)
     kinds = {"pos": 0, "eq": 0, "eqfile": 0}
     for d in snap["deletes"]:
         kinds[d.get("kind", "pos")] += 1

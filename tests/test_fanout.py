@@ -1,6 +1,7 @@
-"""The read-side fan-out (`native_io._fan_out`): its task-count rule, its
-block-size bound on its own dataset only, and packed scans against a
-pyarrow oracle."""
+"""The fan-out (`native_io._fan_out`): its task-count rule, its block-size
+bound on its own dataset only, packed scans against a pyarrow oracle, and
+the compactors and the sink packed into CPU-slot tasks with their part
+bytes pinned."""
 
 import math
 import os
@@ -247,6 +248,20 @@ def test_pack_bins_group_local_greedy():
     ]
 
 
+def _spy_fan_out(monkeypatch) -> list:
+    """Record (items, tasks) of every `_fan_out` call from now on."""
+    fanned = []
+    real = nio._fan_out
+
+    def spy(items, sizes):
+        ds = real(items, sizes)
+        fanned.append((len(items), _tasks(ds)))
+        return ds
+
+    monkeypatch.setattr(nio, "_fan_out", spy)
+    return fanned
+
+
 def test_compact_packs_bins_into_slot_tasks(ray_session, two_slots, small_parts, tmp_path):
     out = str(tmp_path / "compacted")
     sizes = nio._ls_parquet(small_parts)
@@ -275,15 +290,7 @@ def test_table_compact_packs_bins_into_slot_tasks(ray_session, two_slots, monkey
         rd.from_arrow([_part(f) for f in range(10)]), d, txn_id="w0", page_rows=64
     )
     table.table_delete(d, ("k", "<", 100), txn_id="d0")
-    fanned = []
-    real = nio._fan_out
-
-    def spy(items, sizes):
-        ds = real(items, sizes)
-        fanned.append((len(items), _tasks(ds)))
-        return ds
-
-    monkeypatch.setattr(nio, "_fan_out", spy)
+    fanned = _spy_fan_out(monkeypatch)
     # one part per bin; test_table_compact_bins_ignore_manifest_row_order
     # checks two-part bins
     table.table_compact(d, target_bytes=1, txn_id="c0", sort_by="v")
@@ -321,3 +328,80 @@ def test_table_compact_bins_ignore_manifest_row_order(ray_session, monkeypatch, 
         assert len(os.listdir(f"{tdir}/{table.DATA_DIR}/c0")) == 5  # two parts a bin
         digests.append(_parts_digest(f"{tdir}/{table.DATA_DIR}/c0"))
     assert digests[0] == digests[1]
+
+
+# -- the sink: blocks packed into CPU-slot tasks -----------------------------
+
+# sha256 over (relative path, bytes) of the parts written from
+# `_sink_blocks(case)`; taken from the one-task-per-block sink this
+# replaced, so the part layout, names and bytes are pinned unchanged
+SINK_DIGESTS = {
+    "sort_by": "49b5c0a0014b55599303bb16118792cbf131af009dcc8a46623d67c839b7c012",
+    "cluster_by": "a42f491544a7b09e76d0fc8027225d837739cb6719662aab7a6c538c0587a869",
+    "partition_by": "9721171b1e5adffe5c59514981dad3475f614495bee120fc21db32a496323b49",
+    "empty_block": "0e0f5ad8736f11c6df9826aa23631ea2c41fbb367f2e805bfdf3af6a73407c7e",
+}
+SINK_CASES = {
+    "sort_by": {"sort_by": "v"},
+    "cluster_by": {"cluster_by": ["g", "v"]},
+    "partition_by": {"partition_by": "p"},
+    "empty_block": {"sort_by": "k"},
+}
+
+
+def _sink_blocks(case: str) -> list[pa.Table]:
+    """Eight blocks of `_part` rows in descending key order, plus a column
+    `p` = k & 1; the "empty_block" case empties the fourth."""
+    blocks = []
+    for f in range(8):
+        t = _part(f).take(pa.array(range(ROWS - 1, -1, -1)))
+        blocks.append(t.append_column("p", pc.bit_wise_and(t["k"], 1)))
+    if case == "empty_block":
+        blocks[3] = blocks[3].slice(0, 0)
+    return blocks
+
+
+def _sink(blocks: list[pa.Table], out: str, **kw) -> pa.Table:
+    """The sink's manifest rows.  Ray Data stores an empty UDF output as an
+    empty block without columns, so empty blocks are dropped before the
+    concat."""
+    import ray
+    import ray.data as rd
+
+    ds = nio.write_par1_dataset(rd.from_arrow(blocks), out, page_rows=64, **kw)
+    return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs()) if t.num_rows])
+
+
+def test_sink_packs_blocks_into_slot_tasks(ray_session, two_slots, monkeypatch, tmp_path):
+    fanned = _spy_fan_out(monkeypatch)
+    man = _sink(_sink_blocks("sort_by"), str(tmp_path / "sink"), sort_by="v")
+    monkeypatch.undo()
+    assert fanned == [(8, 2)]  # eight blocks, two tasks
+    assert man.num_rows == 8 and sum(man["rows"].to_pylist()) == 8 * ROWS
+
+
+@pytest.mark.parametrize("case", sorted(SINK_CASES))
+def test_sink_parts_match_the_per_block_writer(ray_session, two_slots, tmp_path, case):
+    blocks, out = _sink_blocks(case), str(tmp_path / case)
+    man = _sink(blocks, out, **SINK_CASES[case])
+    assert sum(man["rows"].to_pylist()) == sum(b.num_rows for b in blocks)
+    assert not any(man["skipped"].to_pylist())
+    assert _parts_digest(out) == SINK_DIGESTS[case]
+    again = _sink(blocks, out, **SINK_CASES[case])  # a rerun skips every part
+    assert all(again["skipped"].to_pylist())
+    assert sorted(again["path"].to_pylist()) == sorted(man["path"].to_pylist())
+    assert _parts_digest(out) == SINK_DIGESTS[case]
+
+
+def test_table_scan_packs_its_clean_files(ray_session, two_slots, monkeypatch, tmp_path):
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines import table
+
+    d = str(tmp_path / "tbl")
+    table.table_write(rd.from_arrow([_part(f) for f in range(8)]), d, txn_id="w0", page_rows=64)
+    fanned = _spy_fan_out(monkeypatch)
+    ds = table.table_scan(d)
+    monkeypatch.undo()
+    assert fanned == [(8, 2)]  # eight delete-free files, two tasks
+    _same(_collect(ds), _oracle(f"{d}/{table.DATA_DIR}"))

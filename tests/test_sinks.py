@@ -251,7 +251,8 @@ def test_table_commit_faults(monkeypatch, tmp_path):
 class _Inline:
     """The slice of `ray.data.Dataset` these sinks use, run eagerly in this
     process: the patched `uri.open_any` would not reach a Ray worker, and
-    the write order (the N to tear) must be fixed."""
+    the write order (the N to tear) must be fixed.  Its blocks go to the
+    object store only as the refs `iter_internal_ref_bundles` hands out."""
 
     def __init__(self, blocks: list[pa.Table]):
         self.blocks = blocks
@@ -266,13 +267,31 @@ class _Inline:
     def materialize(self):
         return self
 
+    def iter_internal_ref_bundles(self):
+        import types
 
-def test_compact_par1_dataset_faults(monkeypatch, root):
+        import ray
+
+        yield types.SimpleNamespace(
+            blocks=[(ray.put(b), types.SimpleNamespace(size_bytes=b.nbytes)) for b in self.blocks]
+        )
+
+
+@pytest.fixture()
+def inline_tasks(monkeypatch):
+    """`_fan_out` as two in-process tasks, the items split as two CPU slots
+    would pack them."""
     from parquet_go_ray.pipelines import native_io
 
-    monkeypatch.setattr(
-        native_io, "_fan_out", lambda items, sizes: _Inline([pa.Table.from_pylist(items)])
-    )
+    def fan_out(items, sizes):
+        h = (len(items) + 1) // 2
+        return _Inline([pa.Table.from_pylist(t) for t in (items[:h], items[h:]) if t])
+
+    monkeypatch.setattr(native_io, "_fan_out", fan_out)
+
+
+def test_compact_par1_dataset_faults(monkeypatch, root, inline_tasks):
+    from parquet_go_ray.pipelines import native_io
 
     def setup(r):
         for i, t in enumerate(_parts(5, seed=3)):
@@ -291,7 +310,29 @@ def test_compact_par1_dataset_faults(monkeypatch, root):
     assert len(outs) == 3 and sum(read_par1(p).num_rows for p in outs) == 5 * 500
 
 
-def test_driver_query_sink_faults(monkeypatch, root, sf_dir):
+def test_write_par1_dataset_faults(ray_session, monkeypatch, root, inline_tasks):
+    """A sink torn after k of its parts resumes through the packed tasks
+    into the clean run's directory, byte for byte, skipping those k."""
+    from parquet_go_ray.pipelines import native_io
+
+    blocks = _parts(4, seed=4)
+    results = []
+
+    def op(r):
+        results.append(
+            native_io.write_par1_dataset(
+                _Inline(blocks), r + "/ds", sort_by="k", codec="zstd"
+            ).blocks
+        )
+
+    assert _run_faults(monkeypatch, root, lambda r: None, op) == 4  # one part per block
+    mans = [pa.concat_tables(m) for m in results]
+    assert all(m.num_rows == 4 and sum(m["rows"].to_pylist()) == 4 * 500 for m in mans)
+    # results[n] resumed the run torn at its n-th part: n - 1 parts were done
+    assert [sum(m["skipped"].to_pylist()) for m in mans] == [0, 0, 1, 2, 3]
+
+
+def test_driver_query_sink_faults(ray_session, monkeypatch, root, sf_dir, inline_tasks):
     import pyarrow.parquet as pq
 
     from parquet_go_ray.pipelines import native_io

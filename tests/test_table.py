@@ -505,3 +505,27 @@ def test_compact_conflicts_with_concurrent_delete(ray_session, tdir, monkeypatch
         T.table_compact(tdir, target_bytes=64 << 20)
     # and the table still honors the delete that won
     assert len(_scan_pd(tdir)) == 490
+
+
+def test_equality_delete_scan_reads_each_manifest_once(ray_session, tdir, monkeypatch):
+    """An equality delete refines by the per-file stats the manifest
+    admission already read: the scan reads the manifest part once for the
+    schema (`_table_plan`) and once for admission, never a third time."""
+    T.table_write(rd.from_arrow([_mk(i * 300, (i + 1) * 300) for i in range(4)]), tdir)
+    T.table_delete(tdir, ("k", "<", 100), mode="equality")
+    reads = []
+    for mod in (T, nio):
+        real = mod.read_par1
+
+        def spy(path, *a, _real=real, **kw):
+            if f"/{T.MANIFEST_DIR}/" in path:
+                reads.append(path)
+            return _real(path, *a, **kw)
+
+        monkeypatch.setattr(mod, "read_par1", spy)
+    ex = T.explain_table_scan(tdir, predicate=("k", ">=", 500))
+    assert (ex["files_admitted"], ex["files_clean"]) == (3, 3)  # stats clear the delete
+    reads.clear()
+    got = T.table_scan(tdir, predicate=("k", ">=", 500)).to_pandas()
+    assert len(reads) == 2 and len(set(reads)) == 1
+    assert sorted(got["k"]) == list(range(500, 1200))
