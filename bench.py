@@ -84,11 +84,7 @@ def run_bench() -> dict:
     from parquet_go_ray.pipelines.encode_pipeline import _plan_codecs
 
     ds.context.execution_options.preserve_order = True
-    plan = (
-        _plan_codecs(ds.take_batch(cfg.plan_sample_rows, batch_format="pyarrow"), cfg)
-        if cfg.plan_codecs_globally
-        else {}
-    )
+    plan = _plan_codecs(ds.take_batch(cfg.plan_sample_rows, batch_format="pyarrow"), cfg)
     # untimed warm-up: spawn + import + warm the worker pool (steady-state
     # throughput is what the 100 TB run sees; cold import is a one-off)
     from parquet_go_ray.pipelines.encode_pipeline import encode_dataset

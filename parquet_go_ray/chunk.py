@@ -334,12 +334,7 @@ def encode_list_chunk(arr, cfg: EngineConfig = DEFAULT, outer: str = "none") -> 
     child = dense.flatten()
     lcodec, louter, _ = select_codec(lengths, cfg)
     lengths_row = encode_column_chunk(lengths, lcodec, louter, cfg)
-    if (
-        pa.types.is_list(child.type)
-        or pa.types.is_large_list(child.type)
-        or pa.types.is_struct(child.type)
-        or pa.types.is_map(child.type)
-    ):
+    if _is_nested(child.type):
         child_row = encode_any_chunk(child, cfg, outer)
     else:
         cvals = child.drop_null() if child.null_count else child
@@ -435,6 +430,12 @@ def _type_from_b64(s: str) -> pa.DataType:
     import base64
 
     return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(s))).field(0).type
+
+
+def _is_nested(t: pa.DataType) -> bool:
+    """List, large_list, struct or map: encoded by `encode_any_chunk` as
+    child chunks, never by a scalar codec."""
+    return pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_struct(t) or pa.types.is_map(t)
 
 
 def encode_any_chunk(arr, cfg: EngineConfig = DEFAULT, outer: str = "none") -> dict:
@@ -1049,12 +1050,7 @@ def column_sha256(arr) -> str:
     else:
         vals = arr
     t = vals.type
-    if not (
-        pa.types.is_list(t)
-        or pa.types.is_large_list(t)
-        or pa.types.is_struct(t)
-        or pa.types.is_map(t)
-    ):
+    if not _is_nested(t):
         vals, _ = _physical(vals)  # decimals/timestamps -> physical view
         t = vals.type
     if (

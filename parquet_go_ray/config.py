@@ -20,7 +20,6 @@ class EngineConfig:
                                   # no matter how fast
     enforce_reference_floor: bool = True  # hard per-chunk <= reference-policy size
     per_column_codec: dict = field(default_factory=dict)  # name -> codec override
-    plan_codecs_globally: bool = True  # one driver-side plan vs per-chunk trials
     plan_sample_rows: int = 20000
     page_rows: int | None = None     # sub-chunk page index (OffsetIndex analog,
                                      # reference: writer/writer.go:418-481): split

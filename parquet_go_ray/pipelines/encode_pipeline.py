@@ -7,8 +7,10 @@ Ray-Data shape — map-only, no hash exchange, the input read once:
            [split: contiguous, equal row counts; runs when called]
       -> _plan_codecs on the split's leading plan_sample_rows rows
            [driver; the blocks are fetched, the input is not read again]
-      -> map_batches(encode_partition, batch_size=None)
-           [lazy; one task per fragment, the tasks run concurrently]
+      -> native_io._run_in_slots over the split's non-empty fragments
+           [lazy; fragments packed into CPU-slot tasks by their bytes
+            (one per task when the chunk tables return as blocks), each
+            task reserving _task_cpus(); per fragment:]
            - local sort by (repo, path)  (helps DELTA_BYTE_ARRAY/dicts;
              local pc.sort_indices, never a global sort)
            - part id = digest of (fragment index, sorted rows); a part
@@ -20,10 +22,12 @@ Ray-Data shape — map-only, no hash exchange, the input read once:
 
 The split repartition gives every fragment the same rows and the same
 index whatever the input's block layout (order is preserved), so a part id
-is stable across resume attempts; only `num_parts` persists in
-`_plan.json`.  A salted hash exchange bought no compression
-here: the in-fragment sort re-clusters repos as well as a repo-keyed
-shuffle does (7.196 vs 7.198 on a 100k-row corpus, 16 parts).
+is stable across resume attempts and whatever task a fragment runs in;
+only `num_parts` persists in `_plan.json`.  Fragments are independent
+(all codec state is chunk-local), so a task may encode any of them.  A
+salted hash exchange bought no compression here: the in-fragment sort
+re-clusters repos as well as a repo-keyed shuffle does (7.196 vs 7.198 on
+a 100k-row corpus, 16 parts).
 
 The no-partition variant (`encode_dataset`) maps batches straight through
 `encode_table` — used for round-trip correctness queries where
@@ -39,13 +43,17 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 from ..sources.io import read_parquet_any as _read_parquet_any
 
+from ..chunk import _is_nested
 from ..config import DEFAULT, EngineConfig, cluster_cpus
-from ..stages.encode import encode_table
+from ..stages.encode import CHUNK_SCHEMA, encode_table
 from ..state import lineage as lin
+from . import native_io
 
 
 def _plan_codecs(sample: pa.Table, cfg: EngineConfig) -> dict:
@@ -79,12 +87,7 @@ def _plan_codecs(sample: pa.Table, cfg: EngineConfig) -> dict:
         col = sample[name]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        if (
-            pa.types.is_list(col.type)
-            or pa.types.is_large_list(col.type)
-            or pa.types.is_struct(col.type)
-            or pa.types.is_map(col.type)
-        ):
+        if _is_nested(col.type):
             continue  # nested columns keep per-chunk selection
         values = col.drop_null() if col.null_count else col
         codec, outer, _ = select_codec(values, cfg, column=name)
@@ -96,9 +99,6 @@ def _leading_rows(blocks: list, n: int) -> pa.Table:
     """The first `n` rows of `blocks`, a materialized dataset's
     (ref, metadata) pairs in order; empty blocks are never fetched, and no
     blocks give a table with no columns."""
-    import ray as _ray
-    from ray.data.block import BlockAccessor
-
     refs, rows = [], 0
     for ref, meta in blocks:
         if rows >= n:
@@ -106,36 +106,33 @@ def _leading_rows(blocks: list, n: int) -> pa.Table:
         if meta.num_rows:
             refs.append(ref)
             rows += meta.num_rows
-    tables = [BlockAccessor.for_block(b).to_arrow() for b in _ray.get(refs)]
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
     return pa.concat_tables(tables).slice(0, n) if tables else pa.table({})
 
 
-def _part_id(fragment: pa.Table) -> int:
+def _part_id(index: int, fragment: pa.Table) -> int:
     """Non-negative 63-bit part id from the fragment's POSITION and CONTENT.
 
-    Position is the map task's index: the split emits its non-empty
-    fragments first and in input order (empty ones, when rows < num_parts,
-    go last and never reach the UDF), so the index depends only on the row
-    count and num_parts.  It keeps identical fragments apart — a table of
-    two equal halves, a constant column.  Content is the sha1 of the
-    fragment's Arrow IPC serialization, as write_par1_dataset names its
-    parts: a resume over changed input re-encodes a fragment instead of
-    skipping it."""
+    Position is `index`, the fragment's place among the split's non-empty
+    fragments: the split emits them first and in input order (empty ones,
+    when rows < num_parts, go last), so the index depends only on the row
+    count and num_parts, not on the task that encodes the fragment.  It
+    keeps identical fragments apart — a table of two equal halves, a
+    constant column.  Content is the sha1 of the fragment's Arrow IPC
+    serialization, as write_par1_dataset names its parts: a resume over
+    changed input re-encodes a fragment instead of skipping it."""
     import hashlib
 
-    from ray.data._internal.execution.interfaces import TaskContext
-
-    from .native_io import _ipc_content_tag
-
-    ordinal = TaskContext.get_current().task_idx
-    key = f"{ordinal}:{_ipc_content_tag(fragment.combine_chunks())}"
+    key = f"{index}:{native_io._ipc_content_tag(fragment.combine_chunks())}"
     return int(hashlib.sha1(key.encode()).hexdigest()[:16], 16) >> 1
 
 
 def encode_partition(
-    fragment: pa.Table, cfg: EngineConfig, out_dir: str | None, plan: dict | None = None
+    fragment: pa.Table, index: int, cfg: EngineConfig, out_dir: str | None, plan: dict | None = None
 ) -> pa.Table:
-    """map_batches body: one input fragment = one output partition.
+    """One input fragment (the `index`-th of the split) = one output
+    partition; returns its metrics row (empty when the part is already on
+    disk), or its chunk table if out_dir is None.
 
     Deliberately a plain FUNCTION, not an actor: all dictionary/FSST state is
     chunk-local (SURVEY §7.3), so the stage is stateless and runs on Ray's
@@ -149,22 +146,16 @@ def encode_partition(
             sort_keys=[("repo", "ascending"), ("path", "ascending")],
         )
         fragment = fragment.take(idx)
-    part = _part_id(fragment)
+    part = _part_id(index, fragment)
     if out_dir is not None and lin.is_done(out_dir, part):
         return _METRICS_SCHEMA.empty_table()
     t0 = time.time()
-    chunk_tables = []
     bs = cfg.batch_size_rows
-    for lo in range(0, max(fragment.num_rows, 1), bs):
-        piece = fragment.slice(lo, bs)
-        if piece.num_rows == 0:
-            continue
-        chunk_tables.append(encode_table(piece, cfg, part=part, plan=plan))
-    chunks = (
-        pa.concat_tables(chunk_tables)
-        if chunk_tables
-        else encode_table(fragment, cfg, part=part, plan=plan).slice(0, 0)
-    )
+    chunk_tables = [
+        encode_table(fragment.slice(lo, bs), cfg, part=part, plan=plan)
+        for lo in range(0, fragment.num_rows, bs)
+    ]
+    chunks = pa.concat_tables(chunk_tables)
     wall = time.time() - t0
     metrics = {
         "part": part,
@@ -224,11 +215,13 @@ def encode_partitioned(
 
     Runs the read and the split when called: `ds` is read once into
     `num_parts` materialized fragments, and a `plan` of None is planned
-    here (when `cfg.plan_codecs_globally`) from the fragments' leading
-    `cfg.plan_sample_rows` rows.  Returns the lazy encode dataset, one
-    concurrent task per fragment: the metrics rows (blobs go to out_dir),
-    or the chunk tables if out_dir is None.  `plan` is a `_plan_codecs`
-    result computed ahead of time."""
+    here (unless `cfg.per_column_codec` is set) from the fragments' leading
+    `cfg.plan_sample_rows` rows.  Returns the lazy encode dataset, the
+    non-empty fragments packed into ``native_io._run_in_slots`` tasks of
+    `_task_cpus()` CPUs each: the metrics rows (blobs go to out_dir), or
+    the chunk tables if out_dir is None (one fragment per task, so every
+    chunk's rows share a block).  `plan` is a `_plan_codecs` result
+    computed ahead of time."""
     if num_parts is None:
         if cfg.partitions:
             num_parts = cfg.partitions
@@ -262,26 +255,23 @@ def encode_partitioned(
     split = ds.repartition(num_parts).materialize()
     blocks = [b for bundle in split.iter_internal_ref_bundles() for b in bundle.blocks]
     if plan is None:
-        plan = (
-            _plan_codecs(_leading_rows(blocks, cfg.plan_sample_rows), cfg)
-            if cfg.plan_codecs_globally and not cfg.per_column_codec
-            else {}
-        )
-    # Until a task finishes, Ray Data budgets each one at
-    # target_max_block_size x its generator buffer (128 MB x 2 by default),
-    # which in a small object store admits one encode task at a time — and
-    # every fragment is one task, so the estimate is never corrected.  Bound
-    # it by the largest fragment: an encode's output (metrics, or chunk
-    # tables that the reference floor keeps at most plain/dict+snappy size,
-    # plus per-chunk metadata the 1 MB floor covers) stays under the 1.5x of
-    # it at which Ray would slice a block and split a chunk's rows.  `split`
-    # holds its own copy of the context; the caller's is left alone.
-    split.context.target_max_block_size = max([meta.size_bytes or 0 for _, meta in blocks] + [1 << 20])
-    return split.map_batches(
-        functools.partial(encode_partition, cfg=cfg, out_dir=out_dir, plan=plan),
-        batch_format="pyarrow",
-        batch_size=None,
-        num_cpus=_task_cpus(),
+        plan = {} if cfg.per_column_codec else _plan_codecs(_leading_rows(blocks, cfg.plan_sample_rows), cfg)
+    fragments = [(ref, meta) for ref, meta in blocks if meta.num_rows]
+    sizes = [meta.size_bytes for _ref, meta in fragments]
+    if out_dir is None:
+        # the chunk tables come back as blocks, and reassemble_blocks needs
+        # every chunk's rows in one: sized at one target or more, each
+        # fragment gets a task of its own and a block bound above its size,
+        # so Ray never merges two chunk tables into a block it slices by rows
+        sizes = [max(s or 0, DEFAULT.target_chunk_bytes) for s in sizes]
+    return native_io._run_in_slots(
+        [ref for ref, _meta in fragments],
+        sizes,
+        lambda i, ref: encode_partition(
+            BlockAccessor.for_block(ray.get(ref)).to_arrow(), i, cfg, out_dir, plan
+        ),
+        CHUNK_SCHEMA.empty_table() if out_dir is None else _METRICS_SCHEMA.empty_table(),
+        task_cpus=_task_cpus(),
     )
 
 

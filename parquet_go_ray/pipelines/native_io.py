@@ -265,19 +265,22 @@ def _rg_bytes(rg: dict) -> int:
     return sum(ch["meta_data"]["total_compressed_size"] for ch in rg["columns"])
 
 
-def _fan_out(items: list[dict], sizes: list[int | None]) -> rd.Dataset:
+def _fan_out(items: list[dict], sizes: list[int | None], task_cpus: int = 1) -> rd.Dataset:
     """THE fan-out of every Ray job over a listing (scans, footer passes,
-    manifest admission, table reads, compaction bins, the sink's blocks):
+    manifest admission, table reads, and through ``_run_in_slots`` the
+    sink's blocks, the compaction bins and encode_partitioned's fragments):
     `items` as a from_items dataset whose blocks the caller maps with
-    ``batch_size=None``, one task per block.
+    ``batch_size=None`` and ``num_cpus=task_cpus``, one task per block.
 
-    Task count: ``n = min(len(items), max(cpu_slots, ceil(sum(sizes) /
-    DEFAULT.target_chunk_bytes)))`` — many small files pack into one task
-    per CPU slot, large inputs split into ~target-sized tasks, and there
-    are never more tasks than items.  An item of unknown size (None)
-    counts as one target, so it keeps its own task; footer-only jobs pass
-    0 and get one task per slot.  Two tasks per slot measured slower than
-    one (an 8-file lineitem scan at 2 Ray CPUs: 0.23 s vs 0.16 s).
+    Task count: the cluster holds ``slots = cluster_cpus() // task_cpus``
+    tasks at once (at least one), and ``n = min(len(items), max(slots,
+    ceil(sum(sizes) / DEFAULT.target_chunk_bytes)))`` — many small files
+    pack into one task per slot, large inputs split into ~target-sized
+    tasks, and there are never more tasks than items.  An item of unknown
+    size (None) counts as one target, so it keeps its own task; footer-only
+    jobs pass 0 and get one task per slot.  Two tasks per slot measured
+    slower than one (an 8-file lineitem scan at 2 Ray CPUs: 0.23 s vs
+    0.16 s).
 
     Ray Data budgets a task that has not reported output yet at
     target_max_block_size x 2 (256 MB by default), which in a small
@@ -294,7 +297,8 @@ def _fan_out(items: list[dict], sizes: list[int | None]) -> rd.Dataset:
     parallelize such a chain (8 MB let only 2 of 8 sink tasks overlap)."""
     target = DEFAULT.target_chunk_bytes
     sized = [target if s is None else s for s in sizes]
-    n = min(len(items), max(cluster_cpus(), math.ceil(sum(sized) / target)))
+    slots = max(1, cluster_cpus() // task_cpus)
+    n = min(len(items), max(slots, math.ceil(sum(sized) / target)))
     ds = rd.from_items(items, override_num_blocks=max(n, 1))
     ds.context.target_max_block_size = max(sized + [1 << 20])
     return ds
@@ -1116,19 +1120,20 @@ def _pack_bins(entries, target_bytes: int) -> list[tuple]:
     return bins
 
 
-def _write_in_slots(items: list, sizes: list[int | None], write_item) -> rd.Dataset:
-    """Run ``write_item(item) -> manifest rows`` over `items` (the sink's
-    block refs, the compactors' bins; they ride in the UDF's closure) in
-    ``_fan_out`` tasks sized by `sizes`; returns the manifest dataset."""
+def _run_in_slots(
+    items: list, sizes: list[int | None], run_item, empty: pa.Table, task_cpus: int = 1
+) -> rd.Dataset:
+    """THE runner of per-item jobs whose items the caller holds (the sink's
+    block refs, the compactors' bins, encode_partitioned's fragments; they
+    ride in the UDF's closure): ``run_item(i, items[i]) -> table`` in
+    ``_fan_out`` tasks sized by `sizes`, each reserving `task_cpus` CPUs.
+    The tables stream through ``_stream`` with the typed `empty`."""
 
-    def write(batch: pa.Table):
-        return _stream(
-            (_manifest_table(write_item(items[i])) for i in batch["i"].to_pylist()),
-            _manifest_table([]),
-        )
+    def run(batch: pa.Table):
+        return _stream((run_item(i, items[i]) for i in batch["i"].to_pylist()), empty)
 
-    return _fan_out([{"i": i} for i in range(len(items))], sizes).map_batches(
-        write, batch_format="pyarrow", batch_size=None
+    return _fan_out([{"i": i} for i in range(len(items))], sizes, task_cpus=task_cpus).map_batches(
+        run, batch_format="pyarrow", batch_size=None, num_cpus=task_cpus
     )
 
 
@@ -1169,11 +1174,12 @@ def compact_par1_dataset(
     bins = _pack_bins(
         [(_rel_subdir(p, in_dir), p, b) for p, b in sizes.items()], target_bytes
     )
-    return _write_in_slots(
+    return _run_in_slots(
         bins, [b for _g, _p, b in bins],
-        lambda bin_: write(
+        lambda _i, bin_: _manifest_table(write(
             pa.concat_tables([read_par1(p) for p in bin_[1]]), os.path.join(out_dir, bin_[0]), bin_[0]
-        ),
+        )),
+        _manifest_table([]),
     )
 
 
@@ -1588,8 +1594,9 @@ def write_par1_dataset(
     encode_partitioned.  Reads the input when called: `ds` is materialized
     once (the caller's context is left alone) and its bytes sit in the
     object store until the returned lazy dataset has written its blocks, in
-    ``_fan_out`` tasks packed by the blocks' bytes.  The parts follow the
-    input's block layout: one part per non-empty block.
+    ``_run_in_slots`` tasks packed by the blocks' bytes.  The parts follow
+    the input's block layout: one part per non-empty block (per partition
+    value under `partition_by`).
 
     `partition_by`: hive-style layout — each block splits by that column's
     values into `out_dir/<col>=<value>/part_<tag>.parquet` (the column
@@ -1616,8 +1623,9 @@ def write_par1_dataset(
         os.makedirs(out_dir, exist_ok=True)
     write = _block_writer(write_kwargs, sort_by, cluster_by, partition_by)
     blocks = [b for bundle in ds.materialize().iter_internal_ref_bundles() for b in bundle.blocks]
-    return _write_in_slots(
+    return _run_in_slots(
         [ref for ref, _meta in blocks],
         [meta.size_bytes for _ref, meta in blocks],
-        lambda ref: write(BlockAccessor.for_block(ray.get(ref)).to_arrow(), out_dir),
+        lambda _i, ref: _manifest_table(write(BlockAccessor.for_block(ray.get(ref)).to_arrow(), out_dir)),
+        _manifest_table([]),
     )

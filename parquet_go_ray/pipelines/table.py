@@ -69,10 +69,11 @@ from .native_io import (
     _fan_out,
     _manifest_admit,
     _manifest_admits_file,
+    _manifest_table,
     _pack_bins,
+    _run_in_slots,
     _stats_from_json,
     _stream,
-    _write_in_slots,
     from_json_stat,
     read_par1_dataset,
     to_json_stat,
@@ -1070,7 +1071,7 @@ def table_compact(
     first = os.path.join(table_dir, entries[0]["path"])
     all_cols = [n.name for n in _schema_tree(read_par1_meta(first))]
 
-    def write_bin(bin_: tuple) -> list[dict]:
+    def write_bin(_i: int, bin_: tuple) -> pa.Table:
         bkt, rels, _bytes = bin_
         merged = pa.concat_tables(
             _read_file_with_deletes(
@@ -1079,9 +1080,9 @@ def table_compact(
             for rel in rels
         )
         dest = out_dir if bkt is None else os.path.join(out_dir, f"{BUCKET_COL}={bkt}")
-        return write(merged, dest)
+        return _manifest_table(write(merged, dest))
 
-    man = _write_in_slots(bins, [b for _g, _p, b in bins], write_bin)
+    man = _run_in_slots(bins, [b for _g, _p, b in bins], write_bin, _manifest_table([]))
     rels, summary = _sink_manifest(table_dir, txn, man)
 
     base = snap  # the snapshot this rewrite was computed against

@@ -20,16 +20,33 @@ import numpy as np
 import pyarrow as pa
 
 from ..chunk import (
+    _is_nested,
     column_sha256,
     decode_column_chunk,
+    encode_any_chunk,
     encode_column_chunk,
     raw_nbytes,
 )
 from ..config import DEFAULT, EngineConfig
 from ..selector import REFERENCE_POLICY, select_codec
 
-META_COLS = ["chunk_id", "part", "column", "codec", "outer", "rows", "nulls",
-             "raw_bytes", "enc_bytes", "ref_bytes", "sha256"]
+# one row per column chunk
+CHUNK_SCHEMA = pa.schema(
+    [
+        ("chunk_id", pa.string()),
+        ("part", pa.int64()),
+        ("column", pa.string()),
+        ("codec", pa.string()),
+        ("outer", pa.string()),
+        ("rows", pa.int64()),
+        ("nulls", pa.int64()),
+        ("raw_bytes", pa.int64()),
+        ("enc_bytes", pa.int64()),
+        ("ref_bytes", pa.int64()),
+        ("sha256", pa.string()),
+        ("blob", pa.large_binary()),
+    ]
+)
 
 
 def encode_table(
@@ -42,114 +59,67 @@ def encode_table(
     codec is still subject to the reference floor."""
     shas = [column_sha256(table[c]) for c in table.column_names]
     chunk_id = hashlib.sha256("|".join(shas).encode()).hexdigest()[:20]
-    rows = {k: [] for k in META_COLS + ["blob"]}
+    rows = []
     for name, sha in zip(table.column_names, shas):
         col = table[name]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        if (
-            pa.types.is_list(col.type)
-            or pa.types.is_large_list(col.type)
-            or pa.types.is_struct(col.type)
-            or pa.types.is_map(col.type)
-        ):
-            from ..chunk import encode_any_chunk
-
+        if _is_nested(col.type):
             row = encode_any_chunk(col, cfg)
             # reference floor for nested: its default policy is PLAIN+snappy
             # over the value stream; approximate with snappy(raw buffers)
-            ref = len(
-                pa.Codec("snappy").compress(
-                    b"".join(bytes(b) for b in col.buffers() if b is not None),
-                    asbytes=True,
-                )
+            raw = b"".join(bytes(b) for b in col.buffers() if b is not None)
+            ref_bytes = max(len(pa.Codec("snappy").compress(raw, asbytes=True)), 1)
+        else:
+            values = col.drop_null() if col.null_count else col
+            codec, outer, stats = (
+                (*plan[name], {})
+                if plan and name in plan and name not in cfg.per_column_codec
+                else select_codec(values, cfg, column=name)
             )
-            rows["chunk_id"].append(chunk_id)
-            rows["part"].append(part)
-            rows["column"].append(name)
-            rows["codec"].append(row["codec"])
-            rows["outer"].append(row["outer"])
-            rows["rows"].append(row["rows"])
-            rows["nulls"].append(row["nulls"])
-            rows["raw_bytes"].append(row["raw_bytes"])
-            rows["enc_bytes"].append(row["enc_bytes"])
-            rows["ref_bytes"].append(max(ref, 1))
-            rows["sha256"].append(sha)
-            rows["blob"].append(row["blob"])
-            continue
-        values = col.drop_null() if col.null_count else col
-        codec, outer, stats = (
-            (*plan[name], {})
-            if plan and name in plan and name not in cfg.per_column_codec
-            else select_codec(values, cfg, column=name)
-        )
-        # sha already computed above for the chunk id — don't recompute per row
-        row = encode_column_chunk(
-            col, codec, outer, cfg, precomputed=stats.get("full_payload"),
-            sha=sha if cfg.verify_sha256 else "",
-        )
-        ref_bytes = None
-        if cfg.enforce_reference_floor:
-            # actual reference-policy size on the full chunk: the floor
-            # candidates are cheap (snappy ~GB/s, arrow dict encode is C++)
-            best_ref = None
-            for rcodec, router in REFERENCE_POLICY:
-                if rcodec == "dict_rle":
-                    # skip the dict floor trial for high-cardinality columns;
-                    # under global planning stats is {} -> measure cheaply on
-                    # a slice instead of always paying a full dict encode
-                    cr = stats.get("card_ratio")
-                    if cr is None:
-                        import pyarrow.compute as pc
+            # sha already computed above for the chunk id — don't recompute per row
+            row = encode_column_chunk(
+                col, codec, outer, cfg, precomputed=stats.get("full_payload"),
+                sha=sha if cfg.verify_sha256 else "",
+            )
+            ref_bytes = row["enc_bytes"]
+            if cfg.enforce_reference_floor:
+                # actual reference-policy size on the full chunk: the floor
+                # candidates are cheap (snappy ~GB/s, arrow dict encode is C++)
+                best_ref = None
+                for rcodec, router in REFERENCE_POLICY:
+                    if rcodec == "dict_rle":
+                        # skip the dict floor trial for high-cardinality columns;
+                        # under global planning stats is {} -> measure cheaply on
+                        # a slice instead of always paying a full dict encode
+                        cr = stats.get("card_ratio")
+                        if cr is None:
+                            import pyarrow.compute as pc
 
-                        sample = values.slice(0, min(len(values), 2048))
-                        cr = pc.count_distinct(sample).as_py() / max(len(sample), 1)
-                    if cr > 0.9:
+                            sample = values.slice(0, min(len(values), 2048))
+                            cr = pc.count_distinct(sample).as_py() / max(len(sample), 1)
+                        if cr > 0.9:
+                            continue
+                    try:
+                        # sha="" — the row's sha256 field comes from the
+                        # precomputed chunk-id hash below, never from a trial
+                        rrow = encode_column_chunk(col, rcodec, router, cfg, sha="")
+                    except Exception:
                         continue
-                try:
-                    # sha="" — the row's sha256 field comes from the
-                    # precomputed chunk-id hash below, never from a trial
-                    rrow = encode_column_chunk(col, rcodec, router, cfg, sha="")
-                except Exception:
-                    continue
-                if best_ref is None or rrow["enc_bytes"] < best_ref["enc_bytes"]:
-                    best_ref = rrow
-            forced = name in (cfg.per_column_codec or {})
-            if best_ref is not None:
-                ref_bytes = best_ref["enc_bytes"]
-                # the <=-reference guarantee applies to auto-selected and
-                # planned codecs; an explicit per-column override is
-                # honored as-is
-                if not forced and best_ref["enc_bytes"] < row["enc_bytes"]:
-                    row = best_ref
-        rows["chunk_id"].append(chunk_id)
-        rows["part"].append(part)
-        rows["column"].append(name)
-        rows["codec"].append(row["codec"])
-        rows["outer"].append(row["outer"])
-        rows["rows"].append(row["rows"])
-        rows["nulls"].append(row["nulls"])
-        rows["raw_bytes"].append(row["raw_bytes"])
-        rows["enc_bytes"].append(row["enc_bytes"])
-        rows["ref_bytes"].append(ref_bytes if ref_bytes is not None else row["enc_bytes"])
-        rows["sha256"].append(sha)
-        rows["blob"].append(row["blob"])
-    return pa.table(
-        {
-            "chunk_id": pa.array(rows["chunk_id"], pa.string()),
-            "part": pa.array(rows["part"], pa.int64()),
-            "column": pa.array(rows["column"], pa.string()),
-            "codec": pa.array(rows["codec"], pa.string()),
-            "outer": pa.array(rows["outer"], pa.string()),
-            "rows": pa.array(rows["rows"], pa.int64()),
-            "nulls": pa.array(rows["nulls"], pa.int64()),
-            "raw_bytes": pa.array(rows["raw_bytes"], pa.int64()),
-            "enc_bytes": pa.array(rows["enc_bytes"], pa.int64()),
-            "ref_bytes": pa.array(rows["ref_bytes"], pa.int64()),
-            "sha256": pa.array(rows["sha256"], pa.string()),
-            "blob": pa.array(rows["blob"], pa.large_binary()),
-        }
-    )
+                    if best_ref is None or rrow["enc_bytes"] < best_ref["enc_bytes"]:
+                        best_ref = rrow
+                forced = name in (cfg.per_column_codec or {})
+                if best_ref is not None:
+                    ref_bytes = best_ref["enc_bytes"]
+                    # the <=-reference guarantee applies to auto-selected and
+                    # planned codecs; an explicit per-column override is
+                    # honored as-is
+                    if not forced and best_ref["enc_bytes"] < row["enc_bytes"]:
+                        row = best_ref
+        rows.append(
+            dict(row, chunk_id=chunk_id, part=part, column=name, ref_bytes=ref_bytes, sha256=sha)
+        )
+    return pa.Table.from_pylist(rows, schema=CHUNK_SCHEMA)
 
 
 class ChunkDecoder:

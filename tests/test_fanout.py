@@ -1,11 +1,12 @@
 """The fan-out (`native_io._fan_out`): its task-count rule, its block-size
 bound on its own dataset only, packed scans against a pyarrow oracle, and
-the compactors and the sink packed into CPU-slot tasks with their part
-bytes pinned."""
+the compactors, the sink and the partitioned encode packed into CPU-slot
+tasks with their output bytes pinned."""
 
 import math
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -13,6 +14,7 @@ import pytest
 
 from parquet_go_ray.config import DEFAULT, cluster_cpus
 from parquet_go_ray.formats.par1 import write_par1
+from parquet_go_ray.pipelines import encode_pipeline as ep
 from parquet_go_ray.pipelines import native_io as nio
 
 MB = 1 << 20
@@ -20,7 +22,10 @@ MB = 1 << 20
 
 @pytest.fixture()
 def two_slots(monkeypatch):
+    """A cluster of two CPUs, as the fan-out and the encode's per-task
+    reservation see it."""
     monkeypatch.setattr(nio, "cluster_cpus", lambda: 2)
+    monkeypatch.setattr(ep, "cluster_cpus", lambda: 2)
 
 
 def _tasks(ds) -> int:
@@ -57,6 +62,13 @@ def test_unknown_sizes_one_task_per_item(ray_session, two_slots):
 
 def test_footer_only_one_task_per_slot(ray_session, two_slots):
     assert _tasks(nio._fan_out(_items(9), [0] * 9)) == 2
+
+
+def test_multi_cpu_tasks_count_slots(ray_session, monkeypatch):
+    monkeypatch.setattr(nio, "cluster_cpus", lambda: 4)
+    assert _tasks(nio._fan_out(_items(9), [0] * 9, task_cpus=2)) == 2
+    # at least one slot when a task reserves more CPUs than the cluster has
+    assert _tasks(nio._fan_out(_items(9), [0] * 9, task_cpus=8)) == 1
 
 
 def test_cluster_cpus_reads_the_session(ray_session):
@@ -253,8 +265,8 @@ def _spy_fan_out(monkeypatch) -> list:
     fanned = []
     real = nio._fan_out
 
-    def spy(items, sizes):
-        ds = real(items, sizes)
+    def spy(items, sizes, task_cpus=1):
+        ds = real(items, sizes, task_cpus=task_cpus)
         fanned.append((len(items), _tasks(ds)))
         return ds
 
@@ -405,3 +417,99 @@ def test_table_scan_packs_its_clean_files(ray_session, two_slots, monkeypatch, t
     monkeypatch.undo()
     assert fanned == [(8, 2)]  # eight delete-free files, two tasks
     _same(_collect(ds), _oracle(f"{d}/{table.DATA_DIR}"))
+
+
+# -- the partitioned encode: fragments packed into CPU-slot tasks ------------
+
+# sha256 over (part id, chunks.parquet bytes) of every part the encode
+# below writes; taken from the one-task-per-fragment encode this replaced,
+# whose part ids came from the map task's index
+ENCODE_DIGEST = "778a79f22980dc7ed9c2a5001d8ba98f2c9ed7e18ab360c89addaaa0920e26a0"
+
+
+def _lineage_digest(out: str) -> str:
+    import hashlib
+
+    from parquet_go_ray.state import lineage as lin
+
+    h = hashlib.sha256()
+    for part in sorted(lin.done_parts(out)):
+        h.update(str(part).encode())
+        with open(os.path.join(lin.part_dir(out, part), "chunks.parquet"), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
+def test_encode_packs_fragments_into_slot_tasks(ray_session, two_slots, monkeypatch, tmp_path):
+    import ray.data as rd
+
+    from parquet_go_ray.config import EngineConfig
+    from parquet_go_ray.sources.synth import make_code_table
+
+    t = make_code_table(800, seed=11)
+    cuts = [0, 266, 533, 800]  # three input blocks, none aligned to a fragment
+    src = [t.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    out, cfg = str(tmp_path / "enc"), EngineConfig(batch_size_rows=64)
+    fanned = _spy_fan_out(monkeypatch)
+    m = _collect(ep.encode_partitioned(rd.from_arrow(src), out, cfg, num_parts=8))
+    monkeypatch.undo()
+    assert fanned == [(8, 2)]  # eight fragments, two tasks
+    assert m.num_rows == 8 and sum(m["rows"].to_pylist()) == 800
+    assert _lineage_digest(out) == ENCODE_DIGEST
+    again = ep.encode_partitioned(rd.from_arrow(src), out, cfg, num_parts=8)
+    assert again.count() == 0  # a rerun skips every part
+    assert _lineage_digest(out) == ENCODE_DIGEST
+
+
+def test_encode_without_out_dir_keeps_each_chunk_in_one_block(ray_session, two_slots, monkeypatch):
+    """The chunk tables come back as blocks, and reassemble_blocks needs a
+    chunk's column rows in one.  Fragments over the 1 MB block floor whose
+    chunk tables come to 0.75-1x of the largest fragment would, packed two
+    to a task, merge into a block Ray slices by rows."""
+    import ray
+    import ray.data as rd
+
+    from parquet_go_ray.config import EngineConfig
+
+    rng = np.random.default_rng(5)
+    n = 6000  # four ~1.8 MB fragments that encode to ~0.83x of it
+    t = pa.table({"k": np.arange(n), "blob": [rng.bytes(1024) + bytes(200) for _ in range(n)]})
+    fanned = _spy_fan_out(monkeypatch)
+    ds = ep.encode_partitioned(rd.from_arrow(t), None, EngineConfig(batch_size_rows=500), num_parts=4)
+    blocks = ray.get(ds.to_arrow_refs())
+    monkeypatch.undo()
+    assert fanned == [(4, 4)]  # one fragment per task
+    seen = {}
+    for b, block in enumerate(blocks):
+        for cid in set(block["chunk_id"].to_pylist()):
+            assert cid not in seen, f"chunk {cid} in blocks {seen[cid]} and {b}"
+            seen[cid] = b
+    assert len(seen) == 12  # 3 chunks of 500 rows per fragment
+    assert sum(b.num_rows for b in blocks) == 2 * len(seen)  # a row per column
+
+
+def test_no_engine_module_imports_ray_internals():
+    """Engine code reaches Ray through its public API only: no module under
+    parquet_go_ray/ imports from ray.data._internal (a logger name is a
+    string, not an import)."""
+    import ast
+    import pathlib
+
+    import parquet_go_ray
+
+    root = pathlib.Path(parquet_go_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            bad += [
+                f"{path.relative_to(root)}:{node.lineno} {n}"
+                for n in names
+                if n == "ray.data._internal" or n.startswith("ray.data._internal.")
+            ]
+    assert not bad, bad

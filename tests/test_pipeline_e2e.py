@@ -293,7 +293,7 @@ def test_split_balances_giant_repo_skew(ray_session):
             "path": pa.array([f"src/f{i}.py" for i in range(n)]),
         }
     )
-    cfg = EngineConfig(batch_size_rows=5000, plan_codecs_globally=False)
+    cfg = EngineConfig(batch_size_rows=5000)
     chunks = encode_partitioned(rd.from_arrow([t.slice(0, 13000), t.slice(13000)]), None, cfg, num_parts=8)
     chunks = chunks.to_pandas()
     rows = chunks[chunks.column == "repo"].groupby("part").rows.sum()
@@ -1337,13 +1337,13 @@ def test_resume_reuses_persisted_plan(ray_session, tmp_path):
             "content": pa.array([f"line {i}" * 4 for i in range(400)]),
         }
     )
-    cfg = EngineConfig(partitions=4, plan_codecs_globally=False, verify_sha256=False)
+    cfg = EngineConfig(partitions=4, verify_sha256=False)
     encode_partitioned(rd.from_arrow(t), out, cfg).materialize()
     plan = lin.read_plan(out)
     assert plan == {"num_parts": 4}
     # a "resume" with a DIFFERENT requested partitioning must stick to the
     # recorded plan (4), not remap rows into 2 parts
-    cfg2 = EngineConfig(partitions=2, plan_codecs_globally=False, verify_sha256=False)
+    cfg2 = EngineConfig(partitions=2, verify_sha256=False)
     m = encode_partitioned(rd.from_arrow(t), out, cfg2).materialize()
     # all rows were checkpointed under plan=4; under a remapped plan=2 the
     # fragments (and so their part ids) would differ and re-encode

@@ -283,7 +283,7 @@ def inline_tasks(monkeypatch):
     would pack them."""
     from parquet_go_ray.pipelines import native_io
 
-    def fan_out(items, sizes):
+    def fan_out(items, sizes, task_cpus=1):
         h = (len(items) + 1) // 2
         return _Inline([pa.Table.from_pylist(t) for t in (items[:h], items[h:]) if t])
 
