@@ -7,12 +7,25 @@ escape + literal byte; greedy longest-match encoding; training by iterative
 re-encoding of a sample and promoting high-gain symbol concatenations.
 
 Implementation notes (everything hot is numpy; no per-byte Python loops):
-  * match detection: one uint64 rolling key per position (low L bytes = the
-    next L bytes), membership via sorted-array searchsorted per symbol length;
-  * the greedy parse "take longest match, jump its length" is resolved with
-    pointer doubling: next[i] = i + len(longest match at i); the set of token
-    start positions = positions reachable from 0, computed in O(log n)
-    vectorized rounds instead of a sequential walk;
+  * symbol lookup by direct tables, as in the FSST paper: one gather of a
+    65536-entry table indexed by the next two bytes gives the 1- or 2-byte
+    match at every position; symbols of 3+ bytes sit in buckets indexed by
+    their 3-byte prefix (a row per 2-byte prefix, a slot per third byte),
+    longest first and closed by a catch-all entry, and each round moves
+    every still unmatched position one entry down its bucket, comparing
+    the next 8 bytes as one u64 under the entry's mask — rounds = the
+    largest bucket.  A match packs as length << 16 | code, so the longer
+    of the two lookups is their maximum;
+  * the greedy parse "take longest match, jump its length" walks each
+    value in pieces of PIECE_BYTES, all pieces in lockstep, from every
+    byte a token before the piece can end on; the walks from later
+    entries stop where they meet the walk from the piece start, and the
+    pieces' entry -> exit maps are composed in log2(pieces per value)
+    rounds — no round count grows with a value's length;
+  * the table-independent arrays of a segment (2-byte prefixes, u64 keys,
+    value-end clips, pieces) are built once and shared by the training
+    generations; a table is built with numpy from its symbol bytes, and
+    training counts gains over (u64 key, length) pairs, not bytes objects;
   * data is processed in segments cut at value boundaries to bound peak memory
     (~20 bytes of scratch per input byte);
   * matches are clipped at value boundaries, preserving FSST's per-value
@@ -43,56 +56,91 @@ TRAIN_GENERATIONS = 5
 SEGMENT_BYTES = 16 << 20
 
 
+# key masks: the low L bytes of a little-endian u64 key
+_KEY_MASK = np.array([(1 << (8 * ln)) - 1 for ln in range(MAX_LEN + 1)], dtype=np.uint64)
+# the parse walks every value in pieces of this many bytes
+PIECE_BYTES = 32
+
+
+def _pack(length, code) -> np.ndarray:
+    """A match as one int32: length << 16 | code & 0xFFFF (code -1: escape)."""
+    return (np.int32(length) << 16 | np.asarray(code, dtype=np.int32) & 0xFFFF).astype(np.int32)
+
+
 class SymbolTable:
     __slots__ = (
         "symbols",
-        "keys_by_len",
-        "codes_by_len",
-        "sym1_code",
         "sym_matrix",
         "sym_len",
-        "pmax2",
-        "code2",
-        "lens_mask2",
+        "sym1_code",
+        "multi_byte",
+        "short_match",
+        "long_row",
+        "long_id",
+        "long_first",
+        "long_at",
+        "long_key",
+        "long_mask",
+        "long_match",
     )
 
     def __init__(self, symbols: list[bytes]):
         self.symbols = symbols[:MAX_SYMS]
-        # per-length sorted key arrays for the encoder
-        self.keys_by_len: dict[int, np.ndarray] = {}
-        self.codes_by_len: dict[int, np.ndarray] = {}
-        by_len: dict[int, list[tuple[int, int]]] = {}
-        self.sym1_code = np.full(256, -1, dtype=np.int32)
-        # 2-byte-prefix prefilter tables: pmax2[p] = longest symbol (>=3) with
-        # that prefix; code2[p] = code of the exact 2-byte symbol, else -1;
-        # lens_mask2[p] = bit (len-3) set iff a symbol of EXACTLY that length
-        # starts with prefix p (skips whole per-length search rounds for
-        # candidates whose prefix admits no symbol of that length — measured
-        # ~40% of the searched volume on the documents corpus).
-        self.pmax2 = np.zeros(65536, dtype=np.uint8)
-        self.code2 = np.full(65536, -1, dtype=np.int32)
-        self.lens_mask2 = np.zeros(65536, dtype=np.uint8)
-        for code, s in enumerate(self.symbols):
-            key = int.from_bytes(s.ljust(8, b"\x00"), "little") & ((1 << (8 * len(s))) - 1)
-            by_len.setdefault(len(s), []).append((key, code))
-            if len(s) == 1:
-                self.sym1_code[s[0]] = code
-            elif len(s) == 2:
-                self.code2[s[0] | (s[1] << 8)] = code
-            else:
-                p = s[0] | (s[1] << 8)
-                self.pmax2[p] = max(self.pmax2[p], len(s))
-                self.lens_mask2[p] |= 1 << (len(s) - 3)
-        for ln, pairs in by_len.items():
-            pairs.sort()
-            self.keys_by_len[ln] = np.array([k for k, _ in pairs], dtype=np.uint64)
-            self.codes_by_len[ln] = np.array([c for _, c in pairs], dtype=np.int32)
-        # decoder tables
+        k = len(self.symbols)
+        lens = np.fromiter(map(len, self.symbols), dtype=np.int64, count=k)
+        flat = np.frombuffer(b"".join(self.symbols), dtype=np.uint8)
+        # decoder tables: symbol bytes zero-padded to MAX_LEN, one row a code
         self.sym_matrix = np.zeros((256, MAX_LEN), dtype=np.uint8)
+        row_start = np.cumsum(lens) - lens
+        self.sym_matrix[
+            np.repeat(np.arange(k), lens), np.arange(len(flat)) - np.repeat(row_start, lens)
+        ] = flat
         self.sym_len = np.ones(256, dtype=np.int64)  # escapes/unused expand 1 byte
-        for code, s in enumerate(self.symbols):
-            self.sym_matrix[code, : len(s)] = np.frombuffer(s, dtype=np.uint8)
-            self.sym_len[code] = len(s)
+        self.sym_len[:k] = lens
+        self.multi_byte = bool((lens > 1).any())
+        # encoder tables, matches `_pack`ed so that the longer of two is
+        # their maximum.  A duplicated 1- or 2-byte symbol takes its last
+        # code, a duplicated longer one its first.
+        keys = self.sym_matrix[:k].view("<u8").ravel()
+        self.sym1_code = np.full(256, -1, dtype=np.int32)
+        one = np.flatnonzero(lens == 1)[::-1]
+        b0, last = np.unique(self.sym_matrix[one, 0], return_index=True)
+        self.sym1_code[b0] = one[last]
+        # short_match[p2], p2 = b0 | b1 << 8: the 2-byte symbol p2, else the
+        # 1-byte symbol b0
+        self.short_match = np.tile(_pack(1, self.sym1_code), 256)
+        two = np.flatnonzero(lens == 2)[::-1]
+        p2, last = np.unique(keys[two].astype(np.intp), return_index=True)
+        self.short_match[p2] = _pack(2, two[last])
+        # symbols of 3+ bytes, bucketed by their 3-byte prefix: bucket
+        # long_id[long_row[p2] + b2] / 9 (0: none; long_row[p2] is 0 when no
+        # such symbol starts with p2).  Entries run longest first, and every
+        # bucket closes with an entry that matches anything (match 0), so a
+        # walk down it stops at the longest match.  A walk for a position m
+        # bytes from its value's end starts at long_first[long_id + m], past
+        # the symbols longer than m; long_at[slot] is where it starts for a
+        # position MAX_LEN or more bytes from its value's end.
+        long = np.flatnonzero(lens >= 3)
+        p2, row = np.unique((keys[long] & np.uint64(0xFFFF)).astype(np.intp), return_inverse=True)
+        self.long_row = np.zeros(65536, dtype=np.intp)
+        self.long_row[p2] = 256 * np.arange(1, len(p2) + 1)
+        slot = 256 * (row + 1) + (keys[long] >> np.uint64(16) & np.uint64(0xFF)).astype(np.intp)
+        used, bucket = np.unique(slot, return_inverse=True)
+        bucket += 1
+        self.long_id = np.zeros(256 * (len(p2) + 1), dtype=np.intp)
+        self.long_id[used] = (MAX_LEN + 1) * np.arange(1, len(used) + 1)
+        entry_bucket = np.concatenate((bucket, np.arange(len(used) + 1)))
+        entry_len = np.concatenate((lens[long], np.zeros(len(used) + 1, dtype=np.int64)))
+        order = np.lexsort((np.concatenate((long, np.zeros(len(used) + 1, np.intp))), -entry_len, entry_bucket))
+        self.long_key = np.concatenate((keys[long], np.zeros(len(used) + 1, dtype=np.uint64)))[order]
+        self.long_mask = _KEY_MASK[entry_len[order]]
+        self.long_match = np.concatenate((_pack(lens[long], long), np.zeros(len(used) + 1, np.int32)))[order]
+        size = np.bincount(entry_bucket)
+        longer = np.zeros((len(used) + 1, MAX_LEN + 1), dtype=np.intp)
+        np.add.at(longer, (bucket, lens[long] - 1), 1)
+        longer = np.cumsum(longer[:, ::-1], axis=1)[:, ::-1]
+        self.long_first = ((np.cumsum(size) - size)[:, None] + longer).ravel()
+        self.long_at = self.long_first[self.long_id + MAX_LEN]
 
     def serialize(self) -> bytes:
         out = bytearray(write_uvarint(len(self.symbols)))
@@ -118,6 +166,53 @@ class SymbolTable:
 # ---------------------------------------------------------------------------
 
 
+class _Segment:
+    """What a parse needs of a segment whatever the table: its bytes as
+    2-byte prefixes p2, third bytes b2 and 8-byte keys, the match length
+    its value boundaries allow, and its pieces.  Training parses one
+    segment with each generation's table."""
+
+    __slots__ = (
+        "n", "buf", "near", "near_len", "last", "p2", "b2", "key",
+        "start", "end", "within", "later", "before", "multi", "max_pieces",
+    )
+
+    def __init__(self, buf: np.ndarray, value_lens: np.ndarray):
+        n = self.n = len(buf)
+        self.buf = buf
+        value_ends = np.cumsum(value_lens)
+        value_starts = (value_ends - value_lens).astype(np.int64)
+        # a match may run MAX_LEN bytes, but only near_len from the positions
+        # `near` that lie near_len < MAX_LEN bytes before their value's end
+        dist = np.arange(1, MAX_LEN)
+        near = value_ends[:, None] - dist
+        inside = np.flatnonzero(near >= value_starts[:, None])
+        self.near, self.near_len = near.ravel()[inside], np.tile(dist, len(value_ends))[inside]
+        self.last = value_ends[np.flatnonzero(value_lens)] - 1
+
+        padded = np.zeros((n + MAX_LEN + 8) & ~7, dtype=np.uint8)
+        padded[:n] = buf
+        self.p2 = padded[:n].astype(np.intp)
+        self.p2 |= padded[1 : n + 1].astype(np.intp) << 8
+        self.b2 = padded[2 : n + 2]
+        # key[i]: the 8 bytes from i as one little-endian u64 (an aligned
+        # copy of the unaligned view; arithmetic on the view is slow)
+        self.key = np.lib.stride_tricks.as_strided(padded.view(np.uint64), shape=(n,), strides=(1,)).copy()
+
+        # pieces of PIECE_BYTES from each value start; a later piece (not a
+        # value's first) is entered from the 7 positions before it
+        n_pieces = -(-value_lens // PIECE_BYTES)
+        total = int(n_pieces.sum())
+        piece_value = np.repeat(np.arange(len(value_lens)), n_pieces)
+        self.within = np.arange(total) - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
+        self.start = value_starts[piece_value] + self.within * PIECE_BYTES
+        self.end = np.minimum(self.start + PIECE_BYTES, value_ends[piece_value])
+        self.later = np.flatnonzero(self.within)
+        self.before = self.start[self.later, None] - np.arange(1, MAX_LEN)
+        self.multi = np.flatnonzero(n_pieces[piece_value] > 1)
+        self.max_pieces = int(n_pieces.max()) if total else 0
+
+
 def _greedy_parse(
     buf: np.ndarray, value_lens: np.ndarray, table: SymbolTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,110 +221,120 @@ def _greedy_parse(
     value_lens: lengths of the values whose concatenation is `buf`
     (sum == len(buf)); matches are clipped at value boundaries.
     """
-    n = len(buf)
-    value_ends = np.cumsum(value_lens)
-    value_starts = (value_ends - value_lens).astype(np.int64)
-    # sparse boundary clip: allowed match length per position is MAX_LEN
-    # except the <=7 bytes before each value end — far cheaper than a full
-    # dist-to-end array (1 byte/position vs 16)
-    maxlen = np.full(n, MAX_LEN, dtype=np.uint8)
-    if len(value_ends):
-        # each position belongs to exactly one value, so per-distance fancy
-        # assignment is duplicate-free (ufunc.at is a slow scalar fallback)
-        for d in range(1, MAX_LEN):
-            pos_d = value_ends - d
-            ok = (pos_d >= value_starts) & (pos_d >= 0) & (pos_d < n)
-            pd_ = pos_d[ok]
-            maxlen[pd_] = np.minimum(maxlen[pd_], np.uint8(d))
+    return _parse(_Segment(buf, value_lens), table)
 
-    padded = np.zeros((n + MAX_LEN + 8) & ~7, dtype=np.uint8)
-    padded[:n] = buf
-    # overlapping u16 view at byte stride: k2[i] = buf[i] | buf[i+1]<<8
-    k2 = np.lib.stride_tricks.as_strided(
-        padded.view(np.uint16), shape=(n,), strides=(1,)
+
+def _parse(seg: _Segment, table: SymbolTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if not table.multi_byte:
+        # a table of single bytes parses every byte as a token
+        return np.arange(seg.n), np.ones(seg.n, dtype=np.int32), table.sym1_code[seg.buf]
+    # the longest match at every position: a 1- or 2-byte one from one
+    # direct-table lookup of the next two bytes, and a longer one where the
+    # 3-byte prefix starts a long symbol.  Each round moves every unmatched
+    # position one entry down its bucket, the first round all of them.
+    slot = table.long_row[seg.p2]
+    slot += seg.b2
+    at = table.long_at[slot]
+    at[seg.near] = table.long_first[table.long_id[slot[seg.near]] + seg.near_len]
+    match = table.long_match[at]
+    live = np.flatnonzero((seg.key ^ table.long_key[at]) & table.long_mask[at] != 0)
+    key, at = seg.key[live], at[live] + 1
+    while len(live):
+        match[live] = table.long_match[at]
+        go = np.flatnonzero((key ^ table.long_key[at]) & table.long_mask[at] != 0)
+        live, key, at = live[go], key[go], at[go] + 1
+    np.maximum(match, table.short_match[seg.p2], out=match)
+    # a value's last byte matches one byte at most
+    match[seg.last] = _pack(1, table.sym1_code[seg.buf[seg.last]])
+    best_len = match >> 16
+
+    starts = _token_starts(best_len, seg)
+    return starts, best_len[starts], match[starts].astype(np.int16).astype(np.int32)
+
+
+def _walk(best_len: np.ndarray, pos: np.ndarray, lim: np.ndarray, on_path=None):
+    """Advance lane i from pos[i] one token a round (pos += best_len[pos])
+    until it reaches lim[i], or, given `on_path`, lands on a marked
+    position.  Returns (token positions, their lanes, the position each
+    lane stopped at: >= lim where it ran out, < lim where it landed)."""
+    toks, tok_lanes = [], []
+    stop_at = np.empty(len(pos), dtype=np.int64)
+    lane = np.arange(len(pos))
+    while len(pos):
+        stop = pos >= lim[lane]
+        if on_path is not None:
+            stop |= on_path[pos]
+        stop_at[lane] = pos
+        go = np.flatnonzero(~stop)
+        pos, lane = pos[go], lane[go]
+        toks.append(pos)
+        tok_lanes.append(lane)
+        pos = pos + best_len[pos]
+    return np.concatenate(toks), np.concatenate(tok_lanes), stop_at
+
+
+def _token_starts(best_len: np.ndarray, seg: _Segment) -> np.ndarray:
+    """Token starts of the greedy parse "take the match, jump its length",
+    run from every value start (matches never cross a value end).
+
+    Each value is cut into pieces of PIECE_BYTES, walked in lockstep.  The
+    parse enters a value's later piece where a token that starts in the 7
+    bytes before the piece ends, so such a piece is walked from its start
+    in full, and from each other entry until the walk lands on the start's
+    path, after which the two agree.  Its entry then follows from the
+    previous piece's exit, chained by composing the pieces' entry -> exit
+    maps in log2(pieces per value) rounds.  The walks take at most
+    PIECE_BYTES rounds, whatever a value's length."""
+    start, end, later, multi = seg.start, seg.end, seg.later, seg.multi
+    if not len(start):
+        return np.empty(0, dtype=np.int64)
+    toks0, piece0, exit0 = _walk(best_len, start, end)
+    # lanes: (k, e) walks later[k] from e bytes past its start, for every
+    # e > 0 that a token from the 7 bytes before the piece lands on
+    land = (seg.before + best_len[seg.before] - start[later, None]).ravel()
+    inside = np.flatnonzero(land > 0)
+    lane_key = np.unique(inside // (MAX_LEN - 1) * MAX_LEN + land[inside])
+    if not len(lane_key):
+        return np.sort(toks0)  # every piece is entered at its start
+
+    on_path = np.zeros(seg.n + MAX_LEN, dtype=bool)
+    on_path[toks0] = True
+    lane_piece, lane_entry = later[lane_key // MAX_LEN], lane_key % MAX_LEN
+    toks1, lane1, stop1 = _walk(best_len, start[lane_piece] + lane_entry, end[lane_piece], on_path)
+    merged = stop1 < end[lane_piece]
+
+    # over the pieces of values with later pieces: step[k, e] = entry of
+    # the next piece when piece k is entered at e (entries no token lands
+    # on are never taken); chain[k, e] = entry of piece k when the piece
+    # `span` back is entered at e, 0 for a value's first piece
+    step = np.repeat(exit0[multi] - end[multi], MAX_LEN).reshape(len(multi), MAX_LEN)
+    step[np.searchsorted(multi, lane_piece), lane_entry] = (
+        np.where(merged, exit0[lane_piece], stop1) - end[lane_piece]
     )
-    best_len = np.ones(n, dtype=np.int32)
-    best_code = table.sym1_code[buf]  # -1 => escape
+    chain = np.zeros_like(step)
+    chain[1:] = step[:-1]
+    chain[np.flatnonzero(seg.within[multi] == 0)] = 0
+    flat = chain.ravel()
+    rows = np.arange(len(multi))[:, None] * MAX_LEN
+    # a value's j-th piece needs the j maps after its first composed; done
+    # early once every row is constant, each piece's entry being known
+    span = 1
+    while span < seg.max_pieces - 1 and not (chain == chain[:, :1]).all():
+        chain[span:] = flat[rows[span:] + chain[:-span]]
+        span *= 2
+    entered = np.zeros(len(start), dtype=np.int64)
+    entered[multi] = chain[:, 0]
 
-    # lengths >=3 only at positions whose 2-byte prefix admits a long symbol
-    pmax = table.pmax2[k2]
-    cand = np.flatnonzero((np.minimum(pmax, maxlen)) >= 3)
-    if len(cand):
-        # one unaligned-u64 gather instead of 8 byte gathers (measured 7.5x)
-        u64 = np.lib.stride_tricks.as_strided(
-            padded.view(np.uint64), shape=(len(padded) - 7,), strides=(1,)
-        )
-        keyc = u64[cand]
-        lim_c = np.minimum(pmax[cand], maxlen[cand])
-        lm_c = table.lens_mask2[(keyc & np.uint64(0xFFFF)).astype(np.uint32)]
-        unmatched = np.ones(len(cand), dtype=bool)
-        for ln in sorted((l for l in table.keys_by_len if l >= 3), reverse=True):
-            keys = table.keys_by_len[ln]
-            idx = np.flatnonzero(
-                unmatched
-                & (lim_c >= ln)
-                & ((lm_c & np.uint8(1 << (ln - 3))) > 0)
-            )
-            if not len(idx):
-                continue
-            mask = np.uint64((1 << (8 * ln)) - 1)
-            sub = keyc[idx] & mask
-            pos_in = np.searchsorted(keys, sub)
-            pos_in[pos_in == len(keys)] = 0
-            hit = keys[pos_in] == sub
-            hi = idx[hit]
-            best_len[cand[hi]] = ln
-            best_code[cand[hi]] = table.codes_by_len[ln][pos_in[hit]]
-            unmatched[hi] = False
-
-    # length 2: direct 65536-entry table lookup, no search
-    c2 = table.code2[k2]
-    hit2 = (best_len == 1) & (c2 >= 0) & (maxlen >= 2)
-    best_len[hit2] = 2
-    best_code[hit2] = c2[hit2]
-
-    # Resolve the greedy parse "take match, jump its length".  Matches are
-    # clipped at value boundaries, so each value's token chain is independent.
-    max_vlen = int(value_lens.max()) if len(value_lens) else 0
-    if max_vlen <= 1 << 16 and len(value_lens) > 1:
-        # frontier walk: advance one token per value per round, all values in
-        # lockstep; rounds = max tokens in any single value.
-        ends_i64 = value_ends.astype(np.int64)
-        frontier = value_starts.copy()
-        limit = ends_i64
-        token_chunks = []
-        alive = frontier < limit
-        frontier, limit = frontier[alive], limit[alive]
-        while len(frontier):
-            token_chunks.append(frontier.copy())
-            frontier = frontier + best_len[frontier]
-            alive = frontier < limit
-            if not alive.all():
-                frontier, limit = frontier[alive], limit[alive]
-        if token_chunks:
-            starts = np.concatenate(token_chunks)
-            starts.sort()
-        else:
-            starts = np.empty(0, dtype=np.int64)
-    else:
-        # pointer doubling: O(log max_value_len) vectorized rounds
-        jk = np.empty(n + 1, dtype=np.int64)
-        jk[:n] = np.minimum(np.arange(n, dtype=np.int64) + best_len, n)
-        jk[n] = n  # sink
-        visited = np.zeros(n + 1, dtype=bool)
-        visited[value_starts] = True
-        visited[0] = True
-        steps = max(int(np.ceil(np.log2(max(max_vlen, 2)))) + 1, 1)
-        prev_count = 0
-        for _ in range(steps):
-            visited[jk[visited[:-1].nonzero()[0]]] = True
-            count = int(visited.sum())
-            if count == prev_count:
-                break
-            prev_count = count
-            jk = jk[jk]
-        starts = np.flatnonzero(visited[:n])
-    return starts, best_len[starts], best_code[starts]
+    # keep a piece's start path from where its taken entry's walk merged
+    # into it: all of it for entry 0, none if that walk never merged
+    want = np.arange(len(later)) * MAX_LEN + entered[later]
+    taken = np.minimum(np.searchsorted(lane_key, want), len(lane_key) - 1)
+    met = (lane_key[taken] == want) & merged[taken]
+    cut = start.copy()
+    cut[later] = np.where(entered[later] == 0, start[later], np.where(met, stop1[taken], end[later]))
+    on_path[toks0] = toks0 >= cut[piece0]
+    on_path[toks1[np.flatnonzero(lane_entry[lane1] == entered[lane_piece[lane1]])]] = True
+    return np.flatnonzero(on_path[: seg.n])
 
 
 def _emit(buf: np.ndarray, starts, lens, codes) -> np.ndarray:
@@ -365,8 +470,26 @@ def fsst_decode_buffer(stream: np.ndarray, table: SymbolTable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# training (runs on a small sample; Python-level counting is fine there)
+# training
 # ---------------------------------------------------------------------------
+
+
+def _best_symbols(keys: np.ndarray, lens: np.ndarray, gains: np.ndarray) -> list[bytes]:
+    """The MAX_SYMS candidates of highest total gain, ties in byte order.
+
+    A candidate is (little-endian zero-padded u64 key, length); the same
+    bytes may occur several times, and their gains add up."""
+    # big-endian zero-padded key, then length: the bytes' lexicographic order
+    be = keys.byteswap()
+    order = np.lexsort((lens, be))
+    be, lens, gains, keys = be[order], lens[order], gains[order], keys[order]
+    new = np.ones(len(be), dtype=bool)
+    new[1:] = (be[1:] != be[:-1]) | (lens[1:] != lens[:-1])
+    heads = np.flatnonzero(new)
+    total = np.add.reduceat(gains, heads)
+    best = np.lexsort((lens[heads], be[heads], -total))[:MAX_SYMS]
+    raw = keys[heads][best].astype("<u8").tobytes()
+    return [raw[8 * i : 8 * i + ln] for i, ln in enumerate(lens[heads][best].tolist())]
 
 
 def train(buf: np.ndarray, value_lens: np.ndarray, seed: int = 0) -> SymbolTable:
@@ -387,45 +510,47 @@ def train(buf: np.ndarray, value_lens: np.ndarray, seed: int = 0) -> SymbolTable
     order = np.argsort(counts)[::-1]
     symbols = [bytes([b]) for b in order if counts[b] > 0][:MAX_SYMS]
     table = SymbolTable(symbols)
+    ends_v = np.cumsum(s_lens)
+    seg = _Segment(sample, s_lens)
     for _ in range(TRAIN_GENERATIONS):
-        starts, lens, codes = _greedy_parse(sample, s_lens, table)
+        starts, lens, codes = _parse(seg, table)
         # token ids: 0..254 = current symbols, 256+b = escaped literal byte;
-        # gain counting is pure bincount/unique — no per-token Python work
+        # each id's bytes as (key, length), so gains count without bytes
         ids = np.where(codes >= 0, codes, 256 + sample[starts].astype(np.int64))
-
-        def id_bytes(i: int) -> bytes:
-            return table.symbols[i] if i < 256 else bytes([i - 256])
-
-        gains: dict[bytes, int] = {}
+        k = len(table.symbols)
+        id_key = np.concatenate(
+            (
+                table.sym_matrix[:k].view("<u8").ravel(),
+                np.zeros(256 - k, dtype=np.uint64),
+                np.arange(256, dtype=np.uint64),
+            )
+        )
+        id_len = np.concatenate(
+            (table.sym_len[:k], np.zeros(256 - k, dtype=np.int64), np.ones(256, dtype=np.int64))
+        )
         cnt = np.bincount(ids, minlength=512)
-        for i in np.flatnonzero(cnt):
-            b = id_bytes(int(i))
-            gains[b] = gains.get(b, 0) + int(cnt[i]) * ((len(b) - 1) * 8 + 7)
+        used = np.flatnonzero(cnt)
+        keys, klens = [id_key[used]], [id_len[used]]
+        gains = [cnt[used] * ((id_len[used] - 1) * 8 + 7)]
         if len(ids) > 1:
             # count ONLY pairs inside one value: the encoder clips matches
             # at value boundaries, so a cross-boundary concatenation symbol
             # can never match — promoting one wastes a slot of the 255
-            ends_v = np.cumsum(s_lens)
             vid = np.searchsorted(ends_v, starts, side="right")
             same_val = vid[:-1] == vid[1:]
             pid = ids[:-1][same_val] * 512 + ids[1:][same_val]
             upair, pcnt = np.unique(pid, return_counts=True)
-            id_len = np.array(
-                [len(s) for s in table.symbols]
-                + [0] * (256 - len(table.symbols))
-                + [1] * 256,
-                dtype=np.int64,
-            )
             la, lb = id_len[upair // 512], id_len[upair % 512]
             ok = (la + lb) <= MAX_LEN
             upair, pcnt, plen = upair[ok], pcnt[ok], (la + lb)[ok]
             top = np.argsort(pcnt * plen)[::-1][: 4 * MAX_SYMS]
-            for j in top:
-                u = int(upair[j])
-                cat = id_bytes(u // 512) + id_bytes(u % 512)
-                gains[cat] = gains.get(cat, 0) + int(pcnt[j]) * len(cat) * 8
-        best = sorted(gains.items(), key=lambda kv: (-kv[1], kv[0]))[:MAX_SYMS]
-        table = SymbolTable([s for s, _ in best])
+            a, b = upair[top] // 512, upair[top] % 512
+            keys.append(id_key[a] | (id_key[b] << (8 * id_len[a]).astype(np.uint64)))
+            klens.append(plen[top])
+            gains.append(pcnt[top] * plen[top] * 8)
+        table = SymbolTable(
+            _best_symbols(np.concatenate(keys), np.concatenate(klens), np.concatenate(gains))
+        )
     return table
 
 

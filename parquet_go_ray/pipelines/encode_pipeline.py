@@ -85,8 +85,8 @@ def _plan_codecs(sample: pa.Table, cfg: EngineConfig) -> dict:
     plan = {}
     for name in sample.column_names:
         col = sample[name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        # the sorted sample's columns are one chunk each: take it as is
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
         if _is_nested(col.type):
             continue  # nested columns keep per-chunk selection
         values = col.drop_null() if col.null_count else col
@@ -168,7 +168,10 @@ def encode_partition(
     }
     if out_dir is not None:
         codecs = dict(zip(*np.unique(np.asarray(chunks["codec"]), return_counts=True))) if chunks.num_rows else {}
-        lineage = dict(metrics, codecs={k: int(v) for k, v in codecs.items()})
+        # the marker holds only what the input and code decide, so a rerun
+        # writes the same bytes; the wall time goes in the metrics row
+        lineage = {k: v for k, v in metrics.items() if k != "encode_sec"}
+        lineage["codecs"] = {k: int(v) for k, v in codecs.items()}
         lin.write_partition(out_dir, part, chunks, lineage)
         return pa.Table.from_pylist([metrics], schema=_METRICS_SCHEMA)
     return chunks

@@ -1592,7 +1592,7 @@ def write_par1_dataset(
     skipped — so a re-run of the same pipeline over the same input resumes
     instead of re-encoding, the same partitioned-output discipline as
     encode_partitioned.  Reads the input when called: `ds` is materialized
-    once (the caller's context is left alone) and its bytes sit in the
+    once, in order (the caller's context is restored), and its bytes sit in the
     object store until the returned lazy dataset has written its blocks, in
     ``_run_in_slots`` tasks packed by the blocks' bytes.  The parts follow
     the input's block layout: one part per non-empty block (per partition
@@ -1622,7 +1622,15 @@ def write_par1_dataset(
     if _fs_of(out_dir)[0] is None:
         os.makedirs(out_dir, exist_ok=True)
     write = _block_writer(write_kwargs, sort_by, cluster_by, partition_by)
-    blocks = [b for bundle in ds.materialize().iter_internal_ref_bundles() for b in bundle.blocks]
+    # parts are named by content, so a rerun resumes only if the input's
+    # blocks come out the same: materialize in order (a repartition of
+    # out-of-order blocks splits its rows differently), then restore the flag
+    opts = ds.context.execution_options
+    keep, opts.preserve_order = opts.preserve_order, True
+    try:
+        blocks = [b for bundle in ds.materialize().iter_internal_ref_bundles() for b in bundle.blocks]
+    finally:
+        opts.preserve_order = keep
     return _run_in_slots(
         [ref for ref, _meta in blocks],
         [meta.size_bytes for _ref, meta in blocks],

@@ -79,45 +79,46 @@ def _clean_read_schema(path: str, fs, columns=None) -> "object | None":
             path = files[0]
         return _project(pq.read_schema(path, filesystem=fs).remove_metadata())
     except Exception:
-        return None  # fall back to Ray's inference + the strip stage
+        return None  # Ray infers the schema; the strip map follows the read
 
 
 def read_parquet_any(paths, columns: list[str] | None = None, **kwargs) -> rd.Dataset:
     """ray.data.read_parquet over local paths OR remote URIs, with block
-    schemas normalized (metadata-free)."""
+    schemas normalized (metadata-free).
+
+    The read gets the first file's schema without its metadata (projected
+    to `columns`), so its tasks build metadata-free blocks and the read
+    stays one operator.  A `_strip_schema_metadata` map runs after the read
+    only when no such schema resolves (Ray infers one) or when the caller's
+    own `schema=` carries metadata (Ray cannot fuse that map with a
+    directory read's block split, so it runs as one more task per block)."""
     if isinstance(paths, str):
         fs, plain = resolve_filesystem(paths)
-        if "schema" not in kwargs:
-            sch = _clean_read_schema(plain, fs, columns)
-            if sch is not None:
-                kwargs["schema"] = sch
-        if fs is not None:
-            ds = rd.read_parquet(plain, filesystem=fs, columns=columns, **kwargs)
-        else:
-            ds = rd.read_parquet(plain, columns=columns, **kwargs)
-        return ds.map_batches(_strip_schema_metadata, batch_format="pyarrow")
-    resolved = [resolve_filesystem(p) for p in paths]
-
-    def _fs_eq(a, b):
-        # VALUE equality, not id(): every resolve builds a fresh instance,
-        # so id() rejected any multi-URI read of the same filesystem
-        if a is None or b is None:
-            return a is b
-        try:
-            return a.equals(b)
-        except AttributeError:
-            return a == b
-
-    fs = resolved[0][0]
-    if any(not _fs_eq(fs, r[0]) for r in resolved[1:]):
-        raise ValueError("mixed filesystems in one read")
-    plain = [r[1] for r in resolved]
-    if "schema" not in kwargs:
-        sch = _clean_read_schema(plain[0], fs, columns)
-        if sch is not None:
-            kwargs["schema"] = sch
-    if fs is not None:
-        ds = rd.read_parquet(plain, filesystem=fs, columns=columns, **kwargs)
+        first = plain
     else:
-        ds = rd.read_parquet(plain, columns=columns, **kwargs)
-    return ds.map_batches(_strip_schema_metadata, batch_format="pyarrow")
+        resolved = [resolve_filesystem(p) for p in paths]
+
+        def _fs_eq(a, b):
+            # VALUE equality, not id(): every resolve builds a fresh instance,
+            # so id() rejected any multi-URI read of the same filesystem
+            if a is None or b is None:
+                return a is b
+            try:
+                return a.equals(b)
+            except AttributeError:
+                return a == b
+
+        fs = resolved[0][0]
+        if any(not _fs_eq(fs, r[0]) for r in resolved[1:]):
+            raise ValueError("mixed filesystems in one read")
+        plain = [r[1] for r in resolved]
+        first = plain[0]
+    if "schema" in kwargs:
+        strip = kwargs["schema"] is None or bool(kwargs["schema"].metadata)
+    else:
+        kwargs["schema"] = _clean_read_schema(first, fs, columns)
+        strip = kwargs["schema"] is None
+    if fs is not None:
+        kwargs["filesystem"] = fs
+    ds = rd.read_parquet(plain, columns=columns, **kwargs)
+    return ds.map_batches(_strip_schema_metadata, batch_format="pyarrow") if strip else ds

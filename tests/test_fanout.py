@@ -461,6 +461,36 @@ def test_encode_packs_fragments_into_slot_tasks(ray_session, two_slots, monkeypa
     assert _lineage_digest(out) == ENCODE_DIGEST
 
 
+def _tree_bytes(root: str) -> dict:
+    files = {}
+    for here, _dirs, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(here, name), "rb") as f:
+                files[os.path.relpath(os.path.join(here, name), root)] = f.read()
+    return files
+
+
+def test_encode_writes_the_same_bytes_twice(ray_session, tmp_path):
+    """Two encodes of the same input into two directories write the same
+    files byte for byte, the lineage markers included: a marker holds no
+    wall time (that goes in the metrics row)."""
+    import ray.data as rd
+
+    from parquet_go_ray.config import EngineConfig
+    from parquet_go_ray.sources.synth import make_code_table
+
+    t = make_code_table(300, seed=3)
+    cfg = EngineConfig(batch_size_rows=64)
+    trees = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        m = _collect(ep.encode_partitioned(rd.from_arrow(t), out, cfg, num_parts=3))
+        assert m.num_rows == 3 and all(s >= 0 for s in m["encode_sec"].to_pylist())
+        trees.append(_tree_bytes(out))
+    assert sum(p.endswith("lineage.json") for p in trees[0]) == 3
+    assert trees[0] == trees[1]
+
+
 def test_encode_without_out_dir_keeps_each_chunk_in_one_block(ray_session, two_slots, monkeypatch):
     """The chunk tables come back as blocks, and reassemble_blocks needs a
     chunk's column rows in one.  Fragments over the 1 MB block floor whose

@@ -757,3 +757,266 @@ def test_null_free_pages_decode_no_levels(tmp_path, monkeypatch, version):
     assert calls == []
     assert par1.read_par1(path, columns=["partial"]).equals(tbl.select(["partial"]))
     assert calls  # a page with nulls decodes its levels
+
+
+# ---------------------------------------------------------------------------
+# FSST oracles: the searchsorted lookup, lockstep/pointer-doubling walk and
+# dict-based training the codec used before its direct-table lookup and
+# piece walk.  Token streams, symbol tables and payloads must match exactly.
+# ---------------------------------------------------------------------------
+
+_REF_MAX_LEN = 8
+
+
+class _RefSymbolTable:
+    def __init__(self, symbols):
+        self.symbols = symbols[:255]
+        self.keys_by_len, self.codes_by_len, by_len = {}, {}, {}
+        self.sym1_code = np.full(256, -1, dtype=np.int32)
+        self.pmax2 = np.zeros(65536, dtype=np.uint8)
+        self.code2 = np.full(65536, -1, dtype=np.int32)
+        self.lens_mask2 = np.zeros(65536, dtype=np.uint8)
+        for code, s in enumerate(self.symbols):
+            key = int.from_bytes(s.ljust(8, b"\x00"), "little") & ((1 << (8 * len(s))) - 1)
+            by_len.setdefault(len(s), []).append((key, code))
+            if len(s) == 1:
+                self.sym1_code[s[0]] = code
+            elif len(s) == 2:
+                self.code2[s[0] | (s[1] << 8)] = code
+            else:
+                p = s[0] | (s[1] << 8)
+                self.pmax2[p] = max(self.pmax2[p], len(s))
+                self.lens_mask2[p] |= 1 << (len(s) - 3)
+        for ln, pairs in by_len.items():
+            pairs.sort()
+            self.keys_by_len[ln] = np.array([k for k, _ in pairs], dtype=np.uint64)
+            self.codes_by_len[ln] = np.array([c for _, c in pairs], dtype=np.int32)
+
+
+def _ref_greedy_parse(buf, value_lens, table):
+    n = len(buf)
+    value_ends = np.cumsum(value_lens)
+    value_starts = (value_ends - value_lens).astype(np.int64)
+    maxlen = np.full(n, _REF_MAX_LEN, dtype=np.uint8)
+    if len(value_ends):
+        for d in range(1, _REF_MAX_LEN):
+            pos_d = value_ends - d
+            ok = (pos_d >= value_starts) & (pos_d >= 0) & (pos_d < n)
+            pd_ = pos_d[ok]
+            maxlen[pd_] = np.minimum(maxlen[pd_], np.uint8(d))
+    padded = np.zeros((n + _REF_MAX_LEN + 8) & ~7, dtype=np.uint8)
+    padded[:n] = buf
+    k2 = np.lib.stride_tricks.as_strided(padded.view(np.uint16), shape=(n,), strides=(1,))
+    best_len = np.ones(n, dtype=np.int32)
+    best_code = table.sym1_code[buf]
+    pmax = table.pmax2[k2]
+    cand = np.flatnonzero((np.minimum(pmax, maxlen)) >= 3)
+    if len(cand):
+        u64 = np.lib.stride_tricks.as_strided(padded.view(np.uint64), shape=(len(padded) - 7,), strides=(1,))
+        keyc = u64[cand]
+        lim_c = np.minimum(pmax[cand], maxlen[cand])
+        lm_c = table.lens_mask2[(keyc & np.uint64(0xFFFF)).astype(np.uint32)]
+        unmatched = np.ones(len(cand), dtype=bool)
+        for ln in sorted((l for l in table.keys_by_len if l >= 3), reverse=True):
+            keys = table.keys_by_len[ln]
+            idx = np.flatnonzero(unmatched & (lim_c >= ln) & ((lm_c & np.uint8(1 << (ln - 3))) > 0))
+            if not len(idx):
+                continue
+            sub = keyc[idx] & np.uint64((1 << (8 * ln)) - 1)
+            pos_in = np.searchsorted(keys, sub)
+            pos_in[pos_in == len(keys)] = 0
+            hit = keys[pos_in] == sub
+            hi = idx[hit]
+            best_len[cand[hi]] = ln
+            best_code[cand[hi]] = table.codes_by_len[ln][pos_in[hit]]
+            unmatched[hi] = False
+    c2 = table.code2[k2]
+    hit2 = (best_len == 1) & (c2 >= 0) & (maxlen >= 2)
+    best_len[hit2] = 2
+    best_code[hit2] = c2[hit2]
+    max_vlen = int(value_lens.max()) if len(value_lens) else 0
+    if max_vlen <= 1 << 16 and len(value_lens) > 1:
+        frontier, limit = value_starts.copy(), value_ends.astype(np.int64)
+        alive = frontier < limit
+        frontier, limit = frontier[alive], limit[alive]
+        chunks = []
+        while len(frontier):
+            chunks.append(frontier.copy())
+            frontier = frontier + best_len[frontier]
+            alive = frontier < limit
+            frontier, limit = frontier[alive], limit[alive]
+        starts = np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
+    else:
+        jk = np.empty(n + 1, dtype=np.int64)
+        jk[:n] = np.minimum(np.arange(n, dtype=np.int64) + best_len, n)
+        jk[n] = n
+        visited = np.zeros(n + 1, dtype=bool)
+        visited[value_starts] = True
+        visited[0] = True
+        prev = 0
+        for _ in range(max(int(np.ceil(np.log2(max(max_vlen, 2)))) + 1, 1)):
+            visited[jk[visited[:-1].nonzero()[0]]] = True
+            count = int(visited.sum())
+            if count == prev:
+                break
+            prev = count
+            jk = jk[jk]
+        starts = np.flatnonzero(visited[:n])
+    return starts, best_len[starts], best_code[starts]
+
+
+def _ref_train(buf, value_lens):
+    n = len(buf)
+    if n == 0:
+        return []
+    if n > 1 << 16:
+        sl = (1 << 16) // 64
+        starts = np.linspace(0, n - sl, 64).astype(np.int64)
+        sample = np.concatenate([buf[s : s + sl] for s in starts])
+        s_lens = np.full(64, sl, dtype=np.int64)
+    else:
+        sample, s_lens = buf, value_lens
+    counts = np.bincount(sample, minlength=256)
+    order = np.argsort(counts)[::-1]
+    table = _RefSymbolTable([bytes([b]) for b in order if counts[b] > 0][:255])
+    for _ in range(5):
+        starts, lens, codes = _ref_greedy_parse(sample, s_lens, table)
+        ids = np.where(codes >= 0, codes, 256 + sample[starts].astype(np.int64))
+
+        def id_bytes(i):
+            return table.symbols[i] if i < 256 else bytes([i - 256])
+
+        gains = {}
+        cnt = np.bincount(ids, minlength=512)
+        for i in np.flatnonzero(cnt):
+            b = id_bytes(int(i))
+            gains[b] = gains.get(b, 0) + int(cnt[i]) * ((len(b) - 1) * 8 + 7)
+        if len(ids) > 1:
+            vid = np.searchsorted(np.cumsum(s_lens), starts, side="right")
+            same_val = vid[:-1] == vid[1:]
+            pid = ids[:-1][same_val] * 512 + ids[1:][same_val]
+            upair, pcnt = np.unique(pid, return_counts=True)
+            id_len = np.array(
+                [len(s) for s in table.symbols] + [0] * (256 - len(table.symbols)) + [1] * 256,
+                dtype=np.int64,
+            )
+            la, lb = id_len[upair // 512], id_len[upair % 512]
+            ok = (la + lb) <= _REF_MAX_LEN
+            upair, pcnt, plen = upair[ok], pcnt[ok], (la + lb)[ok]
+            for j in np.argsort(pcnt * plen)[::-1][: 4 * 255]:
+                u = int(upair[j])
+                cat = id_bytes(u // 512) + id_bytes(u % 512)
+                gains[cat] = gains.get(cat, 0) + int(pcnt[j]) * len(cat) * 8
+        best = sorted(gains.items(), key=lambda kv: (-kv[1], kv[0]))[:255]
+        table = _RefSymbolTable([s for s, _ in best])
+    return table.symbols
+
+
+def _ref_encode_fsst(arr, monkeypatch):
+    """The payload with the oracle training and parse in the codec's own
+    segmenting and serialization."""
+    from parquet_go_ray.codecs import fsst
+
+    monkeypatch.setattr(fsst, "train", lambda buf, lens: fsst.SymbolTable(_ref_train(buf, lens)))
+    monkeypatch.setattr(
+        fsst, "_greedy_parse", lambda buf, lens, table: _ref_greedy_parse(buf, lens, _RefSymbolTable(table.symbols))
+    )
+    try:
+        return fsst.encode_fsst(arr)[0]
+    finally:
+        monkeypatch.undo()
+
+
+def _fsst_inputs():
+    rng = np.random.default_rng(17)
+    dirs = ["src", "lib", "tests", "docs", "pkg/util", "internal/api"]
+    names = ["main", "utils", "handler", "config", "test_io", "README"]
+    exts = [".py", ".go", ".rs", ".md", ".ts"]
+    paths = [
+        f"{rng.choice(dirs)}/{rng.choice(names)}_{rng.integers(0, 50)}{rng.choice(exts)}".encode()
+        for _ in range(3000)
+    ]
+    escapes = [bytes(rng.integers(248, 256, rng.integers(0, 40), dtype=np.uint8)) for _ in range(400)]
+    code = b"    def handler(self, request):\n        return self.config.get(request)\n"
+    big = (code * 1200)[: 70 << 10]  # one value over 64 KB: sliced training
+    return {
+        "paths": paths,
+        "escapes": escapes,
+        "empties": [b"", b"", b"x", b"", b"yy", b""],
+        "all_empty": [b"", b""],
+        "single": [b"src/parquet_go_ray/codecs/fsst.py"],
+        "over_64k": [big, b"tail", big[:1000]],
+        "mixed": paths[:500] + escapes[:100] + [big],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fsst_inputs()))
+def test_fsst_matches_reference(name, monkeypatch):
+    from parquet_go_ray.codecs import fsst
+    from parquet_go_ray.codecs.base import binary_parts
+
+    arr = pa.array(_fsst_inputs()[name], type=pa.binary())
+    lens, data = binary_parts(arr)
+    syms = _ref_train(data, lens)
+    assert fsst.train(data, lens).symbols == syms
+    if len(data):
+        got = fsst._greedy_parse(data, lens, fsst.SymbolTable(syms))
+        want = _ref_greedy_parse(data, lens, _RefSymbolTable(syms))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert fsst.encode_fsst(arr)[0] == _ref_encode_fsst(arr, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fsst_parse_matches_reference_on_straddling_symbols(seed):
+    """Values cut near the walk's piece boundaries, over an alphabet whose
+    long symbols overlap and straddle them, and a table with duplicated
+    symbols (a duplicated 1- or 2-byte symbol takes its last code, a
+    longer one its first)."""
+    from parquet_go_ray.codecs import fsst
+
+    rng = np.random.default_rng(seed)
+    alpha = np.frombuffer(b"abcab" if seed % 2 else b"ab", dtype=np.uint8)
+    sizes = [0, 1, 7, 8, 31, 32, 33, 39, 63, 64, 65, 97, 300, 2000]
+    vals = [bytes(rng.choice(alpha, int(rng.choice(sizes)))) for _ in range(60)]
+    lens = np.array([len(v) for v in vals], dtype=np.int64)
+    data = np.frombuffer(b"".join(vals) or b"a", dtype=np.uint8)
+    lens = lens if lens.sum() else np.array([1], dtype=np.int64)
+    syms = [b"aaa", b"abcab", b"ab", b"bca", b"cabab", b"a", b"b", b"abcabcab", b"bcabca", b"ab", b"aaa", b"ba", b"ba", b"a"]
+    got = fsst._greedy_parse(data, lens, fsst.SymbolTable(syms))
+    want = _ref_greedy_parse(data, lens, _RefSymbolTable(syms))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("prefix", [[], [b"x" * 300, b"", b"y" * 10], [b"", b""]])
+def test_fsst_giant_segments_match_reference(prefix, monkeypatch):
+    """The giant-value segment cuts of test_fsst.py, SEGMENT_BYTES scaled
+    down: the same payload as the oracle's."""
+    from parquet_go_ray.codecs import fsst
+
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(fsst, "SEGMENT_BYTES", 1 << 12)
+    big = bytes(rng.integers(97, 105, size=3 << 12).astype(np.uint8))
+    arr = pa.array(prefix + [big, b"small", b"", big + b"!", b"tail" * 50], type=pa.binary())
+    got = fsst.encode_fsst(arr)[0]
+    with monkeypatch.context() as m:
+        m.setattr(fsst, "SEGMENT_BYTES", 1 << 12)
+        want = _ref_encode_fsst(arr, m)
+    assert got == want
+
+
+@pytest.mark.parametrize("syms", [[b"aaa", b"a"], [b"aaaaa", b"aa", b"a"], [b"aaaaaaa", b"aaa"]])
+def test_fsst_parse_matches_reference_on_runs(syms):
+    """Runs of one byte under symbols whose lengths do not divide the piece
+    length: a piece's walks from different entries never meet, so every
+    piece's entry comes from composing the maps of all pieces before it."""
+    from parquet_go_ray.codecs import fsst
+
+    vals = [b"a" * n for n in (65, 97, 1000, 2000, 4097)]
+    lens = np.array([len(v) for v in vals], dtype=np.int64)
+    data = np.frombuffer(b"".join(vals), dtype=np.uint8)
+    got = fsst._greedy_parse(data, lens, fsst.SymbolTable(syms))
+    want = _ref_greedy_parse(data, lens, _RefSymbolTable(syms))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

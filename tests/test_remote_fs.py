@@ -259,3 +259,55 @@ def test_write_part_cleans_partial_on_write_error(mocks3_bucket, monkeypatch):
     # and a clean retry succeeds
     r = nio._write_part(batch, part_dir, "", {})
     assert not r["skipped"]
+
+
+def _pandas_dir(tmp_path, files=3):
+    """Parquet files written by pandas: each schema carries the pandas
+    metadata blob."""
+    import pandas as pd
+
+    d = tmp_path / "pandas"
+    d.mkdir()
+    for i in range(files):
+        frame = pd.DataFrame({"k": range(10 * i, 10 * i + 10), "s": [f"v{j}" for j in range(10)]})
+        frame.to_parquet(d / f"part{i}.parquet")
+    assert pq.read_schema(d / "part0.parquet").metadata
+    return d
+
+
+def _read_blocks(ds):
+    import ray
+
+    mat = ds.materialize()
+    return ray.get(mat.to_arrow_refs()), mat.stats()
+
+
+@pytest.mark.parametrize("how", ["directory", "path_list", "columns"])
+def test_read_parquet_any_blocks_are_metadata_free(ray_session, tmp_path, how):
+    """The read is handed a metadata-free schema, so its own tasks build
+    clean blocks and no strip map follows it."""
+    from parquet_go_ray.sources.io import read_parquet_any
+
+    d = _pandas_dir(tmp_path)
+    if how == "directory":
+        ds = read_parquet_any(str(d))
+    elif how == "path_list":
+        ds = read_parquet_any(sorted(str(p) for p in d.iterdir()))
+    else:
+        ds = read_parquet_any(str(d), columns=["k"])
+    blocks, stats = _read_blocks(ds)
+    assert sum(b.num_rows for b in blocks) == 30
+    assert all(not b.schema.metadata for b in blocks)
+    assert all(b.column_names == (["k"] if how == "columns" else ["k", "s"]) for b in blocks)
+    assert "_strip_schema_metadata" not in stats
+
+
+def test_read_parquet_any_strips_a_caller_schema_with_metadata(ray_session, tmp_path):
+    from parquet_go_ray.sources.io import read_parquet_any
+
+    d = _pandas_dir(tmp_path)
+    schema = pq.read_schema(d / "part0.parquet")
+    blocks, stats = _read_blocks(read_parquet_any(str(d), schema=schema))
+    assert sum(b.num_rows for b in blocks) == 30
+    assert all(not b.schema.metadata for b in blocks)
+    assert "MapBatches(_strip_schema_metadata)" in stats

@@ -255,7 +255,11 @@ class _Inline:
     object store only as the refs `iter_internal_ref_bundles` hands out."""
 
     def __init__(self, blocks: list[pa.Table]):
+        import types
+
         self.blocks = blocks
+        # write_par1_dataset sets the order flag for its materialize
+        self.context = types.SimpleNamespace(execution_options=types.SimpleNamespace(preserve_order=False))
 
     def map_batches(self, fn, **_kw):
         out = []
