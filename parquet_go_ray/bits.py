@@ -5,12 +5,15 @@ byte vectors (reference: encoding/encodingwrite.go:132-270 for
 varint / RLE / LSB-first bit-packing; encoding/encodingwrite_test.go:33-102).
 All hot paths are vectorized numpy.  `uvarints` writes a whole array of
 ULEB128 headers at once, `pack_bits` packs a whole span of values, and
-`unpack_bits` reads every equal-width run of a page in one call; a codec's
-remaining Python loops visit only what it must emit one at a time (the
-decoders' run and block headers, the hybrid encoder's RLE runs).
+`unpack_region` reads every byte-aligned bit-packed run of a page in one
+pass whatever the mix of widths (`unpack_bits` is its one-width form); a
+codec's remaining Python loops visit only what it must emit one at a time
+(the decoders' run and block headers, the hybrid encoder's RLE runs).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -110,15 +113,8 @@ def unpack_bits(
     """Inverse of pack_bits: read `count` values of `width` bits from buf[offset:].
 
     With `starts` (byte offsets into buf), read `count` values at each offset
-    instead and return the runs concatenated, so one call unpacks every
-    equal-width run of a page.
-
-    Gather-shift-mask: the value at bit p is the little-endian 64-bit word at
-    byte p >> 3, shifted right by p & 7 and masked to `width` bits; above 57
-    bits a value can straddle a ninth byte, whose bits are or-ed in.  Words
-    are read from a zero-padded copy of the bytes the runs cover, and a run
-    reaching past the end of buf raises ValueError.
-    """
+    instead and return the runs concatenated (`unpack_region` over the bytes
+    the runs cover).  A run reaching past the end of buf raises ValueError."""
     if not 0 <= width <= 64:
         raise ValueError(f"bit width {width} outside 0..64")
     starts = np.array([offset], np.int64) if starts is None else np.asarray(starts, np.int64)
@@ -129,18 +125,50 @@ def unpack_bits(
     hi = int(starts.max()) + (count * width + 7) // 8
     if lo < 0 or hi > len(raw):
         raise ValueError(f"bit-packed run [{lo}, {hi}) outside a {len(raw)}-byte buffer")
-    padded = np.zeros(hi - lo + 16, dtype=np.uint8)
-    padded[: hi - lo] = raw[lo:hi]
+    return unpack_region(raw[lo:hi], np.full(len(starts), width, np.int64), count, starts - lo)
+
+
+# (1 << w) - 1 for every width 0..64
+_MASKS = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
+
+
+@functools.lru_cache(maxsize=8)
+def _run_layout(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Value j of a byte-aligned run of width w starts j * w bits in: its
+    byte offset and its shift within that byte, as (65, count) tables
+    indexed by width.  Runs come in few lengths (a delta miniblock, a
+    hybrid group of 8), so the tables are cached per length."""
+    bits = np.arange(65, dtype=np.int64)[:, None] * np.arange(count, dtype=np.int64)
+    return bits >> 3, (bits & 7).astype(np.uint64)
+
+
+def unpack_region(region: np.ndarray, widths: np.ndarray, count: int, starts: np.ndarray) -> np.ndarray:
+    """Read `count` values of `widths[i]` bits at byte `starts[i]` of the
+    uint8 `region` for every run i, in one pass whatever the mix of widths;
+    return the runs concatenated.  The callers check that every run lies in
+    the region and that every width is in 0..64 (int64 arrays).
+
+    Gather-shift-mask: each value is the little-endian 64-bit word at its
+    run's start plus its byte offset, shifted right and masked to the run's
+    width (offsets and shifts are rows of `_run_layout`).  A value of a run
+    wider than 57 bits can straddle a ninth byte, whose bits are or-ed in.
+    Words are read (`np.take`) from a zero-padded copy of the region, so
+    every index is in range."""
+    padded = np.zeros(len(region) + 16, dtype=np.uint8)
+    padded[: len(region)] = region
     words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
-    bitpos = (((starts - lo) * 8)[:, None] + np.arange(count, dtype=np.int64) * width).reshape(-1)
-    byte = bitpos >> 3
-    shift = (bitpos & 7).astype(np.uint64)
-    vals = words[byte] >> shift
-    if width > 57:
-        vals |= (padded[byte + 8].astype(np.uint64) << np.uint64(1)) << (np.uint64(63) - shift)
-    if width < 64:
-        vals &= np.uint64((1 << width) - 1)
-    return vals
+    offsets, shifts = _run_layout(count)
+    byte = offsets[widths]
+    byte += starts[:, None]
+    shift = shifts[widths]
+    vals = np.take(words, byte, mode="clip")  # in range by construction; clip skips the check
+    vals >>= shift
+    wide = np.flatnonzero(widths > 57)
+    if len(wide):
+        ninth = np.take(padded, byte[wide] + 8).astype(np.uint64) << np.uint64(1)
+        vals[wide] |= ninth << (np.uint64(63) - shift[wide])
+    vals &= _MASKS[widths][:, None]
+    return vals.reshape(-1)
 
 
 _VARINT_SHIFTS = np.arange(0, 64, 7, dtype=np.uint64)  # 10 bytes cover 64 bits

@@ -17,10 +17,11 @@ from cumsums of the varint lengths and the width matrix, and scatters the
 varints, the width bytes and the payloads into one output array; every
 miniblock of one width is packed by one `pack_bits` call.  Decode has the
 mirror shape, except for one Python pass over the block headers (a block's
-offset depends on the varint before it): the miniblock offsets come from a
-cumsum of the width matrix, every miniblock of one width is unpacked by one
-`unpack_bits` call, each block's min delta is added by broadcasting, and
-one cumsum rebuilds the values.
+offset depends on the varint before it; the pass reads each min-delta
+varint inline): the miniblock offsets come from a cumsum of the width
+matrix, one `unpack_region` pass unpacks every miniblock at its own width,
+each block's min delta is added by broadcasting, and one cumsum rebuilds
+the values.
 
 DELTA_BYTE_ARRAY prefix lengths are computed vectorized on a byte matrix of
 the first `PREFIX_CAP` bytes of each value (any prefix <= the true common
@@ -37,10 +38,9 @@ import pyarrow as pa
 from ..bits import (
     pack_bits,
     read_uvarint,
-    unpack_bits,
+    unpack_region,
     uvarints,
     write_uvarint,
-    zigzag_decode,
     zigzag_decode_scalar,
     zigzag_encode,
     zigzag_encode_scalar,
@@ -151,14 +151,25 @@ def delta_bp_decode_np(buf: bytes, pos: int = 0) -> tuple[np.ndarray, int]:
         if nblocks * (1 + mbs) > len(buf) - pos:  # each block header is >= 1 + mbs bytes
             raise ValueError("DELTA_BINARY_PACKED: truncated stream")
         last_used = -(-(nd - (nblocks - 1) * block) // mb_vals)
-        # header pass: per block its min-delta varint and where its widths sit
-        min_zz, heads = [], []
+        # header pass: per block its min delta (the zigzag varint read
+        # inline, one byte in the common case) and where its widths sit
+        mins, heads = [], []
         for b in range(nblocks):
-            z, pos = read_uvarint(buf, pos)
-            min_zz.append(z)
+            z = buf[pos]
+            pos += 1
+            if z & 0x80:
+                z &= 0x7F
+                shift = 7
+                while True:
+                    c = buf[pos]
+                    pos += 1
+                    z |= (c & 0x7F) << shift
+                    if c < 0x80:
+                        break
+                    shift += 7
+            mins.append((z >> 1) ^ -(z & 1))
             heads.append(pos)
-            used = buf[pos : pos + (mbs if b + 1 < nblocks else last_used)]
-            pos += mbs + sum(used) * mb_vals // 8
+            pos += mbs + sum(buf[pos : pos + (mbs if b + 1 < nblocks else last_used)]) * mb_vals // 8
     except IndexError:
         raise ValueError("DELTA_BINARY_PACKED: truncated stream") from None
     if pos > len(buf):
@@ -168,29 +179,25 @@ def delta_bp_decode_np(buf: bytes, pos: int = 0) -> tuple[np.ndarray, int]:
     out[0] = first
     if nd == 0:
         return out, pos
+    try:
+        mins = np.array(mins, dtype=np.int64).view(np.uint64)
+    except OverflowError:
+        raise ValueError("DELTA_BINARY_PACKED: min delta wider than 64 bits") from None
     heads = np.array(heads, dtype=np.int64)
     raw = np.frombuffer(buf, dtype=np.uint8)
     widths = raw[heads[:, None] + np.arange(mbs)].astype(np.int64)
     widths[-1, last_used:] = 0  # widths of unneeded miniblocks may be arbitrary
     if widths.max() > 64:
         raise ValueError(f"DELTA_BINARY_PACKED: bit width {widths.max()} above 64")
-    # miniblock payloads follow their block's widths back to back
+    # miniblock payloads follow their block's widths back to back, from
+    # the first block's payload to pos; one pass unpacks every miniblock at
+    # its own width
+    lo = int(heads[0]) + mbs
     mb_bytes = widths * (mb_vals // 8)
-    mb_start = (heads + mbs)[:, None] + np.cumsum(mb_bytes, axis=1) - mb_bytes
-    flat_w, flat_start = widths.reshape(-1), mb_start.reshape(-1)
-    uniq = np.unique(flat_w).tolist()
-    if len(uniq) == 1:  # one width: the unpacked runs are the deltas
-        deltas = unpack_bits(buf, uniq[0], mb_vals, starts=flat_start)
-    else:  # zero-filled only when some miniblock has width 0 (uniq is sorted)
-        deltas = (np.zeros if uniq[0] == 0 else np.empty)(nblocks * block, dtype=np.uint64)
-        rows = deltas.reshape(-1, mb_vals)
-        for w in filter(None, uniq):
-            sel = np.flatnonzero(flat_w == w)
-            rows[sel] = unpack_bits(buf, w, mb_vals, starts=flat_start[sel]).reshape(-1, mb_vals)
-    try:
-        mins = zigzag_decode(np.array(min_zz, dtype=np.uint64)).view(np.uint64)
-    except OverflowError:
-        raise ValueError("DELTA_BINARY_PACKED: min delta wider than 64 bits") from None
+    mb_start = np.cumsum(mb_bytes, axis=1)
+    mb_start -= mb_bytes
+    mb_start += (heads - (lo - mbs))[:, None]
+    deltas = unpack_region(raw[lo:pos], widths.reshape(-1), mb_vals, mb_start.reshape(-1))
     deltas.reshape(nblocks, block)[:] += mins[:, None]  # uint64 add: wraps like Go's int64
     # first rides in the first delta, so one cumsum yields every value
     deltas[:1] += np.uint64(first & 0xFFFFFFFFFFFFFFFF)  # negative first: mask before uint64 cast

@@ -5,17 +5,22 @@ Formats match the Parquet spec / reference byte-for-byte
 encoding/encodingwrite_test.go:104-214):
   * BOOLEAN  -> LSB-first bit-packed, 1 bit/value
   * INT32/INT64/FLOAT/DOUBLE -> raw LE array (zero-copy from Arrow buffer)
-  * BYTE_ARRAY -> per-value ``u32 LE length + bytes`` (vectorized scatter)
+  * BYTE_ARRAY -> per-value ``u32 LE length + bytes`` (vectorized scatter;
+    decode walks the prefixes in one scalar pass, then gathers the bytes once)
   * FIXED_LEN_BYTE_ARRAY -> concatenated raw bytes
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .base import arr_values_np, binary_parts, build_binary, register
+
+_U32 = struct.Struct("<I").unpack_from
 
 
 def encode_plain(arr: pa.Array) -> tuple[bytes, dict]:
@@ -79,21 +84,24 @@ def decode_plain(payload: bytes, meta: dict, typ: pa.DataType) -> pa.Array:
         bits = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")[:n]
         return pa.array(bits.astype(bool), type=pa.bool_())
     if pa.types.is_string(typ) or pa.types.is_binary(typ) or pa.types.is_large_string(typ) or pa.types.is_large_binary(typ):
-        lengths = np.empty(n, dtype=np.int64)
-        # the length-prefix chain is sequential (pos_{i+1} = pos_i + 4 + len_i);
-        # walk it once with a cheap scalar loop, slicing each value's bytes,
-        # then join once (1x copy — no per-byte gather index arrays).
-        mv = memoryview(payload)
-        pieces = []
-        ap = pieces.append
+        # the length-prefix chain is sequential (pos_{i+1} = pos_i + 4 +
+        # len_i): one scalar pass collects where each prefix sits, then one
+        # boolean-mask gather keeps every byte but the prefixes
+        starts = []
+        ap = starts.append
         pos = 0
-        ifb = int.from_bytes
-        for i in range(n):
-            l = ifb(mv[pos : pos + 4], "little")
-            lengths[i] = l
-            ap(mv[pos + 4 : pos + 4 + l])
-            pos += 4 + l
-        data = np.frombuffer(b"".join(pieces), dtype=np.uint8)
+        try:
+            for _ in range(n):
+                ap(pos)
+                pos += 4 + _U32(payload, pos)[0]
+        except struct.error:
+            raise ValueError(f"PLAIN BYTE_ARRAY: prefix past byte {len(payload)}") from None
+        starts = np.array(starts, dtype=np.int64)
+        lengths = np.diff(starts, append=pos) - 4
+        keep = np.ones(pos, dtype=bool)
+        for k in range(4):
+            keep[starts + k] = False
+        data = np.frombuffer(payload, dtype=np.uint8, count=pos)[keep]  # ValueError past the end
         return build_binary(lengths, data, typ)
     if pa.types.is_fixed_size_binary(typ):
         return pa.FixedSizeBinaryArray.from_buffers(typ, n, [None, pa.py_buffer(payload)])

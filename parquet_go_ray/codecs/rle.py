@@ -15,7 +15,10 @@ only over the runs of at least _MIN_RLE_RUN values; the short runs between
 them are never visited one by one, since a pending bit-packed span is just
 the values from the end of the last RLE run to the start of the next long
 one, packed by one `pack_bits` call.  Decode makes one Python pass over the
-run headers, then one `unpack_bits` call reads every bit-packed group.
+run headers, then one vectorized pass reads the 8-value groups of every
+bit-packed run: up to 8 bits wide from one array of the runs' bytes, each
+group read as one little-endian u64 and split by shifts; wider through
+`unpack_bits` at each group's start.
 
 Also exposes the u32-length-prefixed framing used for definition levels
 (reference: encoding/encodingwrite.go:174-181, layout/page.go:219-232) and the
@@ -91,7 +94,7 @@ def _bitpacked_span(v: np.ndarray, start: int, count: int, width: int, final: bo
 def decode_hybrid(buf: bytes, width: int, count: int, pos: int = 0) -> tuple[np.ndarray, int]:
     """Decode `count` values; returns (values uint64, end_pos).
 
-    One Python pass reads the run headers; one `unpack_bits` call then reads
+    One Python pass reads the run headers; then one vectorized pass unpacks
     the 8-value groups of every bit-packed run (a stream has one width) and
     np.repeat expands the RLE runs.  The last run may overshoot `count`."""
     vbytes = (width + 7) // 8
@@ -119,15 +122,50 @@ def decode_hybrid(buf: bytes, width: int, count: int, pos: int = 0) -> tuple[np.
         filled += take
     if filled < count:
         raise ValueError(f"hybrid stream exhausted: {filled}/{count}")
+    if not bp_pos or not width:
+        return np.repeat(np.array(values, dtype=np.uint64), lens), pos
+    bp = _unpack_groups(buf, width, bp_pos, bp_groups)
+    if len(bp_pos) == len(lens):  # only bit-packed runs: only the last can be partial
+        return bp[:count], pos
     out = np.repeat(np.array(values, dtype=np.uint64), lens)
-    if bp_pos and width:
-        groups = np.array(bp_groups, dtype=np.int64)
-        first = np.cumsum(groups) - groups  # index of each run's first group
-        starts = np.repeat(np.array(bp_pos, dtype=np.int64) - first * width, groups)
-        starts += np.arange(len(starts), dtype=np.int64) * width
-        mask = np.repeat(np.array(packed, dtype=bool), lens)
-        out[mask] = unpack_bits(buf, width, 8, starts=starts)[: np.count_nonzero(mask)]
+    mask = np.repeat(np.array(packed, dtype=bool), lens)
+    out[mask] = bp[: np.count_nonzero(mask)]
     return out, pos
+
+
+# shift of each value of an 8-value group, for widths 0..8
+_GROUP_SHIFTS = np.arange(9, dtype=np.uint64)[:, None] * np.arange(8, dtype=np.uint64)
+
+
+def _unpack_groups(buf, width: int, run_pos: list, run_groups: list) -> np.ndarray:
+    """The values of `run_groups[i]` 8-value groups at byte `run_pos[i]` of
+    buf for every bit-packed run i, concatenated.
+
+    A group of 8 values takes exactly `width` bytes.  Up to 8 bits, the
+    bytes of every run are gathered into one (groups, width) array, each
+    group read as one little-endian u64 (zero-padded from `width` bytes),
+    then shifted by `arange(8) * width` and masked (one bit wide, a group is
+    `np.unpackbits` of its byte); wider groups go through `unpack_bits` at
+    each group's start."""
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    total = sum(run_groups)
+    if len(run_pos) == 1 and width <= 8:  # one run: its groups are contiguous
+        data = raw[run_pos[0] : run_pos[0] + total * width].reshape(total, width)
+    else:
+        groups = np.array(run_groups, dtype=np.int64)
+        first = np.cumsum(groups) - groups  # index of each run's first group
+        starts = np.repeat(np.array(run_pos, dtype=np.int64) - first * width, groups)
+        starts += np.arange(total, dtype=np.int64) * width
+        if width > 8:
+            return unpack_bits(buf, width, 8, starts=starts)
+        data = np.take(raw, starts[:, None] + np.arange(width))
+    if width == 1:  # a group is one byte of 8 LSB-first bits
+        return np.unpackbits(data.reshape(-1), bitorder="little").astype(np.uint64)
+    words = np.zeros((total, 8), dtype=np.uint8)
+    words[:, :width] = data
+    vals = words.view("<u8") >> _GROUP_SHIFTS[width]
+    vals &= np.uint64((1 << width) - 1)
+    return vals.reshape(-1)
 
 
 # -- framings ----------------------------------------------------------------

@@ -217,12 +217,15 @@ def _physical(t: pa.DataType) -> tuple[int, int | None, dict | None, pa.DataType
     if pa.types.is_date32(t):
         return PT_INT32, CONV_DATE, {"DATE": {}}, pa.int32()
     if pa.types.is_timestamp(t):
-        unit = t.unit
-        if unit == "ms":
-            conv, lt_unit = CONV_TIMESTAMP_MILLIS, {"MILLIS": {}}
-        else:
-            conv, lt_unit = CONV_TIMESTAMP_MICROS, {"MICROS": {}}
-        lt = {"TIMESTAMP": {"isAdjustedToUTC": t.tz is not None, "unit": lt_unit}}
+        # seconds are written as MILLIS, as pyarrow writes them (their
+        # values are scaled in _write_leaf_chunk); NANOS has no converted type
+        conv, lt_unit = {
+            "s": (CONV_TIMESTAMP_MILLIS, "MILLIS"),
+            "ms": (CONV_TIMESTAMP_MILLIS, "MILLIS"),
+            "us": (CONV_TIMESTAMP_MICROS, "MICROS"),
+            "ns": (None, "NANOS"),
+        }[t.unit]
+        lt = {"TIMESTAMP": {"isAdjustedToUTC": t.tz is not None, "unit": {lt_unit: {}}}}
         return PT_INT64, conv, lt, pa.int64()
     raise NotImplementedError(f"PAR1 writer: unsupported type {t} (flat types only)")
 
@@ -594,6 +597,8 @@ def _write_leaf_chunk(
     vals = st.values
     if isinstance(vals, pa.ChunkedArray):
         vals = vals.combine_chunks()
+    if pa.types.is_timestamp(vals.type) and vals.type.unit == "s":
+        vals = vals.cast(pa.timestamp("ms", vals.type.tz))  # stored as MILLIS
     if vals.type != storage:
         vals = vals.cast(storage)
     bloom_bytes = None

@@ -210,50 +210,3 @@ def bpe_tokenize(
         batch_format="pandas",
         concurrency=(1, 4),
     )
-
-
-# --- naive reference (tests only) ---------------------------------------------
-
-
-def naive_train(words: dict[str, int], n_merges: int) -> list[tuple[str, str]]:
-    """Textbook dict-of-tuples BPE trainer (tests compare against this)."""
-    vocab = {tuple(w) + (END,): c for w, c in words.items()}
-    merges = []
-    for _ in range(n_merges):
-        pairs: dict[tuple[str, str], int] = {}
-        for sym, c in vocab.items():
-            for i in range(len(sym) - 1):
-                pairs[(sym[i], sym[i + 1])] = pairs.get((sym[i], sym[i + 1]), 0) + c
-        if not pairs:
-            break
-        best_n = max(pairs.values())
-        best = min(p for p, v in pairs.items() if v == best_n)
-        merges.append(best)
-        new_vocab = {}
-        for sym, c in vocab.items():
-            out, i = [], 0
-            while i < len(sym):
-                if i + 1 < len(sym) and (sym[i], sym[i + 1]) == best:
-                    out.append(sym[i] + sym[i + 1])
-                    i += 2
-                else:
-                    out.append(sym[i])
-                    i += 1
-            new_vocab[tuple(out)] = c
-        vocab = new_vocab
-    return merges
-
-
-def naive_tokenize(word: str, merges: list[tuple[str, str]]) -> list[str]:
-    sym = list(word) + [END]
-    for left, right in merges:
-        out, i = [], 0
-        while i < len(sym):
-            if i + 1 < len(sym) and sym[i] == left and sym[i + 1] == right:
-                out.append(left + right)
-                i += 2
-            else:
-                out.append(sym[i])
-                i += 1
-        sym = out
-    return sym

@@ -828,12 +828,6 @@ def minhash_candidate_pairs_ds(
     return counted.map_batches(_conform(schema), batch_format="pyarrow")
 
 
-def minhash_candidate_pairs(sf_dir: str) -> pd.DataFrame:
-    """Distinct candidate pairs from LSH buckets (a < b) — pandas API."""
-    pdf = minhash_candidate_pairs_ds(sf_dir).to_pandas()
-    return pdf.sort_values(["a", "b"]).reset_index(drop=True)
-
-
 def _sig_prefilter(threshold: float):
     """Vectorized minhash-similarity prefilter over joined pairs: kills the
     bulk of LSH false candidates before any text moves."""
@@ -1464,11 +1458,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, parts: int = DEFAUL
         ).map_batches(_verify_jaccard(threshold, keep_score=True), batch_format="pyarrow")
     pdf = pairs.to_pandas()  # output-sized: verified pairs only
     return pdf.sort_values(["a", "b"]).reset_index(drop=True)
-
-
-def dedup_minhash_survivors(sf_dir: str, threshold: float = 0.8) -> pd.DataFrame:
-    lab = dedup_minhash(sf_dir, threshold).to_pandas()
-    return lab[lab.doc_id == lab.cluster][["doc_id"]].reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,54 @@ from parquet_go_ray.pipelines import bpe as B
 SF = "/root/testdata/sf0.001"
 
 
+# --- naive reference -------------------------------------------------------
+
+
+def naive_train(words: dict[str, int], n_merges: int) -> list[tuple[str, str]]:
+    """Textbook dict-of-tuples BPE trainer, the reference the engine's
+    trainer is compared against."""
+    vocab = {tuple(w) + (B.END,): c for w, c in words.items()}
+    merges = []
+    for _ in range(n_merges):
+        pairs: dict[tuple[str, str], int] = {}
+        for sym, c in vocab.items():
+            for i in range(len(sym) - 1):
+                pairs[(sym[i], sym[i + 1])] = pairs.get((sym[i], sym[i + 1]), 0) + c
+        if not pairs:
+            break
+        best_n = max(pairs.values())
+        best = min(p for p, v in pairs.items() if v == best_n)
+        merges.append(best)
+        new_vocab = {}
+        for sym, c in vocab.items():
+            out, i = [], 0
+            while i < len(sym):
+                if i + 1 < len(sym) and (sym[i], sym[i + 1]) == best:
+                    out.append(sym[i] + sym[i + 1])
+                    i += 2
+                else:
+                    out.append(sym[i])
+                    i += 1
+            new_vocab[tuple(out)] = c
+        vocab = new_vocab
+    return merges
+
+
+def naive_tokenize(word: str, merges: list[tuple[str, str]]) -> list[str]:
+    sym = list(word) + [B.END]
+    for left, right in merges:
+        out, i = [], 0
+        while i < len(sym):
+            if i + 1 < len(sym) and sym[i] == left and sym[i + 1] == right:
+                out.append(left + right)
+                i += 2
+            else:
+                out.append(sym[i])
+                i += 1
+        sym = out
+    return sym
+
+
 def test_explode_words_layout():
     syms, wid = B._explode_words(["ab", "c"])
     assert list(syms) == ["a", "b", B.END, "c", B.END]
@@ -39,7 +87,7 @@ def test_train_matches_naive_fixed_corpus():
     words = {"low": 5, "lower": 2, "newest": 6, "widest": 3}
     freqs = pd.DataFrame({"word": list(words), "n": list(words.values())})
     got = B.train_bpe_from_freqs(freqs, n_merges=10)
-    want = B.naive_train(words, 10)
+    want = naive_train(words, 10)
     assert [(r.left, r.right) for r in got.itertuples()] == want
     # classic Sennrich example: first merges build up "est</w>"
     assert (got["left"] + got["right"]).iloc[0] in ("es", "st")
@@ -58,7 +106,7 @@ def test_train_matches_naive_fixed_corpus():
 def test_train_matches_naive_random(words, k):
     freqs = pd.DataFrame({"word": list(words), "n": list(words.values())})
     got = B.train_bpe_from_freqs(freqs, n_merges=k)
-    want = B.naive_train(words, k)
+    want = naive_train(words, k)
     assert [(r.left, r.right) for r in got.itertuples()] == want
 
 
@@ -73,7 +121,7 @@ def test_tokenize_matches_naive_per_word():
     )
     out = tok(batch).set_index("doc_id")
     for doc_id, text in zip(batch["doc_id"], batch["text"]):
-        want = [t for w in text.split() for t in B.naive_tokenize(w, merges)]
+        want = [t for w in text.split() for t in naive_tokenize(w, merges)]
         assert list(out.loc[doc_id, "subwords"]) == want
         assert out.loc[doc_id, "n_subwords"] == len(want)
     # empty doc
@@ -97,7 +145,7 @@ def test_bpe_end_to_end_corpus(ray_session):
     t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
     row = t.slice(7, 1).to_pylist()[0]
     mg = [(r.left, r.right) for r in merges.itertuples()]
-    want = [s for w in row["text"].split() for s in B.naive_tokenize(w, mg)]
+    want = [s for w in row["text"].split() for s in naive_tokenize(w, mg)]
     got = toks.set_index("doc_id").loc[row["doc_id"], "subwords"]
     assert list(got) == want
 
@@ -109,5 +157,5 @@ def test_tie_break_with_control_char_symbols():
     words = {"b\x01z": 5, "b\x01q": 5, "bw": 5}
     freqs = pd.DataFrame({"word": list(words), "n": list(words.values())})
     got = B.train_bpe_from_freqs(freqs, n_merges=2)
-    want = B.naive_train(words, 2)
+    want = naive_train(words, 2)
     assert [(r.left, r.right) for r in got.itertuples()] == want

@@ -359,6 +359,66 @@ def test_delta_bp_rejects_truncated_stream():
         delta_bp_decode_np(huge)
 
 
+
+_WIDTH_CLASSES = ((0, 0), (1, 8), (9, 57), (58, 64))
+
+
+def _mixed_widths():
+    """A `_delta_stream` width picker: every four miniblocks (one whole
+    default block) take width 0, one width up to 8, one of 9..57 and one of
+    58..64 (the ninth-byte widths), in random order."""
+    pending = []
+
+    def pick(r):
+        if not pending:
+            pending.extend(int(r.integers(lo, hi, endpoint=True)) for lo, hi in r.permutation(_WIDTH_CLASSES))
+        return pending.pop()
+
+    return pick
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_delta_bp_mixed_width_blocks_match_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    for n in (2, 33, 129, 1 + 128 * 4, 1 + 128 * 9 + 77):
+        _assert_same_delta(_delta_stream(rng, 128, 4, n, _mixed_widths()))
+
+
+def test_delta_bp_multibyte_and_negative_min_deltas():
+    """Blocks whose min delta is negative and whose zigzag varint takes 1 to
+    10 bytes, through the encoder and through hand-built streams."""
+    rng = np.random.default_rng(41)
+    blocks = []
+    for k in (0, 3, 6, 7, 13, 20, 27, 34, 41, 48, 55, 62, 63):
+        lo = -(1 << k)
+        blocks.append(lo + rng.integers(0, 1 << min(k, 20), 128, endpoint=True))
+        blocks[-1][rng.integers(0, 128)] = lo  # the block's min delta is exactly -2^k
+    d = np.concatenate(blocks)
+    with np.errstate(over="ignore"):
+        v = np.concatenate([[7], 7 + np.cumsum(d)])
+    buf = delta_bp_encode_np(v)
+    pos = 0
+    for _ in range(4):  # block size, miniblocks, count, first value
+        _, pos = read_uvarint(buf, pos)
+    lens = []
+    for _ in blocks:  # every block: its min-delta varint, then widths and payload
+        start = pos
+        _, pos = read_uvarint(buf, pos)
+        lens.append(pos - start)
+        pos += 4 + sum(buf[pos : pos + 4]) * 4
+    assert sorted(set(lens)) == list(range(1, 11))
+    got, end = _assert_same_delta(buf)
+    assert end == len(buf) and np.array_equal(got, v)
+    # hand-built: one-byte negative min (zigzag 1 -> -1) and the largest
+    # ten-byte one (zigzag 2^64 - 1 -> -2^63)
+    for zz in (1, 3, 127, 255, (1 << 64) - 1):
+        stream = bytearray(write_uvarint(128) + write_uvarint(4) + write_uvarint(200) + write_uvarint(5))
+        for _ in range(2):
+            stream += write_uvarint(zz) + bytes([3, 9, 60, 0])
+            stream += rng.integers(0, 256, (3 + 9 + 60) * 4, dtype=np.uint8).tobytes()
+        _assert_same_delta(bytes(stream))
+
+
 def _hybrid_stream(rng, width, runs):
     """A hand-built hybrid stream of `runs` random RLE / bit-packed runs."""
     out = bytearray()
@@ -408,6 +468,64 @@ def test_hybrid_rejects_truncated_bitpacked_run():
     buf = write_uvarint((2 << 1) | 1) + bytes(2 * 9 - 1)
     with pytest.raises(ValueError):
         decode_hybrid(buf, 9, 16)
+
+
+
+def _assert_same_hybrid(buf, width, count, pos=0):
+    got, got_pos = decode_hybrid(buf, width, count, pos)
+    want, want_pos = _ref_decode_hybrid(buf, width, count, pos)
+    assert np.array_equal(got, want) and got_pos == want_pos
+    return got
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_hybrid_one_bitpacked_run_byte_group_widths(width):
+    """One bit-packed run (the dictionary-index page shape) at every width
+    the byte-group unpack reads, with counts that end mid-group."""
+    rng = np.random.default_rng(500 + width)
+    for groups in (1, 2, 3, 127, 1024):
+        payload = rng.integers(0, 256, groups * width, dtype=np.uint8).tobytes()
+        buf = bytes([width]) + write_uvarint((groups << 1) | 1) + payload + b"tail"
+        for count in {1, 7, 9, groups * 8 - 7, groups * 8 - 1, groups * 8} - {0}:
+            if count <= groups * 8:
+                _assert_same_hybrid(buf, width, count, 1)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_hybrid_mixed_runs_byte_group_widths(width):
+    """Mixed RLE / bit-packed streams (the level and low-cardinality
+    dictionary shapes): hand-built, and the encoder's output for runs of
+    values around short noise."""
+    rng = np.random.default_rng(600 + width)
+    for _ in range(8):
+        buf, total = _hybrid_stream(rng, width, int(rng.integers(2, 40)))
+        for count in {total, max(total - 3, 1), total // 2 or 1}:
+            if count <= total:
+                _assert_same_hybrid(buf + b"\x03", width, count)
+    hi = 1 << width
+    parts = []
+    for _ in range(60):
+        if rng.integers(0, 2):
+            parts.append(np.full(int(rng.integers(8, 300)), rng.integers(0, hi), np.uint64))
+        else:
+            parts.append(rng.integers(0, hi, int(rng.integers(1, 40))).astype(np.uint64))
+    v = np.concatenate(parts)
+    buf = encode_hybrid(v, width)
+    assert np.array_equal(_assert_same_hybrid(buf, width, len(v)), v)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 9, 17, 64])
+def test_hybrid_rejects_truncated_bitpacked_runs(width):
+    """A bit-packed run cut short raises ValueError, alone or after an RLE
+    run, at the byte-group widths and at gather widths."""
+    rle = write_uvarint(10 << 1) + bytes((width + 7) // 8)
+    for lead in (b"", rle):
+        full = lead + write_uvarint((3 << 1) | 1) + bytes(3 * width)
+        count = (10 if lead else 0) + 24
+        _assert_same_hybrid(full, width, count)
+        for cut in range(1, 3 * width + 1):
+            with pytest.raises(ValueError):
+                decode_hybrid(full[:-cut], width, count)
 
 
 @pytest.mark.parametrize("width", range(1, 65))
@@ -691,6 +809,74 @@ def test_decode_bss_matches_reference(typ, n):
     want = _ref_decode_bss(payload, {"rows": n, "k": k}, typ)
     assert got.type == want.type and len(got) == n
     assert got.buffers()[1].to_pybytes()[: n * k] == want.buffers()[1].to_pybytes()[: n * k]
+
+
+
+def _ref_decode_plain(payload: bytes, n: int, typ: pa.DataType) -> pa.Array:
+    """PLAIN BYTE_ARRAY decode as a per-value slice of each value's bytes,
+    joined once."""
+    from parquet_go_ray.codecs.base import build_binary
+
+    lengths = np.empty(n, dtype=np.int64)
+    mv = memoryview(payload)
+    pieces = []
+    pos = 0
+    for i in range(n):
+        ln = int.from_bytes(mv[pos : pos + 4], "little")
+        lengths[i] = ln
+        pieces.append(mv[pos + 4 : pos + 4 + ln])
+        pos += 4 + ln
+    return build_binary(lengths, np.frombuffer(b"".join(pieces), dtype=np.uint8), typ)
+
+
+_PLAIN_CASES = {
+    "no-values": [],
+    "empty-values": [b"", b"", b"x", b"", b"yz", b""],
+    "one-value": [b"only"],
+    "one-empty-value": [b""],
+    "non-ascii": ["żółw".encode(), "日本語テキスト".encode(), "\x00ÿ\x80".encode(), "é".encode() * 9],
+    "over-64k": [b"a" * 70_000, b"", b"b" * 65_536, b"c" * 65_537, b"tail"],
+    "random": [bytes(np.random.default_rng(9).integers(0, 256, k, dtype=np.uint8)) for k in range(300)],
+}
+
+
+@pytest.mark.parametrize(
+    "case,typ",
+    [(c, t) for c in _PLAIN_CASES for t in (pa.binary(), pa.string(), pa.large_binary())
+     if not (c == "random" and t == pa.string())],  # random bytes are not UTF-8
+)
+def test_decode_plain_byte_array_matches_reference(case, typ):
+    from parquet_go_ray.codecs.plain import decode_plain
+
+    vals = _PLAIN_CASES[case]
+    payload = b"".join(len(v).to_bytes(4, "little") + v for v in vals) + b"trailing"
+    got = decode_plain(payload, {"rows": len(vals)}, typ)
+    want = _ref_decode_plain(payload, len(vals), typ)
+    assert got.type == want.type and got.equals(want)
+    assert got.to_pylist() == [v.decode() if pa.types.is_string(typ) else v for v in vals]
+    if vals:  # cut into the last value, or into its length prefix
+        for cut in (1, len(vals[-1]) + 1):
+            with pytest.raises(ValueError):
+                decode_plain(payload[: len(payload) - len(b"trailing") - cut], {"rows": len(vals)}, typ)
+
+
+@pytest.mark.parametrize("page_size", [1 << 10, 1 << 20])
+def test_read_pyarrow_plain_string_column(tmp_path, page_size):
+    """A pyarrow-written PLAIN (no dictionary) string column, with nulls,
+    empty and non-ASCII values, reads back equal to pq.read_table."""
+    from parquet_go_ray.formats.par1 import read_par1, read_par1_pruned
+
+    rng = np.random.default_rng(12)
+    words = ["", "a", "żółw", "comment text " * 3, "x" * 200]
+    s = [None if i % 11 == 0 else words[i % 5] + str(rng.integers(0, 1000)) for i in range(5000)]
+    t = pa.table({"k": pa.array(np.arange(5000), pa.int64()), "s": pa.array(s)})
+    path = str(tmp_path / "plain.parquet")
+    pq.write_table(t, path, use_dictionary=False, data_page_size=page_size, write_page_index=True)
+    want = pq.read_table(path)
+    assert read_par1(path).equals(want)
+    assert read_par1_pruned(path)[0].equals(want)
+    got, _ = read_par1_pruned(path, None, ("k", ">=", 4000))
+    assert got.equals(want.filter(pa.compute.greater_equal(want["k"], 4000)))
 
 
 def _level_edge_table() -> pa.Table:

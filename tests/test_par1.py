@@ -1425,3 +1425,83 @@ def test_pruned_reads_parse_the_footer_once(tmp_path, monkeypatch):
     got, st = par1.read_par1_pruned(p)
     assert got.equals(tbl) and st["pages_decoded"] == st["pages_total"] == 20
     assert counts() == {"FileMetaData": 1, "OffsetIndex": 2, "ColumnIndex": 0}
+
+
+@pytest.mark.parametrize("page_size", [512, 8 << 10, 1 << 20])
+def test_read_pyarrow_delta_and_dictionary_columns(tmp_path, page_size):
+    """pyarrow-written DELTA_BINARY_PACKED int32/int64 and RLE_DICTIONARY
+    columns, with nulls: pyarrow picks its own miniblock widths and run
+    layout, and read_par1 / read_par1_pruned must equal pq.read_table."""
+    import pyarrow.compute as pc
+
+    from parquet_go_ray.formats.par1 import read_par1_pruned
+
+    n = 20000
+    rng = np.random.default_rng(31)
+    null = rng.random(n) < 0.1
+    k = np.sort(rng.integers(0, 5000, n))
+    t = pa.table(
+        {
+            "k": pa.array(k, pa.int64()),
+            "i32": pa.array(rng.integers(-(1 << 31), 1 << 31, n), pa.int32(), mask=null),
+            "i32_small": pa.array(rng.integers(-3, 40, n), pa.int32()),
+            "i64": pa.array(rng.integers(-(1 << 62), 1 << 62, n) >> rng.integers(0, 62, n), pa.int64(), mask=null),
+            "flag": pa.array(np.array(["A", "N", "R"])[rng.integers(0, 3, n)], mask=rng.random(n) < 0.05),
+            "status": pa.array(np.array(["F", "O"])[(np.arange(n) // rng.integers(1, 400)) % 2]),
+            "code": pa.array(rng.integers(0, 300, n), pa.int64(), mask=null),
+        }
+    )
+    path = str(tmp_path / "delta_dict.parquet")
+    pq.write_table(
+        t, path, data_page_size=page_size, write_page_index=True, row_group_size=8000,
+        use_dictionary=["flag", "status", "code"],
+        column_encoding={c: "DELTA_BINARY_PACKED" for c in ("k", "i32", "i32_small", "i64")},
+    )
+    md = pq.ParquetFile(path).metadata
+    encs = {md.schema.column(c).name: md.row_group(0).column(c).encodings for c in range(md.num_columns)}
+    assert "DELTA_BINARY_PACKED" in encs["i64"] and "RLE_DICTIONARY" in encs["code"]
+    want = pq.read_table(path)
+    assert read_par1(path).equals(want)
+    assert read_par1_pruned(path)[0].equals(want)
+    got, st = read_par1_pruned(path, None, ("k", ">=", 4000))
+    assert got.equals(want.filter(pc.greater_equal(want["k"], 4000)))
+    if page_size < (1 << 20):
+        assert st["pages_decoded"] < st["pages_total"]
+
+
+@pytest.mark.parametrize("unit", ["s", "ms", "us", "ns"])
+@pytest.mark.parametrize("tz", [None, "UTC", "Asia/Kolkata"])
+def test_write_par1_timestamp_units(tmp_path, unit, tz):
+    """Every timestamp unit keeps its instants: seconds are stored as
+    MILLIS (as pyarrow stores them), ns as the NANOS logical type, and both
+    readers return the input in the stored unit (tz-aware columns as UTC)."""
+    from parquet_go_ray.formats.par1 import read_par1_pruned
+
+    raw = [0, 1, -5, 1_700_000_000, None, 2**40 + 3]
+    col = pa.array(raw, pa.timestamp(unit, tz))
+    t = pa.table({"t": col, "k": pa.array(range(len(raw)), pa.int64())})
+    path = str(tmp_path / f"ts_{unit}.parquet")
+    write_par1(t, path)
+    stored = pa.timestamp("ms" if unit == "s" else unit, "UTC" if tz else None)
+    want = pa.table({"t": col.cast(stored), "k": t["k"]})
+    assert pq.read_table(path).equals(want)
+    assert read_par1(path).equals(want)
+    got, _ = read_par1_pruned(path, None, ("t", ">=", want["t"][3].as_py()))
+    assert got.column("k").to_pylist() == [3, 5]
+
+
+def test_write_par1_dataset_ns_frame_roundtrip(ray_session, tmp_path):
+    """A pandas frame (datetime64[ns], naive and tz-aware) through
+    write_par1_dataset reads back with its nanoseconds intact."""
+    import pandas as pd
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines.native_io import read_par1_dataset, write_par1_dataset
+
+    ts = pd.to_datetime([1_700_000_000_123_456_789 + i * 1_001 for i in range(500)], unit="ns")
+    frame = pd.DataFrame({"k": np.arange(500), "t": ts, "tz": ts.tz_localize("UTC")})
+    out = str(tmp_path / "ns")
+    write_par1_dataset(rd.from_pandas(frame), out).materialize()
+    back = read_par1_dataset(out).to_pandas().sort_values("k").reset_index(drop=True)
+    assert (back["t"] == frame["t"]).all() and (back["tz"] == frame["tz"]).all()
+    assert back["t"].dt.nanosecond.tolist() == frame["t"].dt.nanosecond.tolist()
