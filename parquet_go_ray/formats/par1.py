@@ -17,7 +17,8 @@ STRUCT subtrees, with true Dremel repetition/definition levels (shredding/
 assembly in formats/dremel.py, mirroring marshal/marshal.go:227-343 +
 schema/schemahandler.go:297-386 + marshal/unmarshal.go:31-264 semantics);
 leaf types bool/int8/int16/int32/int64/uint8/uint16/float/double/string/
-binary/date32/timestamp; v1 and v2 data pages on read, v1 on write.
+binary/date32/timestamp, and time32/time64 on read; v1 and v2 data pages on
+read, v1 on write.
 Legacy 2-level lists (unannotated
 repeated fields and pre-standard LIST shapes, LogicalTypes.md backward-compat
 rules) decode on read as non-null lists of non-null elements, matching the
@@ -65,6 +66,8 @@ from .parquet_meta import (
     CONV_LIST,
     CONV_MAP,
     CONV_MAP_KEY_VALUE,
+    CONV_TIME_MICROS,
+    CONV_TIME_MILLIS,
     CONV_TIMESTAMP_MICROS,
     CONV_TIMESTAMP_MILLIS,
     CONV_UTF8,
@@ -231,12 +234,15 @@ def _physical(t: pa.DataType) -> tuple[int, int | None, dict | None, pa.DataType
 
 
 # read side only (the writer rejects them): UINT_32 / UINT_64 leaves decode
-# into their signed storage, reinterpreted by a wrapping cast
+# into their signed storage, reinterpreted by a wrapping cast; TIME leaves
+# decode into their INT32 / INT64 storage
 _UNSIGNED_STORAGE = {pa.uint32(): pa.int32(), pa.uint64(): pa.int64()}
 
 
 def _read_storage(t: pa.DataType) -> pa.DataType:
     """Arrow storage type a leaf of logical type `t` decodes into."""
+    if pa.types.is_time(t):
+        return pa.int32() if pa.types.is_time32(t) else pa.int64()
     return _UNSIGNED_STORAGE.get(t) or _physical(t)[3]
 
 
@@ -250,6 +256,8 @@ def _logical_type(elem: dict) -> pa.DataType:
     if pt == PT_INT32:
         if conv == CONV_DATE:
             return pa.date32()
+        if conv == CONV_TIME_MILLIS or "TIME" in lt:
+            return pa.time32("ms")
         if conv in (15, 16, 17):  # INT_8/16/32
             return {15: pa.int8(), 16: pa.int16(), 17: pa.int32()}[conv]
         if conv in (11, 12, 13):  # UINT_8/16/32
@@ -263,6 +271,10 @@ def _logical_type(elem: dict) -> pa.DataType:
             )
             tz = "UTC" if ts.get("isAdjustedToUTC") else None
             return pa.timestamp(unit, tz=tz)
+        if "TIME" in lt:
+            return pa.time64("ns" if "NANOS" in lt["TIME"].get("unit", {}) else "us")
+        if conv == CONV_TIME_MICROS:
+            return pa.time64("us")
         if conv == CONV_TIMESTAMP_MILLIS:
             return pa.timestamp("ms")
         if conv == CONV_TIMESTAMP_MICROS:
@@ -1698,7 +1710,7 @@ _NULL_OPS = ("is_null", "not_null")
 _PROBE_OPS = ("==", "in")
 
 
-# microseconds per unit of a date32 or timestamp column's stored integer
+# microseconds per unit of a date32, timestamp or time column's stored integer
 _US_PER_UNIT = {"date": 86_400_000_000, "ms": 1_000, "us": 1}
 _EPOCH_DAY = datetime.date(1970, 1, 1)
 # a probe strictly between stored integers q and q+1: the op on q that
@@ -1707,17 +1719,20 @@ _INEXACT_OP = {"<": "<=", "<=": "<=", ">": ">", ">=": ">", "==": "in", "!=": "no
 
 
 def _temporal_probe(x, typ: pa.DataType) -> tuple[object, bool]:
-    """A date/datetime probe on a date32 or timestamp column as (q, exact):
-    q is the largest integer the column can store at or below the probe
-    (days, or timestamp units; naive datetimes read as UTC on tz-aware
-    columns, as pyarrow does).  Other values come back unchanged."""
+    """A date/datetime probe on a date32 or timestamp column, or a time
+    probe on a time column, as (q, exact): q is the largest integer the
+    column can store at or below the probe (days, timestamp units, or time
+    units since midnight; naive datetimes read as UTC on tz-aware columns,
+    as pyarrow does).  Other values come back unchanged."""
     if isinstance(x, datetime.datetime):
         us = pa.scalar(x, pa.timestamp("us")).value
     elif isinstance(x, datetime.date):
         us = (x - _EPOCH_DAY).days * _US_PER_UNIT["date"]
+    elif isinstance(x, datetime.time) and pa.types.is_time(typ):
+        us = ((x.hour * 60 + x.minute) * 60 + x.second) * 1_000_000 + x.microsecond
     else:
         return x, True
-    if pa.types.is_timestamp(typ) and typ.unit == "ns":
+    if (pa.types.is_timestamp(typ) or pa.types.is_time(typ)) and typ.unit == "ns":
         return us * 1000, True
     q, r = divmod(us, _US_PER_UNIT["date" if pa.types.is_date32(typ) else typ.unit])
     return q, r == 0
@@ -1732,9 +1747,9 @@ def _normalize_predicate(
     tuples -> OR of ANDs.  Values move into the column's storage domain,
     the order of Statistics/ColumnIndex bounds: strings (and elements of
     `in` lists) are encoded to bytes, and with `types` (column -> Arrow
-    type) a date or datetime on a date32/timestamp column becomes its
-    stored integer.  A probe between two stored integers rewrites the
-    clause to the equivalent one on integers."""
+    type) a date or datetime on a date32/timestamp column, or a time on a
+    time32/time64 column, becomes its stored integer.  A probe between two
+    stored integers rewrites the clause to the equivalent one on integers."""
     if predicate is None:
         return []
     if isinstance(predicate, tuple):
@@ -1752,7 +1767,9 @@ def _normalize_predicate(
             if op not in _PRED_OPS and op not in _NULL_OPS:
                 raise ValueError(f"unknown predicate op {op!r}")
             typ = (types or {}).get(c)
-            temporal = typ is not None and (pa.types.is_date32(typ) or pa.types.is_timestamp(typ))
+            temporal = typ is not None and (
+                pa.types.is_date32(typ) or pa.types.is_timestamp(typ) or pa.types.is_time(typ)
+            )
             if op == "in":
                 v = [x.encode() if isinstance(x, str) else x for x in v]
                 if temporal:

@@ -46,6 +46,8 @@ CONV_MAP = 1
 CONV_MAP_KEY_VALUE = 2
 CONV_LIST = 3
 CONV_DATE = 6
+CONV_TIME_MILLIS = 7
+CONV_TIME_MICROS = 8
 CONV_TIMESTAMP_MILLIS = 9
 CONV_TIMESTAMP_MICROS = 10
 
@@ -72,6 +74,10 @@ SPECS: dict[str, dict[int, tuple[str, str]]] = {
     "MapType": {},
     "ListType": {},
     "DateType": {},
+    "TimeType": {
+        1: ("isAdjustedToUTC", "bool"),
+        2: ("unit", "struct:TimeUnit"),
+    },
     "TimestampType": {
         1: ("isAdjustedToUTC", "bool"),
         2: ("unit", "struct:TimeUnit"),
@@ -85,6 +91,7 @@ SPECS: dict[str, dict[int, tuple[str, str]]] = {
         2: ("MAP", "struct:MapType"),
         3: ("LIST", "struct:ListType"),
         6: ("DATE", "struct:DateType"),
+        7: ("TIME", "struct:TimeType"),
         8: ("TIMESTAMP", "struct:TimestampType"),
         10: ("INTEGER", "struct:IntType"),
     },

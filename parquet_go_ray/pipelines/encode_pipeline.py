@@ -2,15 +2,21 @@
 
 Ray-Data shape — map-only, no hash exchange, the input read once:
 
-    read_parquet(columns=needed)
-      -> repartition(num_parts).materialize()
-           [split: contiguous, equal row counts; runs when called]
-      -> _plan_codecs on the split's leading plan_sample_rows rows
-           [driver; the blocks are fetched, the input is not read again]
-      -> native_io._run_in_slots over the split's non-empty fragments
+    fragments: the row ranges repartition(num_parts) cuts (contiguous,
+    equal row counts, input order), taken one of two ways when called:
+      - an untransformed read_parquet_any read (sources.io.parquet_source):
+        from the files' footers, as (file, row groups, row slice) pieces;
+        nothing is read or materialized yet
+      - any other dataset: repartition(num_parts).materialize()
+        [the split runs here; the fragments are its blocks]
+      -> _plan_codecs on the input's leading plan_sample_rows rows
+           [driver; read from the leading row groups, or fetched from the
+            split's leading blocks]
+      -> native_io._run_in_slots over the non-empty fragments
            [lazy; fragments packed into CPU-slot tasks by their bytes
             (one per task when the chunk tables return as blocks), each
             task reserving _task_cpus(); per fragment:]
+           - read its pieces from the files, or fetch its block
            - local sort by (repo, path)  (helps DELTA_BYTE_ARRAY/dicts;
              local pc.sort_indices, never a global sort)
            - part id = digest of (fragment index, sorted rows); a part
@@ -20,14 +26,15 @@ Ray-Data shape — map-only, no hash exchange, the input read once:
            - publish chunks.parquet, then the lineage.json marker
       -> small metrics rows only (blobs never return to the driver)
 
-The split repartition gives every fragment the same rows and the same
-index whatever the input's block layout (order is preserved), so a part id
-is stable across resume attempts and whatever task a fragment runs in;
-only `num_parts` persists in `_plan.json`.  Fragments are independent
-(all codec state is chunk-local), so a task may encode any of them.  A
-salted hash exchange bought no compression here: the in-fragment sort
-re-clusters repos as well as a repo-keyed shuffle does (7.196 vs 7.198 on
-a 100k-row corpus, 16 parts).
+The split gives every fragment the same rows and the same index whatever
+the input's block layout (order is preserved), and the footer path
+recomputes the split's row ranges, so a part id is stable across resume
+attempts, whatever task a fragment runs in and whichever path cut it; only
+`num_parts` persists in `_plan.json`.  Fragments are independent (all
+codec state is chunk-local), so a task may encode any of them.  A salted
+hash exchange bought no compression here: the in-fragment sort re-clusters
+repos as well as a repo-keyed shuffle does (7.196 vs 7.198 on a 100k-row
+corpus, 16 parts).
 
 The no-partition variant (`encode_dataset`) maps batches straight through
 `encode_table` — used for round-trip correctness queries where
@@ -47,6 +54,7 @@ import ray
 import ray.data as rd
 from ray.data.block import BlockAccessor
 
+from ..sources.io import parquet_source, row_range
 from ..sources.io import read_parquet_any as _read_parquet_any
 
 from ..chunk import _is_nested
@@ -60,11 +68,12 @@ def _plan_codecs(sample: pa.Table, cfg: EngineConfig) -> dict:
     """Plan codecs ONCE on a sample, in the calling process; returns
     {column: (codec, outer)} for `encode_table(plan=...)`.
 
-    `encode_partitioned` passes the leading `cfg.plan_sample_rows` rows of
-    its materialized split (`_leading_rows`): the split keeps input order, so
-    these are the input's first rows on every run.  A load-dependent sample
-    could flip near-tied codec choices between runs (observed: content zstd7
-    vs zstd9, a 3% output-size swing on identical input).
+    `encode_partitioned` passes the input's leading `cfg.plan_sample_rows`
+    rows (read from the leading row groups, or `_leading_rows` of its
+    materialized split, which keeps input order), the same rows on every
+    run.  A load-dependent sample could flip near-tied codec choices
+    between runs (observed: content zstd7 vs zstd9, a 3% output-size swing
+    on identical input).
 
     Per-chunk trial encoding is numpy-allocation-heavy and anti-scales on
     memory-bound hosts; a single plan keeps per-task work dominated by the C
@@ -110,20 +119,33 @@ def _leading_rows(blocks: list, n: int) -> pa.Table:
     return pa.concat_tables(tables).slice(0, n) if tables else pa.table({})
 
 
+def _split_ranges(rows: int, num_parts: int) -> list[tuple[int, int]]:
+    """The row ranges of the non-empty fragments, in order, that
+    ``repartition(num_parts)`` cuts from `rows` rows: Ray's split
+    repartition ends fragment j at ``int(cur)`` after ``cur += rows /
+    num_parts`` j + 1 times (the last ends at `rows`)."""
+    cuts, cur = [0], 0
+    for _ in range(num_parts - 1):
+        cur += rows / num_parts
+        cuts.append(int(cur))
+    cuts.append(rows)
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
 def _part_id(index: int, fragment: pa.Table) -> int:
     """Non-negative 63-bit part id from the fragment's POSITION and CONTENT.
 
     Position is `index`, the fragment's place among the split's non-empty
     fragments: the split emits them first and in input order (empty ones,
-    when rows < num_parts, go last), so the index depends only on the row
-    count and num_parts, not on the task that encodes the fragment.  It
-    keeps identical fragments apart — a table of two equal halves, a
-    constant column.  Content is the sha1 of the fragment's Arrow IPC
+    when rows < num_parts, go last; `_split_ranges` lists the same), so the
+    index depends only on the row count and num_parts, not on the task
+    that encodes the fragment.  It keeps identical fragments apart — a
+    table of two equal halves, a constant column.  Content is the sha1 of the fragment's Arrow IPC
     serialization, as write_par1_dataset names its parts: a resume over
     changed input re-encodes a fragment instead of skipping it."""
     import hashlib
 
-    key = f"{index}:{native_io._ipc_content_tag(fragment.combine_chunks())}"
+    key = f"{index}:{native_io._ipc_content_tag(fragment)}"
     return int(hashlib.sha1(key.encode()).hexdigest()[:16], 16) >> 1
 
 
@@ -216,15 +238,17 @@ def encode_partitioned(
 ) -> rd.Dataset:
     """Map-only partitioned encode with per-partition checkpoints.
 
-    Runs the read and the split when called: `ds` is read once into
-    `num_parts` materialized fragments, and a `plan` of None is planned
-    here (unless `cfg.per_column_codec` is set) from the fragments' leading
-    `cfg.plan_sample_rows` rows.  Returns the lazy encode dataset, the
-    non-empty fragments packed into ``native_io._run_in_slots`` tasks of
-    `_task_cpus()` CPUs each: the metrics rows (blobs go to out_dir), or
-    the chunk tables if out_dir is None (one fragment per task, so every
-    chunk's rows share a block).  `plan` is a `_plan_codecs` result
-    computed ahead of time."""
+    Cuts `ds` into `num_parts` fragments of consecutive rows when called,
+    and a `plan` of None is planned here (unless `cfg.per_column_codec` is
+    set) from the input's leading `cfg.plan_sample_rows` rows.  An
+    untransformed ``read_parquet_any`` read is cut from its footers, and
+    each task reads its own fragment from the files; any other `ds` is read
+    once into a materialized split.  Both cut the same rows.  Returns the
+    lazy encode dataset, the non-empty fragments packed into
+    ``native_io._run_in_slots`` tasks of `_task_cpus()` CPUs each: the
+    metrics rows (blobs go to out_dir), or the chunk tables if out_dir is
+    None (one fragment per task, so every chunk's rows share a block).
+    `plan` is a `_plan_codecs` result computed ahead of time."""
     if num_parts is None:
         if cfg.partitions:
             num_parts = cfg.partitions
@@ -248,19 +272,42 @@ def encode_partitioned(
             num_parts = int(existing["num_parts"])
         else:
             lin.write_plan(out_dir, {"num_parts": num_parts})
-    # fragments are row ranges of the input ORDER, and a part id includes
-    # its fragment's index: pin the order on the dataset's own captured
-    # context (the global flag alone does not affect `ds`), also when `plan`
-    # comes precomputed.  The split is an all-to-all barrier, so
-    # materializing it loses no overlap; the plan samples its leading rows
-    # instead of reading the input a second time.
-    ds.context.execution_options.preserve_order = True
-    split = ds.repartition(num_parts).materialize()
-    blocks = [b for bundle in split.iter_internal_ref_bundles() for b in bundle.blocks]
+    src = parquet_source(ds)
+    if src is not None:
+        # an untransformed Parquet read: each task reads its fragment's row
+        # groups itself, so nothing is materialized; the fragments are the
+        # row ranges the split below would cut
+        groups = src.row_groups()
+        rows = sum(r for _k, _g, r, _b in groups)
+        ranges = _split_ranges(rows, num_parts)
+        fragments = [row_range(groups, lo, hi) for lo, hi in ranges]
+        # sized by their rows' share of the input's uncompressed bytes
+        row_bytes = sum(b for _k, _g, _r, b in groups) / max(rows, 1)
+        sizes = [int((hi - lo) * row_bytes) for lo, hi in ranges]
+        read = src.read
+
+        def leading(n):
+            return read(row_range(groups, 0, n)) if rows else pa.table({})
+    else:
+        # fragments are row ranges of the input ORDER, and a part id includes
+        # its fragment's index: pin the order on the dataset's own captured
+        # context (the global flag alone does not affect `ds`), also when
+        # `plan` comes precomputed.  The split is an all-to-all barrier, so
+        # materializing it loses no overlap; the plan samples its leading
+        # rows instead of reading the input a second time.
+        ds.context.execution_options.preserve_order = True
+        split = ds.repartition(num_parts).materialize()
+        blocks = [b for bundle in split.iter_internal_ref_bundles() for b in bundle.blocks]
+        fragments = [ref for ref, meta in blocks if meta.num_rows]
+        sizes = [meta.size_bytes for _ref, meta in blocks if meta.num_rows]
+
+        def read(ref):
+            return BlockAccessor.for_block(ray.get(ref)).to_arrow()
+
+        def leading(n):
+            return _leading_rows(blocks, n)
     if plan is None:
-        plan = {} if cfg.per_column_codec else _plan_codecs(_leading_rows(blocks, cfg.plan_sample_rows), cfg)
-    fragments = [(ref, meta) for ref, meta in blocks if meta.num_rows]
-    sizes = [meta.size_bytes for _ref, meta in fragments]
+        plan = {} if cfg.per_column_codec else _plan_codecs(leading(cfg.plan_sample_rows), cfg)
     if out_dir is None:
         # the chunk tables come back as blocks, and reassemble_blocks needs
         # every chunk's rows in one: sized at one target or more, each
@@ -268,11 +315,9 @@ def encode_partitioned(
         # so Ray never merges two chunk tables into a block it slices by rows
         sizes = [max(s or 0, DEFAULT.target_chunk_bytes) for s in sizes]
     return native_io._run_in_slots(
-        [ref for ref, _meta in fragments],
+        fragments,
         sizes,
-        lambda i, ref: encode_partition(
-            BlockAccessor.for_block(ray.get(ref)).to_arrow(), i, cfg, out_dir, plan
-        ),
+        lambda i, fragment: encode_partition(read(fragment), i, cfg, out_dir, plan),
         CHUNK_SCHEMA.empty_table() if out_dir is None else _METRICS_SCHEMA.empty_table(),
         task_cpus=_task_cpus(),
     )

@@ -33,6 +33,7 @@ import ray
 import ray.data as rd
 from ray.data.block import BlockAccessor
 
+from ..sources.io import parquet_source
 from ..sources.io import read_parquet_any as _read_parquet_any
 
 from .. import uri
@@ -268,7 +269,8 @@ def _rg_bytes(rg: dict) -> int:
 def _fan_out(items: list[dict], sizes: list[int | None], task_cpus: int = 1) -> rd.Dataset:
     """THE fan-out of every Ray job over a listing (scans, footer passes,
     manifest admission, table reads, and through ``_run_in_slots`` the
-    sink's blocks, the compaction bins and encode_partitioned's fragments):
+    sink's blocks or Parquet file pieces, the compaction bins and
+    encode_partitioned's fragments, split blocks or row-range pieces):
     `items` as a from_items dataset whose blocks the caller maps with
     ``batch_size=None`` and ``num_cpus=task_cpus``, one task per block.
 
@@ -974,9 +976,14 @@ def read_par1_dataset(
 
 
 def _ipc_content_tag(batch: "pa.Table") -> str:
-    """sha1 of the block's Arrow IPC serialization — a pure function of the
-    LOGICAL rows (the IPC writer rebases slice offsets), so part names are
-    stable across re-slicings and collision-safe for resume."""
+    """sha1 of the Arrow IPC serialization of the block's columns copied
+    into one chunk of fresh buffers — a pure function of the LOGICAL rows
+    and the schema, so part names are stable across re-slicings and
+    re-reads and collision-safe for resume.  The copy matters: one record
+    batch is written whatever the block's chunking, and the IPC writer pads
+    a sliced buffer with the bytes that follow the slice in it (a row range
+    of a Parquet read and the same rows from Ray's split then hashed
+    differently)."""
     import hashlib
 
     import pyarrow.ipc as pa_ipc
@@ -999,8 +1006,9 @@ def _ipc_content_tag(batch: "pa.Table") -> str:
         def close(self):
             pass
 
+    cols = [pa.concat_arrays(c.chunks) if c.num_chunks else c.combine_chunks() for c in batch.columns]
     with pa_ipc.new_stream(pa.PythonFile(_HashSink(), mode="w"), batch.schema) as w:
-        w.write_table(batch)
+        w.write_table(pa.Table.from_arrays(cols, schema=batch.schema))
     return h.hexdigest()[:16]
 
 
@@ -1098,11 +1106,12 @@ def _manifest_table(rows: list) -> "pa.Table":
 
 
 def _pack_bins(entries, target_bytes: int) -> list[tuple]:
-    """THE compaction bin-packer: greedy first-fit over (group, path, bytes)
-    entries in their listed order, closing a bin before it would pass
-    `target_bytes`.  A bin never spans two groups (hive partition
-    directories, table buckets); groups go in sorted order, None last.
-    Returns [(group, [paths], bytes)]."""
+    """THE bin-packer of the compactors and of the sink's Parquet inputs:
+    greedy first-fit over (group, item, bytes) entries in their listed
+    order, closing a bin before it would pass `target_bytes`.  A bin never
+    spans two groups (hive partition directories, table buckets, input
+    files); groups go in sorted order, None last.
+    Returns [(group, [items], bytes)]."""
     by_group: dict = {}
     for g, p, b in entries:
         by_group.setdefault(g, []).append((p, b))
@@ -1124,10 +1133,11 @@ def _run_in_slots(
     items: list, sizes: list[int | None], run_item, empty: pa.Table, task_cpus: int = 1
 ) -> rd.Dataset:
     """THE runner of per-item jobs whose items the caller holds (the sink's
-    block refs, the compactors' bins, encode_partitioned's fragments; they
-    ride in the UDF's closure): ``run_item(i, items[i]) -> table`` in
-    ``_fan_out`` tasks sized by `sizes`, each reserving `task_cpus` CPUs.
-    The tables stream through ``_stream`` with the typed `empty`."""
+    block refs or file pieces, the compactors' bins, encode_partitioned's
+    fragments; they ride in the UDF's closure): ``run_item(i, items[i]) ->
+    table`` in ``_fan_out`` tasks sized by `sizes`, each reserving
+    `task_cpus` CPUs.  The tables stream through ``_stream`` with the typed
+    `empty`."""
 
     def run(batch: pa.Table):
         return _stream((run_item(i, items[i]) for i in batch["i"].to_pylist()), empty)
@@ -1591,12 +1601,20 @@ def write_par1_dataset(
     ``uri.publish`` (whole or absent), and an existing complete part is
     skipped — so a re-run of the same pipeline over the same input resumes
     instead of re-encoding, the same partitioned-output discipline as
-    encode_partitioned.  Reads the input when called: `ds` is materialized
-    once, in order (the caller's context is restored), and its bytes sit in the
-    object store until the returned lazy dataset has written its blocks, in
-    ``_run_in_slots`` tasks packed by the blocks' bytes.  The parts follow
-    the input's block layout: one part per non-empty block (per partition
-    value under `partition_by`).
+    encode_partitioned.  The parts go to ``_run_in_slots`` tasks packed by
+    their bytes, and their layout depends on the input:
+
+    - an untransformed ``read_parquet_any`` read (``parquet_source``): one
+      part per non-empty input file, cut before a row group that would take
+      it past ``DEFAULT.target_chunk_bytes`` (uncompressed bytes, from the
+      footers, read when called).  Each task reads its own files; the input
+      never enters the object store.  An input that reads one block per
+      file (``override_num_blocks=len(files)``) gets the parts it got from
+      its blocks.
+    - any other dataset: one part per non-empty block.  `ds` is
+      materialized when called, in order (the caller's context is
+      restored), and its bytes sit in the object store until the returned
+      lazy dataset has written its blocks.
 
     `partition_by`: hive-style layout — each block splits by that column's
     values into `out_dir/<col>=<value>/part_<tag>.parquet` (the column
@@ -1622,6 +1640,19 @@ def write_par1_dataset(
     if _fs_of(out_dir)[0] is None:
         os.makedirs(out_dir, exist_ok=True)
     write = _block_writer(write_kwargs, sort_by, cluster_by, partition_by)
+    src = parquet_source(ds)
+    if src is not None:
+        # a file's row groups, packed into pieces of at most one target
+        bins = _pack_bins(
+            [(k, (g, rows), size) for k, g, rows, size in src.row_groups() if rows],
+            DEFAULT.target_chunk_bytes,
+        )
+        return _run_in_slots(
+            [[(k, [g for g, _r in rgs], 0, sum(r for _g, r in rgs))] for k, rgs, _b in bins],
+            [size for _k, _rgs, size in bins],
+            lambda _i, piece: _manifest_table(write(src.read(piece), out_dir)),
+            _manifest_table([]),
+        )
     # parts are named by content, so a rerun resumes only if the input's
     # blocks come out the same: materialize in order (a repartition of
     # out-of-order blocks splits its rows differently), then restore the flag

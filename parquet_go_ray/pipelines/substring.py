@@ -147,20 +147,24 @@ def _docs(sf_dir: str) -> rd.Dataset:
 
 
 def _part_of(v: np.ndarray, width: int, nparts: int = _NPARTS) -> np.ndarray:
-    # Knuth-multiply hash of the window's first min(8, width) bytes;
+    # Hash of ALL `width` bytes of each window: its little-endian 8-byte
+    # words (the last zero-padded) folded by xor, Knuth multiply and
+    # xorshift, so windows sharing a long prefix still spread, and
     # identical windows always land in the same partition regardless of
-    # which batch emitted them.  Zero-copy: v is contiguous everywhere it
-    # is produced (_doc_windows materializes, np.unique returns fresh), so
-    # the uint8 view shares the buffer; only the 8-byte heads are copied.
+    # which batch emitted them.  v is contiguous everywhere it is produced
+    # (_doc_windows materializes, np.unique returns fresh).
     if not v.flags.c_contiguous:  # defensive; never hit on current callers
         v = np.ascontiguousarray(v)
-    b = v.view(np.uint8).reshape(len(v), width)
-    head = np.zeros(len(v), dtype="<u8")
-    k = min(8, width)
-    head.view(np.uint8).reshape(len(v), 8)[:, :k] = b[:, :k]
-    return ((head * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)).astype(
-        np.int64
-    ) % nparts
+    n, words = len(v), -(-width // 8)
+    padded = np.zeros((n, words * 8), dtype=np.uint8)
+    padded[:, :width] = v.view(np.uint8).reshape(n, width)
+    w = padded.view("<u8")
+    mul = np.uint64(0x9E3779B97F4A7C15)
+    h = np.zeros(n, dtype=np.uint64)
+    for j in range(words):
+        h = (h ^ w[:, j]) * mul
+        h ^= h >> np.uint64(29)
+    return ((h * mul) >> np.uint64(40)).astype(np.int64) % nparts
 
 
 def _discover_dups(sf_dir: str, width: int, min_count: int) -> rd.Dataset:

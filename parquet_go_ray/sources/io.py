@@ -6,6 +6,10 @@ anything pyarrow doesn't speak natively (e.g. memory://)."""
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import weakref
+
 import ray.data as rd
 
 
@@ -82,6 +86,126 @@ def _clean_read_schema(path: str, fs, columns=None) -> "object | None":
         return None  # Ray infers the schema; the strip map follows the read
 
 
+@dataclasses.dataclass
+class ParquetSource:
+    """The files of an untransformed `read_parquet_any` read, for a writer
+    that reads them in its own tasks (`parquet_source`) instead of running
+    the read.
+
+    `uri` is the read's first path when it has a scheme (None for local
+    files): the reading process resolves its filesystem through
+    `resolve_filesystem`, so no filesystem object is shipped.  `files` are
+    paths on that filesystem in Ray's read order (a directory lists
+    sorted, as `pq.ParquetDataset` lists it for Ray); `columns` and the
+    metadata-free `schema` are the ones Ray's read tasks were given, so
+    `read` returns their rows and types."""
+
+    uri: str | None
+    files: list[str]
+    columns: list[str] | None
+    schema: "object"
+
+    def _filesystem(self):
+        import pyarrow.fs as pafs
+
+        fs = resolve_filesystem(self.uri)[0] if self.uri is not None else None
+        return fs or pafs.LocalFileSystem()
+
+    def row_groups(self) -> list[tuple[int, int, int, int]]:
+        """Every row group of the read in order, as (file index, row group,
+        rows, uncompressed bytes), from the footers (read in the calling
+        process)."""
+        import pyarrow.parquet as pq
+
+        fs = self._filesystem()
+        out = []
+        for k, f in enumerate(self.files):
+            md = pq.read_metadata(f, filesystem=fs)
+            for g in range(md.num_row_groups):
+                rg = md.row_group(g)
+                out.append((k, g, rg.num_rows, rg.total_byte_size))
+        return out
+
+    def read(self, piece: list) -> "object":
+        """The rows of `piece` = [(file index, [row groups], lo, hi)]: each
+        file's row groups read as Ray's read tasks read them (`schema`,
+        `columns`), sliced to rows [lo, hi), concatenated in order."""
+        import pyarrow as pa
+        import pyarrow.dataset as pads
+
+        fs, fmt = self._filesystem(), pads.ParquetFileFormat()
+        return pa.concat_tables(
+            fmt.make_fragment(self.files[k], filesystem=fs, row_groups=rgs)
+            .to_table(schema=self.schema, columns=self.columns, use_threads=False)
+            .slice(lo, hi - lo)
+            for k, rgs, lo, hi in piece
+        )
+
+
+def row_range(groups: list[tuple[int, int, int, int]], lo: int, hi: int) -> list:
+    """Rows [lo, hi) of the read whose `ParquetSource.row_groups()` are
+    `groups`, as a `ParquetSource.read` piece: per file, the row groups the
+    range touches and the range's rows within them."""
+    piece: list = []
+    start = 0
+    for f, g, rows, _ in groups:
+        a, b = max(lo - start, 0), min(hi - start, rows)
+        start += rows
+        if a >= b:
+            continue
+        if piece and piece[-1][0] == f:
+            # the next row group of the same file: the range runs on from
+            # the end of the previous one
+            _f, rgs, a0, b0 = piece[-1]
+            piece[-1] = (f, rgs + [g], a0, b0 + b)
+        else:
+            piece.append((f, [g], a, b))
+    return piece
+
+
+# the Datasets `read_parquet_any` returned for reads a task can repeat
+# exactly (see `parquet_source`); a transform returns a new Dataset, which is
+# not here
+_PARQUET_READS: "weakref.WeakKeyDictionary[rd.Dataset, ParquetSource]" = weakref.WeakKeyDictionary()
+
+
+def parquet_source(ds) -> ParquetSource | None:
+    """`ds`'s files when `ds` is a `read_parquet_any` result that a task
+    can read itself with the same rows and types, else None.
+
+    Only the Dataset object `read_parquet_any` returned is recorded, so any
+    transform (`map_batches`, `repartition`, `limit`, `materialize`),
+    `from_arrow` and a plain `rd.read_parquet` give None.  So does a read
+    with a keyword beyond `columns`, `schema` and `override_num_blocks`, a
+    read that strips metadata after the fact, and a read with a `key=value`
+    directory in a file path (Ray adds hive partition columns for those)."""
+    try:
+        return _PARQUET_READS.get(ds)
+    except TypeError:  # unhashable: not a Dataset
+        return None
+
+
+def _record(ds, paths, plain, fs, columns, schema) -> None:
+    """Record `ds` for `parquet_source` when its file list resolves and no
+    file sits under a hive `key=value` directory."""
+    import pyarrow.parquet as pq
+
+    uri = paths if isinstance(paths, str) else paths[0]
+    if "://" not in uri or uri.startswith("file://"):
+        uri = None
+        plain = os.path.abspath(plain) if isinstance(plain, str) else [os.path.abspath(p) for p in plain]
+    if not isinstance(plain, str) and len(plain) == 1:
+        plain = plain[0]  # as Ray passes it: a one-entry list may be a directory
+    try:
+        # the listing Ray's read makes: sorted, recursive, `_`/`.` skipped
+        files = pq.ParquetDataset(plain, filesystem=fs, partitioning=None).files
+    except (OSError, ValueError, TypeError):  # pyarrow cannot list it: Ray reads it
+        return
+    if any("=" in part for f in files for part in os.path.dirname(f).split("/")):
+        return
+    _PARQUET_READS[ds] = ParquetSource(uri, list(files), None if columns is None else list(columns), schema)
+
+
 def read_parquet_any(paths, columns: list[str] | None = None, **kwargs) -> rd.Dataset:
     """ray.data.read_parquet over local paths OR remote URIs, with block
     schemas normalized (metadata-free).
@@ -91,7 +215,12 @@ def read_parquet_any(paths, columns: list[str] | None = None, **kwargs) -> rd.Da
     stays one operator.  A `_strip_schema_metadata` map runs after the read
     only when no such schema resolves (Ray infers one) or when the caller's
     own `schema=` carries metadata (Ray cannot fuse that map with a
-    directory read's block split, so it runs as one more task per block)."""
+    directory read's block split, so it runs as one more task per block).
+
+    A read with no keyword beyond `schema` and `override_num_blocks` and no
+    strip map is recorded for `parquet_source`: `write_par1_dataset` and
+    `encode_partitioned` then read its files in their own tasks and never
+    run the returned Dataset."""
     if isinstance(paths, str):
         fs, plain = resolve_filesystem(paths)
         first = plain
@@ -113,6 +242,7 @@ def read_parquet_any(paths, columns: list[str] | None = None, **kwargs) -> rd.Da
             raise ValueError("mixed filesystems in one read")
         plain = [r[1] for r in resolved]
         first = plain[0]
+    exact = not set(kwargs) - {"schema", "override_num_blocks"}
     if "schema" in kwargs:
         strip = kwargs["schema"] is None or bool(kwargs["schema"].metadata)
     else:
@@ -121,4 +251,8 @@ def read_parquet_any(paths, columns: list[str] | None = None, **kwargs) -> rd.Da
     if fs is not None:
         kwargs["filesystem"] = fs
     ds = rd.read_parquet(plain, columns=columns, **kwargs)
-    return ds.map_batches(_strip_schema_metadata, batch_format="pyarrow") if strip else ds
+    if strip:
+        return ds.map_batches(_strip_schema_metadata, batch_format="pyarrow")
+    if exact:
+        _record(ds, paths, plain, fs, columns, kwargs["schema"])
+    return ds

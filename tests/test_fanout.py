@@ -11,6 +11,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from parquet_go_ray.config import DEFAULT, cluster_cpus
 from parquet_go_ray.formats.par1 import write_par1
@@ -543,3 +544,205 @@ def test_no_engine_module_imports_ray_internals():
                 if n == "ray.data._internal" or n.startswith("ray.data._internal.")
             ]
     assert not bad, bad
+
+
+# -- Parquet inputs read inside the slot tasks --------------------------------
+
+
+def _parquet_files(d: str, tables: list, rg_rows: int | None = None) -> list[str]:
+    """`tables` as pyarrow-written files part_00.parquet, ... under `d`."""
+    os.makedirs(d, exist_ok=True)
+    paths = []
+    for f, t in enumerate(tables):
+        paths.append(os.path.join(d, f"part_{f:02d}.parquet"))
+        pq.write_table(t, paths[-1], row_group_size=rg_rows)
+    return paths
+
+
+def _materialize_path(monkeypatch):
+    """Hand every writer's input to the materialize path."""
+    monkeypatch.setattr(nio, "parquet_source", lambda ds: None)
+    monkeypatch.setattr(ep, "parquet_source", lambda ds: None)
+
+
+def _code_layout(rng, rows: list[int]) -> list[pa.Table]:
+    from parquet_go_ray.sources.synth import make_code_table
+
+    t = make_code_table(max(sum(rows), 1), seed=int(rng.integers(1 << 16)))
+    cuts = np.cumsum([0] + rows)
+    return [t.slice(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def test_split_ranges_match_the_split_repartition(ray_session, tmp_path):
+    """Over random layouts — empty files, one to three row groups a file,
+    1 to 9 parts, more parts than rows — the footer-cut fragments equal the
+    non-empty blocks of `repartition(k).materialize()` row for row, in
+    order, with equal part ids."""
+    from parquet_go_ray.sources.io import parquet_source, read_parquet_any, row_range
+
+    rng = np.random.default_rng(17)
+    for layout in range(6):
+        n_files = int(rng.integers(1, 5))
+        rows = [int(rng.choice([0, 1, 2, 5, 40, 97])) for _ in range(n_files)]
+        rows[int(rng.integers(n_files))] += 3  # never an empty input
+        d = str(tmp_path / f"l{layout}")
+        tables = [
+            pa.table({"k": pa.array(rng.integers(0, 1000, n), pa.int64()),
+                      "s": pa.array([f"v{x}" for x in rng.integers(0, 50, n)])})
+            for n in rows
+        ]
+        _parquet_files(d, tables, rg_rows=int(rng.integers(1, 40)))
+        ds = read_parquet_any(d)
+        src = parquet_source(ds)
+        assert src is not None
+        groups = src.row_groups()
+        assert sum(g[2] for g in groups) == sum(rows)
+        for k in sorted({1, 2, 9, int(rng.integers(3, 9)), sum(rows) + 1} - {0}):
+            ordered = read_parquet_any(d)
+            ordered.context.execution_options.preserve_order = True  # as the encode sets it
+            split = ordered.repartition(k).materialize()
+            want = [t for t in ray.get(split.to_arrow_refs()) if t.num_rows]
+            got = [src.read(row_range(groups, lo, hi)) for lo, hi in ep._split_ranges(sum(rows), k)]
+            assert len(got) == len(want), (rows, k)
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert g.schema == w.schema and g.equals(w), (rows, k, i)
+                assert ep._part_id(i, g) == ep._part_id(i, w)
+
+
+@pytest.mark.parametrize("parts", [1, 3, 7])
+def test_encode_parquet_read_matches_the_materialized_split(ray_session, monkeypatch, tmp_path, parts):
+    """The footer path writes the parts, part ids and chunks.parquet bytes
+    of the materialized split; row groups straddle the fragment cuts."""
+    from parquet_go_ray.config import EngineConfig
+    from parquet_go_ray.sources.io import parquet_source, read_parquet_any
+
+    d = str(tmp_path / "in")
+    _parquet_files(d, _code_layout(np.random.default_rng(parts), [0, 90, 7, 203]), rg_rows=40)
+    cfg = EngineConfig(batch_size_rows=64)
+    assert parquet_source(read_parquet_any(d)) is not None
+    fast = _collect(ep.encode_partitioned(read_parquet_any(d), str(tmp_path / "fast"), cfg, num_parts=parts))
+    with monkeypatch.context() as m:
+        _materialize_path(m)
+        slow = _collect(ep.encode_partitioned(read_parquet_any(d), str(tmp_path / "slow"), cfg, num_parts=parts))
+    assert sorted(fast["part"].to_pylist()) == sorted(slow["part"].to_pylist())
+    assert sum(fast["rows"].to_pylist()) == 300
+    assert _lineage_digest(str(tmp_path / "fast")) == _lineage_digest(str(tmp_path / "slow"))
+
+
+@pytest.mark.parametrize("case", sorted(SINK_CASES))
+def test_sink_parts_match_the_per_block_writer_on_a_parquet_read(ray_session, two_slots, tmp_path, case):
+    """`_sink_blocks` written as one file each and read one block per file:
+    the sink reads the files in its tasks and writes the pinned parts."""
+    from parquet_go_ray.sources.io import parquet_source, read_parquet_any
+
+    files = _parquet_files(str(tmp_path / "in"), _sink_blocks(case))
+    ds = read_parquet_any(files, override_num_blocks=len(files))
+    assert parquet_source(ds) is not None
+    out = str(tmp_path / case)
+    man = pa.concat_tables(
+        [t for t in ray.get(nio.write_par1_dataset(ds, out, page_rows=64, **SINK_CASES[case]).to_arrow_refs())
+         if t.num_rows]
+    )
+    assert not any(man["skipped"].to_pylist())
+    assert _parts_digest(out) == SINK_DIGESTS[case]
+
+
+def _sink_rows(d: str) -> pa.Table:
+    """Every row of the sink's parts under `d`, in one sorted order."""
+    parts = sorted(
+        os.path.join(r, f) for r, _, fs in os.walk(d) for f in fs
+        if f.endswith(".parquet") and f != nio.MANIFEST_NAME
+    )
+    t = pa.concat_tables(pq.read_table(p) for p in parts)
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+def _spy_materialize(monkeypatch) -> list:
+    import ray.data as rd
+
+    calls = []
+    real = rd.Dataset.materialize
+
+    def spy(self, *a, **kw):
+        calls.append(self)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "materialize", spy)
+    return calls
+
+
+@pytest.mark.parametrize("how", ["plain", "columns", "pandas", "transformed", "from_arrow", "hive", "kwarg"])
+def test_only_untransformed_parquet_reads_skip_the_materialize(ray_session, monkeypatch, tmp_path, how):
+    """A plain read, one with `columns=` and one of pandas-written files
+    (schema metadata) go to the slot tasks unmaterialized; a transformed
+    read, `from_arrow`, a hive directory and a read with another keyword
+    are materialized.  The encode writes the materialize path's bytes; the
+    sink writes its rows (its parts follow the files, not Ray's blocks)."""
+    import ray.data as rd
+
+    from parquet_go_ray.config import EngineConfig
+    from parquet_go_ray.sources.io import parquet_source, read_parquet_any
+
+    tables = _code_layout(np.random.default_rng(3), [60, 0, 45, 95])
+    d = str(tmp_path / ("in/shard=x" if how == "hive" else "in"))
+    if how == "pandas":
+        tables = [pa.Table.from_pandas(t.to_pandas()) for t in tables]
+        assert tables[0].schema.metadata
+    _parquet_files(d, tables, rg_rows=50)
+
+    def source():
+        if how == "from_arrow":
+            return rd.from_arrow([t for t in tables if t.num_rows])
+        if how == "kwarg":
+            return read_parquet_any(d, ray_remote_args={"num_cpus": 1})
+        ds = read_parquet_any(d, columns=["repo", "path", "content"] if how == "columns" else None)
+        return ds.map_batches(lambda b: b, batch_format="pyarrow") if how == "transformed" else ds
+
+    fast = how in ("plain", "columns", "pandas")
+    assert (parquet_source(source()) is not None) == fast
+    cfg = EngineConfig(batch_size_rows=64)
+    outs = {}
+    for path in ("spied", "materialized"):
+        with monkeypatch.context() as m:
+            if path == "materialized":
+                _materialize_path(m)
+            calls = _spy_materialize(m)
+            out = str(tmp_path / path)
+            man = _collect(nio.write_par1_dataset(source(), out + "/sink", sort_by="path", page_rows=64))
+            enc = _collect(ep.encode_partitioned(source(), out + "/enc", cfg, num_parts=3))
+        if path == "spied":
+            assert bool(calls) != fast, calls
+        outs[path] = (_sink_rows(out + "/sink"), _lineage_digest(out + "/enc"),
+                      sum(man["rows"].to_pylist()), sum(enc["rows"].to_pylist()))
+    assert outs["spied"][0].equals(outs["materialized"][0])
+    assert outs["spied"][1:] == outs["materialized"][1:]
+    assert outs["spied"][2:] == (200, 200)
+
+
+def test_parquet_read_resumes_a_materialized_write(ray_session, monkeypatch, tmp_path):
+    """An output directory the materialize path wrote is skipped in full by
+    the slot-task read: every sink part (unsorted, from row groups Ray
+    reads in several batches, one block per file) and every encode part is
+    already done."""
+    from parquet_go_ray.config import EngineConfig
+    from parquet_go_ray.sources.io import read_parquet_any
+
+    rng = np.random.default_rng(9)
+    big = pa.table({"k": pa.array(rng.integers(0, 1 << 40, 25_000), pa.int64())})
+    files = _parquet_files(str(tmp_path / "in"), [big, big.slice(0, 7), big.slice(0, 0)], rg_rows=12_000)
+    sink, enc, cfg = str(tmp_path / "sink"), str(tmp_path / "enc"), EngineConfig(batch_size_rows=4096)
+
+    def per_file():
+        return read_parquet_any(files, override_num_blocks=len(files))
+
+    with monkeypatch.context() as m:
+        _materialize_path(m)
+        first = _collect(nio.write_par1_dataset(per_file(), sink, page_rows=4096))
+        done = _collect(ep.encode_partitioned(read_parquet_any(files), enc, cfg, num_parts=4))
+    assert not any(first["skipped"].to_pylist()) and done.num_rows == 4
+    before = (_parts_digest(sink), _lineage_digest(enc))
+    again = _collect(nio.write_par1_dataset(per_file(), sink, page_rows=4096))
+    assert again.num_rows == first.num_rows and all(again["skipped"].to_pylist())
+    assert sorted(again["path"].to_pylist()) == sorted(first["path"].to_pylist())
+    assert ep.encode_partitioned(read_parquet_any(files), enc, cfg, num_parts=4).count() == 0
+    assert (_parts_digest(sink), _lineage_digest(enc)) == before

@@ -394,6 +394,86 @@ def test_temporal_probes_match_arrow(temporal_file, col, op, val):
         assert st["pages_decoded"] < st["pages_total"]  # the probe prunes pages
 
 
+@pytest.fixture(scope="module")
+def time_file(tmp_path_factory):
+    """pyarrow-written TIME columns (time32 s and ms, time64 us and ns),
+    sorted so pages prune, every 17th us value null."""
+    n = 2000
+    i = np.arange(n)
+    tbl = pa.table(
+        {
+            "t_s": pa.array(i * 43, pa.int32()).cast(pa.time32("s")),
+            "t_ms": pa.array(i * 43_201, pa.int32()).cast(pa.time32("ms")),
+            "t_us": pa.array(i * 43_200_017, pa.int64(), mask=i % 17 == 0).cast(pa.time64("us")),
+            "t_ns": pa.array(i * 43_200_017_003, pa.int64()).cast(pa.time64("ns")),
+            "v": pa.array(i),
+        }
+    )
+    path = str(tmp_path_factory.mktemp("time") / "t.parquet")
+    pq.write_table(tbl, path, data_page_size=512, write_page_index=True)
+    return path
+
+
+def _time_cases():
+    def at(col, k):
+        us = {"t_s": 43_000_000, "t_ms": 43_201_000, "t_us": 43_200_017, "t_ns": 43_200_017.003}[col] * k
+        us = int(us)
+        return datetime.time(us // 3_600_000_000, us // 60_000_000 % 60, us // 1_000_000 % 60, us % 1_000_000)
+
+    cases = []
+    for col in ("t_s", "t_ms", "t_us", "t_ns"):
+        cases += [
+            (col, "==", at(col, 1000)), (col, "<", at(col, 150)), (col, ">=", at(col, 1700)),
+            (col, "in", [at(col, 3), at(col, 1000)]),
+        ]
+    # a probe between two stored milliseconds rewrites to integer bounds
+    between = datetime.time(0, 0, 43, 201_001)
+    cases += [("t_ms", op, between) for op in ("<", "<=", ">", ">=", "==", "!=")]
+    return cases
+
+
+@pytest.mark.parametrize("col,op,val", _time_cases())
+def test_time_columns_match_arrow(ray_session, time_file, col, op, val):
+    """TIME_MILLIS / TIME_MICROS / TIME_NANOS read as time32[ms] /
+    time64[us] / time64[ns] (converted-type and logicalType forms alike),
+    and a `datetime.time` probe filters like `pq.read_table(filters=...)`
+    through read_par1_pruned and read_par1_dataset."""
+    import ray
+
+    from parquet_go_ray.formats.par1 import read_par1
+    from parquet_go_ray.pipelines.native_io import read_par1_dataset
+
+    whole = pq.read_table(time_file)
+    assert read_par1(time_file).equals(whole)
+    want = pq.read_table(time_file, filters=[(col, op, val)])
+    got, st = read_par1_pruned(time_file, None, (col, op, val))
+    assert got.schema == want.schema and got.equals(want)
+    if op in ("==", "<"):
+        assert st["pages_decoded"] < st["pages_total"]  # the probe prunes pages
+    blocks = ray.get(read_par1_dataset(os.path.dirname(time_file), predicate=(col, op, val)).to_arrow_refs())
+    scanned = pa.concat_tables([b for b in blocks if b.num_rows] or [want.slice(0, 0)])
+    assert scanned.sort_by("v").equals(want)
+
+
+def test_time_converted_types_read_as_arrow_does(tmp_path):
+    """The converted-type-only form (a format 1.0 file: TIME_MILLIS,
+    TIME_MICROS; no logicalType) reads as pyarrow reads it."""
+    from parquet_go_ray.formats.par1 import read_par1
+
+    i = np.arange(300)
+    tbl = pa.table(
+        {
+            "t_ms": pa.array(i * 1_000_003, pa.int32()).cast(pa.time32("ms")),
+            "t_us": pa.array(i * 287_000_001, pa.int64()).cast(pa.time64("us")),
+        }
+    )
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(tbl, path, version="1.0")
+    assert pq.ParquetFile(path).metadata.schema.column(0).converted_type == "TIME_MILLIS"
+    got = read_par1(path)
+    assert got.schema == tbl.schema and got.equals(pq.read_table(path))
+
+
 # -- one typed scan plan: datasets, manifests and tables ---------------------
 
 PLAN_FILES, PLAN_ROWS = 3, 400  # file f holds rows [f * PLAN_ROWS, (f + 1) * PLAN_ROWS)

@@ -336,6 +336,36 @@ def test_write_par1_dataset_faults(ray_session, monkeypatch, root, inline_tasks)
     assert [sum(m["skipped"].to_pylist()) for m in mans] == [0, 0, 1, 2, 3]
 
 
+def test_write_par1_dataset_parquet_read_faults(ray_session, monkeypatch, root, inline_tasks):
+    """The sink over an untransformed Parquet read (each task reads its own
+    files; a URI input resolves its filesystem in the task) resumes from
+    every torn part into the clean run's directory, byte for byte."""
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.pipelines import native_io
+    from parquet_go_ray.sources.io import parquet_source, read_parquet_any, resolve_filesystem
+
+    blocks = _parts(4, seed=5)
+    results = []
+
+    def setup(r):
+        for i, t in enumerate(blocks):
+            fs, plain = resolve_filesystem(f"{r}/in/part_{i}.parquet")
+            if fs is None:
+                os.makedirs(os.path.dirname(plain), exist_ok=True)
+            pq.write_table(t, plain, filesystem=fs)
+
+    def op(r):
+        ds = read_parquet_any(r + "/in")
+        assert parquet_source(ds) is not None
+        results.append(native_io.write_par1_dataset(ds, r + "/ds", sort_by="k", codec="zstd").blocks)
+
+    assert _run_faults(monkeypatch, root, setup, op) == 4  # one part per file
+    mans = [pa.concat_tables(m) for m in results]
+    assert all(m.num_rows == 4 and sum(m["rows"].to_pylist()) == 4 * 500 for m in mans)
+    assert [sum(m["skipped"].to_pylist()) for m in mans] == [0, 0, 1, 2, 3]
+
+
 def test_driver_query_sink_faults(ray_session, monkeypatch, root, sf_dir, inline_tasks):
     import pyarrow.parquet as pq
 

@@ -257,3 +257,63 @@ def test_dup_spans_all_duplicate_corpus(ray_session, tmp_path):
     )
     assert (out.kept_len == 0).all()
     assert (out.text_stripped == "").all()
+
+
+@pytest.mark.parametrize("width", [12, 20])
+def test_part_of_hashes_every_window_byte(width):
+    """Windows that share their first 8 (width 12) or 16 bytes spread over
+    the partitions; a hash of the first 8 bytes put them all in one.  An
+    equal window gets the same partition wherever it sits."""
+    from parquet_go_ray.pipelines.substring import _NPARTS, _part_of
+
+    shared = 8 if width == 12 else 16
+    rng = np.random.default_rng(width)
+    wins = np.concatenate(
+        [np.full((2000, shared), ord("a"), np.uint8),
+         rng.integers(0, 256, (2000, width - shared), dtype=np.uint8)],
+        axis=1,
+    )
+    v = np.ascontiguousarray(wins).view(np.dtype((np.void, width))).ravel()
+    parts = _part_of(v, width)
+    assert ((parts >= 0) & (parts < _NPARTS)).all()
+    assert len(np.unique(parts)) >= _NPARTS * 3 // 4
+    np.testing.assert_array_equal(_part_of(v[::-1].copy(), width), parts[::-1])
+
+
+def test_dup_spans_shared_prefix_corpus_matches_oracle(ray_session, tmp_path):
+    """Every document opens with one 40-byte header, and some share later
+    sentences: the header's windows and the planted repeats match the DuckDB
+    oracle on both plans (broadcast and the distributed 2-exchange one)."""
+    import random
+
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.pipelines.substring import dup_spans_query
+
+    rng = random.Random(11)
+    header = "// Copyright header shared by all files.\n"
+    planted = ["".join(rng.choice("qrstuvwxyz ") for _ in range(30)) for _ in range(4)]
+    texts = [
+        header
+        + "".join(rng.choice("abcdefghijklmnop") for _ in range(50))
+        + (planted[i % 4] if i % 3 else "")
+        + "".join(rng.choice("abcdefghijklmnop") for _ in range(20))
+        for i in range(30)
+    ]
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(range(30), pa.int64()),
+                "text": pa.array(texts),
+                "lang": pa.array(["en"] * 30),
+                "source": pa.array(["s"] * 30),
+                "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+            }
+        ),
+        str(tmp_path / "documents.parquet"),
+    )
+    oracle = _oracle(str(tmp_path), 12).reset_index(drop=True)
+    assert len(oracle) > 30
+    for limit in ({}, {"broadcast_limit": 0}):
+        mine = dup_spans_query(str(tmp_path), width=12, **limit).astype("int64")
+        pd.testing.assert_frame_equal(mine, oracle)
