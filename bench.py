@@ -77,7 +77,7 @@ def run_bench() -> dict:
     cfg = EngineConfig(target_chunk_bytes=32 << 20, partitions=64)
     # codec planning is input-deterministic and driver-side serial (selector
     # trials on the leading plan_sample_rows rows, which encode_partitioned
-    # takes from its materialized split): a 100 TB job plans ONCE, so it
+    # reads from its input when called): a 100 TB job plans ONCE, so it
     # belongs outside the timed window — inside, it is a pure Amdahl penalty
     # that understates the parallel encode's scaling.  The pre-plan here
     # pays its own take_batch, untimed.

@@ -2,21 +2,20 @@
 
 Ray-Data shape — map-only, no hash exchange, the input read once:
 
-    fragments: the row ranges repartition(num_parts) cuts (contiguous,
-    equal row counts, input order), taken one of two ways when called:
-      - an untransformed read_parquet_any read (sources.io.parquet_source):
-        from the files' footers, as (file, row groups, row slice) pieces;
-        nothing is read or materialized yet
-      - any other dataset: repartition(num_parts).materialize()
-        [the split runs here; the fragments are its blocks]
-      -> _plan_codecs on the input's leading plan_sample_rows rows
-           [driver; read from the leading row groups, or fetched from the
-            split's leading blocks]
+    src = parquet_source(ds) or block_source(ds)   [when called]
+      - an untransformed read_parquet_any read: its files, listed from the
+        footers; nothing is read yet
+      - any other dataset: materialized once, in order; block k counts as
+        file k with one row group
+      -> fragments: the row ranges Ray's split repartition into num_parts
+         blocks cuts (contiguous, equal row counts, input order;
+         `_split_ranges`), as (file, row groups, row slice) pieces of the
+         source
+      -> _plan_codecs on the source's leading plan_sample_rows rows [driver]
       -> native_io._run_in_slots over the non-empty fragments
-           [lazy; fragments packed into CPU-slot tasks by their bytes
-            (one per task when the chunk tables return as blocks), each
+           [lazy; fragments packed into CPU-slot tasks by their bytes, each
             task reserving _task_cpus(); per fragment:]
-           - read its pieces from the files, or fetch its block
+           - read its pieces (`src.read`)
            - local sort by (repo, path)  (helps DELTA_BYTE_ARRAY/dicts;
              local pc.sort_indices, never a global sort)
            - part id = digest of (fragment index, sorted rows); a part
@@ -26,19 +25,17 @@ Ray-Data shape — map-only, no hash exchange, the input read once:
            - publish chunks.parquet, then the lineage.json marker
       -> small metrics rows only (blobs never return to the driver)
 
-The split gives every fragment the same rows and the same index whatever
-the input's block layout (order is preserved), and the footer path
-recomputes the split's row ranges, so a part id is stable across resume
-attempts, whatever task a fragment runs in and whichever path cut it; only
-`num_parts` persists in `_plan.json`.  Fragments are independent (all
-codec state is chunk-local), so a task may encode any of them.  A salted
-hash exchange bought no compression here: the in-fragment sort re-clusters
-repos as well as a repo-keyed shuffle does (7.196 vs 7.198 on a 100k-row
-corpus, 16 parts).
+The cut gives every fragment the same rows and the same index whatever
+the input's block layout or files, so a part id is stable across resume
+attempts, whatever task a fragment runs in; only `num_parts` persists in
+`_plan.json`.  Fragments are independent (all codec state is chunk-local),
+so a task may encode any of them.  A salted hash exchange bought no
+compression here: the in-fragment sort re-clusters repos as well as a
+repo-keyed shuffle does (7.196 vs 7.198 on a 100k-row corpus, 16 parts).
 
 The no-partition variant (`encode_dataset`) maps batches straight through
-`encode_table` — used for round-trip correctness queries where
-partitioning is irrelevant.
+`encode_table` — the in-memory encode, used for round-trip correctness
+queries where partitioning is irrelevant.
 """
 
 from __future__ import annotations
@@ -50,16 +47,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data as rd
-from ray.data.block import BlockAccessor
 
-from ..sources.io import parquet_source, row_range
+from ..sources.io import block_source, parquet_source, row_range
 from ..sources.io import read_parquet_any as _read_parquet_any
 
 from ..chunk import _is_nested
 from ..config import DEFAULT, EngineConfig, cluster_cpus
-from ..stages.encode import CHUNK_SCHEMA, encode_table
+from ..stages.encode import encode_table
 from ..state import lineage as lin
 from . import native_io
 
@@ -69,8 +64,7 @@ def _plan_codecs(sample: pa.Table, cfg: EngineConfig) -> dict:
     {column: (codec, outer)} for `encode_table(plan=...)`.
 
     `encode_partitioned` passes the input's leading `cfg.plan_sample_rows`
-    rows (read from the leading row groups, or `_leading_rows` of its
-    materialized split, which keeps input order), the same rows on every
+    rows (read through its source, in input order), the same rows on every
     run.  A load-dependent sample could flip near-tied codec choices
     between runs (observed: content zstd7 vs zstd9, a 3% output-size swing
     on identical input).
@@ -104,26 +98,11 @@ def _plan_codecs(sample: pa.Table, cfg: EngineConfig) -> dict:
     return plan
 
 
-def _leading_rows(blocks: list, n: int) -> pa.Table:
-    """The first `n` rows of `blocks`, a materialized dataset's
-    (ref, metadata) pairs in order; empty blocks are never fetched, and no
-    blocks give a table with no columns."""
-    refs, rows = [], 0
-    for ref, meta in blocks:
-        if rows >= n:
-            break
-        if meta.num_rows:
-            refs.append(ref)
-            rows += meta.num_rows
-    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
-    return pa.concat_tables(tables).slice(0, n) if tables else pa.table({})
-
-
 def _split_ranges(rows: int, num_parts: int) -> list[tuple[int, int]]:
-    """The row ranges of the non-empty fragments, in order, that
-    ``repartition(num_parts)`` cuts from `rows` rows: Ray's split
-    repartition ends fragment j at ``int(cur)`` after ``cur += rows /
-    num_parts`` j + 1 times (the last ends at `rows`)."""
+    """The row ranges of the non-empty fragments, in order, that Ray's
+    split repartition into `num_parts` blocks cuts from `rows` rows: it
+    ends fragment j at ``int(cur)`` after ``cur += rows / num_parts`` j + 1
+    times (the last ends at `rows`)."""
     cuts, cur = [0], 0
     for _ in range(num_parts - 1):
         cur += rows / num_parts
@@ -135,11 +114,11 @@ def _split_ranges(rows: int, num_parts: int) -> list[tuple[int, int]]:
 def _part_id(index: int, fragment: pa.Table) -> int:
     """Non-negative 63-bit part id from the fragment's POSITION and CONTENT.
 
-    Position is `index`, the fragment's place among the split's non-empty
-    fragments: the split emits them first and in input order (empty ones,
-    when rows < num_parts, go last; `_split_ranges` lists the same), so the
-    index depends only on the row count and num_parts, not on the task
-    that encodes the fragment.  It keeps identical fragments apart — a
+    Position is `index`, the fragment's place among the non-empty fragments
+    `_split_ranges` lists (Ray's split emits them first and in input order,
+    empty ones last when rows < num_parts), so the index depends only on
+    the row count and num_parts, not on the task that encodes the
+    fragment.  It keeps identical fragments apart — a
     table of two equal halves, a constant column.  Content is the sha1 of the fragment's Arrow IPC
     serialization, as write_par1_dataset names its parts: a resume over
     changed input re-encodes a fragment instead of skipping it."""
@@ -150,11 +129,11 @@ def _part_id(index: int, fragment: pa.Table) -> int:
 
 
 def encode_partition(
-    fragment: pa.Table, index: int, cfg: EngineConfig, out_dir: str | None, plan: dict | None = None
+    fragment: pa.Table, index: int, cfg: EngineConfig, out_dir: str, plan: dict | None = None
 ) -> pa.Table:
-    """One input fragment (the `index`-th of the split) = one output
-    partition; returns its metrics row (empty when the part is already on
-    disk), or its chunk table if out_dir is None.
+    """One input fragment (the `index`-th of the cut) = one output
+    partition under `out_dir`; returns its metrics row (empty when the part
+    is already on disk).
 
     Deliberately a plain FUNCTION, not an actor: all dictionary/FSST state is
     chunk-local (SURVEY §7.3), so the stage is stateless and runs on Ray's
@@ -169,7 +148,7 @@ def encode_partition(
         )
         fragment = fragment.take(idx)
     part = _part_id(index, fragment)
-    if out_dir is not None and lin.is_done(out_dir, part):
+    if lin.is_done(out_dir, part):
         return _METRICS_SCHEMA.empty_table()
     t0 = time.time()
     bs = cfg.batch_size_rows
@@ -188,15 +167,13 @@ def encode_partition(
         "chunks": len(chunk_tables),
         "encode_sec": round(wall, 4),
     }
-    if out_dir is not None:
-        codecs = dict(zip(*np.unique(np.asarray(chunks["codec"]), return_counts=True))) if chunks.num_rows else {}
-        # the marker holds only what the input and code decide, so a rerun
-        # writes the same bytes; the wall time goes in the metrics row
-        lineage = {k: v for k, v in metrics.items() if k != "encode_sec"}
-        lineage["codecs"] = {k: int(v) for k, v in codecs.items()}
-        lin.write_partition(out_dir, part, chunks, lineage)
-        return pa.Table.from_pylist([metrics], schema=_METRICS_SCHEMA)
-    return chunks
+    codecs = dict(zip(*np.unique(np.asarray(chunks["codec"]), return_counts=True))) if chunks.num_rows else {}
+    # the marker holds only what the input and code decide, so a rerun
+    # writes the same bytes; the wall time goes in the metrics row
+    lineage = {k: v for k, v in metrics.items() if k != "encode_sec"}
+    lineage["codecs"] = {k: int(v) for k, v in codecs.items()}
+    lin.write_partition(out_dir, part, chunks, lineage)
+    return pa.Table.from_pylist([metrics], schema=_METRICS_SCHEMA)
 
 
 # encode tasks are memory-bandwidth-heavy: reserving >1 CPU keeps schedulers
@@ -230,24 +207,25 @@ def encode_dataset(ds: rd.Dataset, cfg: EngineConfig = DEFAULT, plan: dict | Non
 
 def encode_partitioned(
     ds: rd.Dataset,
-    out_dir: str | None,
+    out_dir: str,
     cfg: EngineConfig = DEFAULT,
     num_parts: int | None = None,
     total_bytes: int | None = None,
     plan: dict | None = None,
 ) -> rd.Dataset:
-    """Map-only partitioned encode with per-partition checkpoints.
+    """Map-only partitioned encode into `out_dir`, with per-partition
+    checkpoints.
 
-    Cuts `ds` into `num_parts` fragments of consecutive rows when called,
-    and a `plan` of None is planned here (unless `cfg.per_column_codec` is
-    set) from the input's leading `cfg.plan_sample_rows` rows.  An
-    untransformed ``read_parquet_any`` read is cut from its footers, and
-    each task reads its own fragment from the files; any other `ds` is read
-    once into a materialized split.  Both cut the same rows.  Returns the
-    lazy encode dataset, the non-empty fragments packed into
-    ``native_io._run_in_slots`` tasks of `_task_cpus()` CPUs each: the
-    metrics rows (blobs go to out_dir), or the chunk tables if out_dir is
-    None (one fragment per task, so every chunk's rows share a block).
+    Cuts ``parquet_source(ds) or block_source(ds)`` into `num_parts`
+    fragments of consecutive rows when called (`_split_ranges`: the rows
+    Ray's split repartition cuts), and a `plan` of None is planned here
+    (unless `cfg.per_column_codec` is set) from the input's leading
+    `cfg.plan_sample_rows` rows.  An untransformed ``read_parquet_any``
+    read is cut from its footers and never materialized; any other `ds` is
+    materialized once, in order (the caller's context is restored).
+    Returns the lazy encode dataset of metrics rows (blobs go to out_dir):
+    the non-empty fragments packed into ``native_io._run_in_slots`` tasks
+    of `_task_cpus()` CPUs each, every task reading its own fragments.
     `plan` is a `_plan_codecs` result computed ahead of time."""
     if num_parts is None:
         if cfg.partitions:
@@ -261,64 +239,30 @@ def encode_partitioned(
             by_size = int(total_bytes // cfg.target_chunk_bytes)
             by_cpu = min(2 * ncpu, int(total_bytes // (8 << 20)))
             num_parts = max(1, by_size, by_cpu)
-    if out_dir is not None:
-        # fragments — and so part ids — depend on num_parts, which derives
-        # from live cluster CPUs + size estimates: a resume on different
-        # hardware must reuse the original split, or every fragment would
-        # re-encode under new ids beside the old ones.  The plan persists
-        # before any partition encodes; resumes reuse it.
-        existing = lin.read_plan(out_dir)
-        if existing is not None:
-            num_parts = int(existing["num_parts"])
-        else:
-            lin.write_plan(out_dir, {"num_parts": num_parts})
-    src = parquet_source(ds)
-    if src is not None:
-        # an untransformed Parquet read: each task reads its fragment's row
-        # groups itself, so nothing is materialized; the fragments are the
-        # row ranges the split below would cut
-        groups = src.row_groups()
-        rows = sum(r for _k, _g, r, _b in groups)
-        ranges = _split_ranges(rows, num_parts)
-        fragments = [row_range(groups, lo, hi) for lo, hi in ranges]
-        # sized by their rows' share of the input's uncompressed bytes
-        row_bytes = sum(b for _k, _g, _r, b in groups) / max(rows, 1)
-        sizes = [int((hi - lo) * row_bytes) for lo, hi in ranges]
-        read = src.read
-
-        def leading(n):
-            return read(row_range(groups, 0, n)) if rows else pa.table({})
+    # fragments — and so part ids — depend on num_parts, which derives from
+    # live cluster CPUs + size estimates: a resume on different hardware
+    # must reuse the original split, or every fragment would re-encode under
+    # new ids beside the old ones.  The plan persists before any partition
+    # encodes; resumes reuse it.
+    existing = lin.read_plan(out_dir)
+    if existing is not None:
+        num_parts = int(existing["num_parts"])
     else:
-        # fragments are row ranges of the input ORDER, and a part id includes
-        # its fragment's index: pin the order on the dataset's own captured
-        # context (the global flag alone does not affect `ds`), also when
-        # `plan` comes precomputed.  The split is an all-to-all barrier, so
-        # materializing it loses no overlap; the plan samples its leading
-        # rows instead of reading the input a second time.
-        ds.context.execution_options.preserve_order = True
-        split = ds.repartition(num_parts).materialize()
-        blocks = [b for bundle in split.iter_internal_ref_bundles() for b in bundle.blocks]
-        fragments = [ref for ref, meta in blocks if meta.num_rows]
-        sizes = [meta.size_bytes for _ref, meta in blocks if meta.num_rows]
-
-        def read(ref):
-            return BlockAccessor.for_block(ray.get(ref)).to_arrow()
-
-        def leading(n):
-            return _leading_rows(blocks, n)
+        lin.write_plan(out_dir, {"num_parts": num_parts})
+    src = parquet_source(ds) or block_source(ds)
+    groups = src.row_groups()
+    rows = sum(r for _k, _g, r, _b in groups)
+    ranges = _split_ranges(rows, num_parts)
+    # sized by their rows' share of the input's uncompressed bytes
+    row_bytes = sum(b for _k, _g, _r, b in groups) / max(rows, 1)
     if plan is None:
-        plan = {} if cfg.per_column_codec else _plan_codecs(leading(cfg.plan_sample_rows), cfg)
-    if out_dir is None:
-        # the chunk tables come back as blocks, and reassemble_blocks needs
-        # every chunk's rows in one: sized at one target or more, each
-        # fragment gets a task of its own and a block bound above its size,
-        # so Ray never merges two chunk tables into a block it slices by rows
-        sizes = [max(s or 0, DEFAULT.target_chunk_bytes) for s in sizes]
+        sample = row_range(groups, 0, cfg.plan_sample_rows)
+        plan = {} if cfg.per_column_codec else _plan_codecs(src.read(sample) if rows else pa.table({}), cfg)
     return native_io._run_in_slots(
-        fragments,
-        sizes,
-        lambda i, fragment: encode_partition(read(fragment), i, cfg, out_dir, plan),
-        CHUNK_SCHEMA.empty_table() if out_dir is None else _METRICS_SCHEMA.empty_table(),
+        [row_range(groups, lo, hi) for lo, hi in ranges],
+        [int((hi - lo) * row_bytes) for lo, hi in ranges],
+        lambda i, piece: encode_partition(src.read(piece), i, cfg, out_dir, plan),
+        _METRICS_SCHEMA.empty_table(),
         task_cpus=_task_cpus(),
     )
 

@@ -29,11 +29,9 @@ from typing import NamedTuple
 
 import pyarrow as pa
 
-import ray
 import ray.data as rd
-from ray.data.block import BlockAccessor
 
-from ..sources.io import parquet_source
+from ..sources.io import block_source, parquet_source
 from ..sources.io import read_parquet_any as _read_parquet_any
 
 from .. import uri
@@ -269,8 +267,8 @@ def _rg_bytes(rg: dict) -> int:
 def _fan_out(items: list[dict], sizes: list[int | None], task_cpus: int = 1) -> rd.Dataset:
     """THE fan-out of every Ray job over a listing (scans, footer passes,
     manifest admission, table reads, and through ``_run_in_slots`` the
-    sink's blocks or Parquet file pieces, the compaction bins and
-    encode_partitioned's fragments, split blocks or row-range pieces):
+    sink's file pieces, the compaction bins and encode_partitioned's
+    row-range pieces):
     `items` as a from_items dataset whose blocks the caller maps with
     ``batch_size=None`` and ``num_cpus=task_cpus``, one task per block.
 
@@ -1106,11 +1104,11 @@ def _manifest_table(rows: list) -> "pa.Table":
 
 
 def _pack_bins(entries, target_bytes: int) -> list[tuple]:
-    """THE bin-packer of the compactors and of the sink's Parquet inputs:
+    """THE bin-packer of the compactors and of the sink's input files:
     greedy first-fit over (group, item, bytes) entries in their listed
     order, closing a bin before it would pass `target_bytes`.  A bin never
     spans two groups (hive partition directories, table buckets, input
-    files); groups go in sorted order, None last.
+    files or blocks); groups go in sorted order, None last.
     Returns [(group, [items], bytes)]."""
     by_group: dict = {}
     for g, p, b in entries:
@@ -1133,8 +1131,8 @@ def _run_in_slots(
     items: list, sizes: list[int | None], run_item, empty: pa.Table, task_cpus: int = 1
 ) -> rd.Dataset:
     """THE runner of per-item jobs whose items the caller holds (the sink's
-    block refs or file pieces, the compactors' bins, encode_partitioned's
-    fragments; they ride in the UDF's closure): ``run_item(i, items[i]) ->
+    file pieces, the compactors' bins, encode_partitioned's fragments; they
+    ride in the UDF's closure): ``run_item(i, items[i]) ->
     table`` in ``_fan_out`` tasks sized by `sizes`, each reserving
     `task_cpus` CPUs.  The tables stream through ``_stream`` with the typed
     `empty`."""
@@ -1542,7 +1540,7 @@ def _block_writer(
     partition_by: str | None = None,
 ):
     """THE writer of every PAR1 data file the engine produces (the sink's
-    blocks, both compactors' bins): returns ``write(batch, part_dir,
+    pieces, both compactors' bins): returns ``write(batch, part_dir,
     partition="") -> manifest rows``, which orders the batch by `sort_by`
     or a Z-order key over `cluster_by`, splits it by `partition_by` into
     ``<col>=<value>`` subdirectories of `part_dir`, and writes each piece
@@ -1592,31 +1590,32 @@ def write_par1_dataset(
     cluster_by: list[str] | None = None,
     **write_kwargs,
 ) -> rd.Dataset:
-    """Distributed native-format sink: every Ray block becomes one indexed
-    PAR1 file (pages + CRC + ColumnIndex/OffsetIndex + Statistics) under
+    """Distributed native-format sink: the input's rows become indexed PAR1
+    parts (pages + CRC + ColumnIndex/OffsetIndex + Statistics) under
     `out_dir`, written by ``_block_writer`` with `write_kwargs` forwarded
     to ``write_par1`` (codec, encodings, page_rows, ...).  Part names are
-    CONTENT-DERIVED (sha1 of the block's Arrow IPC serialization — a pure
+    CONTENT-DERIVED (sha1 of the part's Arrow IPC serialization — a pure
     function of the logical rows), every part is published through
     ``uri.publish`` (whole or absent), and an existing complete part is
     skipped — so a re-run of the same pipeline over the same input resumes
     instead of re-encoding, the same partitioned-output discipline as
-    encode_partitioned.  The parts go to ``_run_in_slots`` tasks packed by
-    their bytes, and their layout depends on the input:
+    encode_partitioned.
 
-    - an untransformed ``read_parquet_any`` read (``parquet_source``): one
-      part per non-empty input file, cut before a row group that would take
-      it past ``DEFAULT.target_chunk_bytes`` (uncompressed bytes, from the
-      footers, read when called).  Each task reads its own files; the input
-      never enters the object store.  An input that reads one block per
-      file (``override_num_blocks=len(files)``) gets the parts it got from
-      its blocks.
-    - any other dataset: one part per non-empty block.  `ds` is
-      materialized when called, in order (the caller's context is
-      restored), and its bytes sit in the object store until the returned
-      lazy dataset has written its blocks.
+    One layout rule: parts follow the source's files.  Each non-empty file
+    of ``parquet_source(ds) or block_source(ds)`` is one part, cut before a
+    row group that would take it past ``DEFAULT.target_chunk_bytes``
+    (uncompressed bytes, listed when called), and the parts run in
+    ``_run_in_slots`` tasks packed by their bytes, each reading its own
+    pieces.  An untransformed ``read_parquet_any`` read is read from its
+    files, so the input never enters the object store.  Any other dataset
+    is materialized when called, in order (the caller's context is
+    restored), and a block counts as one file of one row group; its bytes
+    sit in the object store until the returned lazy dataset has written its
+    parts.  A rerun resumes only over the same files or blocks: the same
+    rows cut another way (other blocks, or a file that an earlier run took
+    as several blocks) write a second set of parts beside the first.
 
-    `partition_by`: hive-style layout — each block splits by that column's
+    `partition_by`: hive-style layout — each part splits by that column's
     values into `out_dir/<col>=<value>/part_<tag>.parquet` (the column
     STAYS in the files, so every part is self-contained); a scan that
     filters on the partition column skips whole directories without a
@@ -1640,31 +1639,15 @@ def write_par1_dataset(
     if _fs_of(out_dir)[0] is None:
         os.makedirs(out_dir, exist_ok=True)
     write = _block_writer(write_kwargs, sort_by, cluster_by, partition_by)
-    src = parquet_source(ds)
-    if src is not None:
-        # a file's row groups, packed into pieces of at most one target
-        bins = _pack_bins(
-            [(k, (g, rows), size) for k, g, rows, size in src.row_groups() if rows],
-            DEFAULT.target_chunk_bytes,
-        )
-        return _run_in_slots(
-            [[(k, [g for g, _r in rgs], 0, sum(r for _g, r in rgs))] for k, rgs, _b in bins],
-            [size for _k, _rgs, size in bins],
-            lambda _i, piece: _manifest_table(write(src.read(piece), out_dir)),
-            _manifest_table([]),
-        )
-    # parts are named by content, so a rerun resumes only if the input's
-    # blocks come out the same: materialize in order (a repartition of
-    # out-of-order blocks splits its rows differently), then restore the flag
-    opts = ds.context.execution_options
-    keep, opts.preserve_order = opts.preserve_order, True
-    try:
-        blocks = [b for bundle in ds.materialize().iter_internal_ref_bundles() for b in bundle.blocks]
-    finally:
-        opts.preserve_order = keep
+    src = parquet_source(ds) or block_source(ds)
+    # a file's row groups, packed into pieces of at most one target
+    bins = _pack_bins(
+        [(k, (g, rows), size) for k, g, rows, size in src.row_groups() if rows],
+        DEFAULT.target_chunk_bytes,
+    )
     return _run_in_slots(
-        [ref for ref, _meta in blocks],
-        [meta.size_bytes for _ref, meta in blocks],
-        lambda _i, ref: _manifest_table(write(BlockAccessor.for_block(ray.get(ref)).to_arrow(), out_dir)),
+        [[(k, [g for g, _r in rgs], 0, sum(r for _g, r in rgs))] for k, rgs, _b in bins],
+        [size for _k, _rgs, size in bins],
+        lambda _i, piece: _manifest_table(write(src.read(piece), out_dir)),
         _manifest_table([]),
     )

@@ -10,7 +10,9 @@ import dataclasses
 import os
 import weakref
 
+import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 
 def resolve_filesystem(path: str):
@@ -142,10 +144,49 @@ class ParquetSource:
         )
 
 
+@dataclasses.dataclass
+class BlockSource:
+    """A materialized dataset's blocks (`block_source`), read through the
+    `ParquetSource` interface: block k is file k with one row group.
+    `blocks` are (ref, rows, bytes) in the dataset's order."""
+
+    blocks: list[tuple["ray.ObjectRef", int, int]]
+
+    def row_groups(self) -> list[tuple[int, int, int, int]]:
+        """(block index, 0, rows, bytes) for every block, in order."""
+        return [(k, 0, rows, size) for k, (_ref, rows, size) in enumerate(self.blocks)]
+
+    def read(self, piece: list) -> "object":
+        """The rows of `piece` = [(block index, [0], lo, hi)]: each block
+        fetched, sliced to rows [lo, hi), concatenated in order."""
+        import pyarrow as pa
+
+        blocks = ray.get([self.blocks[k][0] for k, _rgs, _lo, _hi in piece])
+        return pa.concat_tables(
+            BlockAccessor.for_block(b).to_arrow().slice(lo, hi - lo)
+            for b, (_k, _rgs, lo, hi) in zip(blocks, piece)
+        )
+
+
+def block_source(ds) -> BlockSource:
+    """`ds` materialized once, in order, as a `BlockSource`.  A writer that
+    names its output by row position or content must see the same blocks
+    on a rerun, so the order is pinned on `ds`'s own context (a repartition
+    of out-of-order blocks splits its rows differently) and the caller's
+    flag is restored after."""
+    opts = ds.context.execution_options
+    keep, opts.preserve_order = opts.preserve_order, True
+    try:
+        bundles = ds.materialize().iter_internal_ref_bundles()
+        return BlockSource([(ref, m.num_rows, m.size_bytes) for b in bundles for ref, m in b.blocks])
+    finally:
+        opts.preserve_order = keep
+
+
 def row_range(groups: list[tuple[int, int, int, int]], lo: int, hi: int) -> list:
-    """Rows [lo, hi) of the read whose `ParquetSource.row_groups()` are
-    `groups`, as a `ParquetSource.read` piece: per file, the row groups the
-    range touches and the range's rows within them."""
+    """Rows [lo, hi) of the source whose `row_groups()` are `groups`, as a
+    piece for its `read`: per file (or block), the row groups the range
+    touches and the range's rows within them."""
     piece: list = []
     start = 0
     for f, g, rows, _ in groups:

@@ -492,33 +492,6 @@ def test_encode_writes_the_same_bytes_twice(ray_session, tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_encode_without_out_dir_keeps_each_chunk_in_one_block(ray_session, two_slots, monkeypatch):
-    """The chunk tables come back as blocks, and reassemble_blocks needs a
-    chunk's column rows in one.  Fragments over the 1 MB block floor whose
-    chunk tables come to 0.75-1x of the largest fragment would, packed two
-    to a task, merge into a block Ray slices by rows."""
-    import ray
-    import ray.data as rd
-
-    from parquet_go_ray.config import EngineConfig
-
-    rng = np.random.default_rng(5)
-    n = 6000  # four ~1.8 MB fragments that encode to ~0.83x of it
-    t = pa.table({"k": np.arange(n), "blob": [rng.bytes(1024) + bytes(200) for _ in range(n)]})
-    fanned = _spy_fan_out(monkeypatch)
-    ds = ep.encode_partitioned(rd.from_arrow(t), None, EngineConfig(batch_size_rows=500), num_parts=4)
-    blocks = ray.get(ds.to_arrow_refs())
-    monkeypatch.undo()
-    assert fanned == [(4, 4)]  # one fragment per task
-    seen = {}
-    for b, block in enumerate(blocks):
-        for cid in set(block["chunk_id"].to_pylist()):
-            assert cid not in seen, f"chunk {cid} in blocks {seen[cid]} and {b}"
-            seen[cid] = b
-    assert len(seen) == 12  # 3 chunks of 500 rows per fragment
-    assert sum(b.num_rows for b in blocks) == 2 * len(seen)  # a row per column
-
-
 def test_no_engine_module_imports_ray_internals():
     """Engine code reaches Ray through its public API only: no module under
     parquet_go_ray/ imports from ray.data._internal (a logger name is a
@@ -543,6 +516,34 @@ def test_no_engine_module_imports_ray_internals():
                 for n in names
                 if n == "ray.data._internal" or n.startswith("ray.data._internal.")
             ]
+    assert not bad, bad
+
+
+def test_only_the_sources_module_touches_ray_blocks():
+    """Writers read their input through `parquet_source(ds) or
+    block_source(ds)`: no module under parquet_go_ray/ but sources/io.py
+    names `iter_internal_ref_bundles` or `BlockAccessor`."""
+    import ast
+    import pathlib
+
+    import parquet_go_ray
+
+    root = pathlib.Path(parquet_go_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "sources" / "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name in ("iter_internal_ref_bundles", "BlockAccessor"):
+                bad.append(f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')} {name}")
     assert not bad, bad
 
 
@@ -575,10 +576,14 @@ def _code_layout(rng, rows: list[int]) -> list[pa.Table]:
 
 def test_split_ranges_match_the_split_repartition(ray_session, tmp_path):
     """Over random layouts — empty files, one to three row groups a file,
-    1 to 9 parts, more parts than rows — the footer-cut fragments equal the
+    1 to 9 parts, more parts than rows — the fragments cut from a Parquet
+    read's footers, and from the blocks of `from_arrow` over the same
+    tables (empty blocks included) through `block_source`, equal the
     non-empty blocks of `repartition(k).materialize()` row for row, in
     order, with equal part ids."""
-    from parquet_go_ray.sources.io import parquet_source, read_parquet_any, row_range
+    import ray.data as rd
+
+    from parquet_go_ray.sources.io import block_source, parquet_source, read_parquet_any, row_range
 
     rng = np.random.default_rng(17)
     for layout in range(6):
@@ -592,21 +597,24 @@ def test_split_ranges_match_the_split_repartition(ray_session, tmp_path):
             for n in rows
         ]
         _parquet_files(d, tables, rg_rows=int(rng.integers(1, 40)))
-        ds = read_parquet_any(d)
-        src = parquet_source(ds)
-        assert src is not None
-        groups = src.row_groups()
-        assert sum(g[2] for g in groups) == sum(rows)
-        for k in sorted({1, 2, 9, int(rng.integers(3, 9)), sum(rows) + 1} - {0}):
-            ordered = read_parquet_any(d)
-            ordered.context.execution_options.preserve_order = True  # as the encode sets it
-            split = ordered.repartition(k).materialize()
-            want = [t for t in ray.get(split.to_arrow_refs()) if t.num_rows]
-            got = [src.read(row_range(groups, lo, hi)) for lo, hi in ep._split_ranges(sum(rows), k)]
-            assert len(got) == len(want), (rows, k)
-            for i, (g, w) in enumerate(zip(got, want)):
-                assert g.schema == w.schema and g.equals(w), (rows, k, i)
-                assert ep._part_id(i, g) == ep._part_id(i, w)
+        inputs = {"parquet": lambda: read_parquet_any(d), "blocks": lambda: rd.from_arrow(tables)}
+        sources = {"parquet": parquet_source(inputs["parquet"]()), "blocks": block_source(inputs["blocks"]())}
+        assert sources["parquet"] is not None
+        assert [g[2] for g in sources["blocks"].row_groups()] == rows
+        ks = sorted({1, 2, 9, int(rng.integers(3, 9)), sum(rows) + 1} - {0})
+        for name, src in sources.items():
+            groups = src.row_groups()
+            assert sum(g[2] for g in groups) == sum(rows)
+            for k in ks:
+                ordered = inputs[name]()
+                ordered.context.execution_options.preserve_order = True  # as block_source sets it
+                split = ordered.repartition(k).materialize()
+                want = [t for t in ray.get(split.to_arrow_refs()) if t.num_rows]
+                got = [src.read(row_range(groups, lo, hi)) for lo, hi in ep._split_ranges(sum(rows), k)]
+                assert len(got) == len(want), (name, rows, k)
+                for i, (g, w) in enumerate(zip(got, want)):
+                    assert g.schema == w.schema and g.equals(w), (name, rows, k, i)
+                    assert ep._part_id(i, g) == ep._part_id(i, w)
 
 
 @pytest.mark.parametrize("parts", [1, 3, 7])

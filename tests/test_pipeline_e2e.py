@@ -275,7 +275,7 @@ def test_per_row_content_sha256_equality(ray_session, tmp_path):
     assert sorted(shas_out) == sha_in
 
 
-def test_split_balances_giant_repo_skew(ray_session):
+def test_split_balances_giant_repo_skew(ray_session, tmp_path):
     """North rule: one repo holding 80% of rows must not make one partition
     hold it all.  Fragments are cut by row count, not by key, so every
     partition gets the same number of rows whatever the key skew."""
@@ -294,9 +294,8 @@ def test_split_balances_giant_repo_skew(ray_session):
         }
     )
     cfg = EngineConfig(batch_size_rows=5000)
-    chunks = encode_partitioned(rd.from_arrow([t.slice(0, 13000), t.slice(13000)]), None, cfg, num_parts=8)
-    chunks = chunks.to_pandas()
-    rows = chunks[chunks.column == "repo"].groupby("part").rows.sum()
+    ds = rd.from_arrow([t.slice(0, 13000), t.slice(13000)])
+    rows = encode_partitioned(ds, str(tmp_path / "enc"), cfg, num_parts=8).to_pandas().rows
     assert len(rows) == 8
     assert rows.sum() == n
     assert rows.max() - rows.min() <= 1
@@ -389,16 +388,17 @@ def test_plan_skips_empty_fragments(ray_session, tmp_path, monkeypatch):
     assert sorted(m.rows) == [1, 1, 1]
 
 
-def test_encode_partitioned_keeps_caller_context_and_chunk_blocks(ray_session):
-    """The output-size bound is set on the split's own context, never the
-    caller's; and with out_dir=None, fragments of a few rows (whose chunk
-    tables outweigh their input many times over) still return every
-    column row of a chunk in one output block, decoding bit-identically."""
+def test_encode_partitioned_keeps_caller_context_and_chunk_blocks(ray_session, tmp_path):
+    """The output-size bound is set on the fan-out's own context and the
+    input order on the materialize's, never left on the caller's; and
+    fragments of a few rows (whose chunk tables outweigh their input many
+    times over) read back with every column row of a chunk in one block,
+    decoding bit-identically."""
     import pandas as pd
     import ray
     import ray.data as rd
 
-    from parquet_go_ray.pipelines.encode_pipeline import encode_partitioned
+    from parquet_go_ray.pipelines.encode_pipeline import decode_partitions, encode_partitioned
     from parquet_go_ray.stages.encode import ChunkDecoder, reassemble_blocks
 
     n = 24
@@ -412,10 +412,15 @@ def test_encode_partitioned_keeps_caller_context_and_chunk_blocks(ray_session):
     ds = rd.from_arrow([t.slice(0, 10), t.slice(10)])
     before = ds.context.target_max_block_size
     global_before = rd.DataContext.get_current().target_max_block_size
-    chunks = encode_partitioned(ds, None, EngineConfig(batch_size_rows=2), num_parts=8).materialize()
+    assert not ds.context.execution_options.preserve_order
+    out = str(tmp_path / "enc")
+    m = encode_partitioned(ds, out, EngineConfig(batch_size_rows=2), num_parts=8).materialize()
+    assert m.count() == 8
     assert ds.context.target_max_block_size == before
     assert rd.DataContext.get_current().target_max_block_size == global_before
+    assert not ds.context.execution_options.preserve_order
 
+    chunks = decode_partitions(out).materialize()
     blocks = [ray.get(ref) for b in chunks.iter_internal_ref_bundles() for ref, _ in b.blocks]
     ncols = len(t.column_names)
     per_chunk = {}

@@ -258,7 +258,7 @@ class _Inline:
         import types
 
         self.blocks = blocks
-        # write_par1_dataset sets the order flag for its materialize
+        # block_source sets the order flag for its materialize
         self.context = types.SimpleNamespace(execution_options=types.SimpleNamespace(preserve_order=False))
 
     def map_batches(self, fn, **_kw):
@@ -277,7 +277,9 @@ class _Inline:
         import ray
 
         yield types.SimpleNamespace(
-            blocks=[(ray.put(b), types.SimpleNamespace(size_bytes=b.nbytes)) for b in self.blocks]
+            blocks=[
+                (ray.put(b), types.SimpleNamespace(num_rows=b.num_rows, size_bytes=b.nbytes)) for b in self.blocks
+            ]
         )
 
 
