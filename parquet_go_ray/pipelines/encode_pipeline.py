@@ -46,15 +46,15 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..sources.io import block_source, parquet_source, row_range
-from ..sources.io import read_parquet_any as _read_parquet_any
+from ..sources.io import block_source, parquet_source, resolve_filesystem, row_range
 
 from ..chunk import _is_nested
 from ..config import DEFAULT, EngineConfig, cluster_cpus
-from ..stages.encode import encode_table
+from ..stages.encode import CHUNK_SCHEMA, encode_table
 from ..state import lineage as lin
 from . import native_io
 
@@ -281,12 +281,32 @@ _METRICS_SCHEMA = pa.schema(
 
 
 def decode_partitions(out_dir: str, parts: list[int] | None = None) -> rd.Dataset:
-    """Read checkpointed chunk tables back as a Dataset of chunk rows."""
-    import os
+    """Read checkpointed chunk tables back as a Dataset of chunk rows.
 
+    `parts` defaults to every finished part (`lin.done_parts`).  Each
+    part's ``chunks.parquet``, sized from one ``native_io._ls_parquet``
+    listing, is an item of ``native_io._run_in_slots``: the parts pack into
+    CPU-slot tasks that read their own files with pyarrow, so every slot
+    starts at once (Ray's parquet read admits one task at a time in a small
+    object store).  No part is split across blocks: a chunk's column rows
+    must stay co-located for the shuffle-free `reassemble_blocks`, so the
+    read's own context has no block-size target, and a task's parts leave
+    it as one block (a size target merges and re-slices the tables a task
+    yields at 1.5x the target, cutting chunks).  No finished part gives an
+    empty dataset typed as `CHUNK_SCHEMA`."""
     if parts is None:
         parts = sorted(lin.done_parts(out_dir))
-    files = [os.path.join(lin.part_dir(out_dir, p), "chunks.parquet") for p in parts]
-    # one block per file: a chunk's column rows MUST stay co-located so the
-    # shuffle-free reassemble_blocks path can reunite them within-block
-    return _read_parquet_any(files, override_num_blocks=max(len(files), 1))
+    if not parts:
+        return rd.from_arrow(CHUNK_SCHEMA.empty_table())
+    sizes = native_io._ls_parquet(out_dir)
+    files = [lin.part_dir(out_dir, p) + "/chunks.parquet" for p in parts]
+
+    def read(i: int, path: str) -> pa.Table:
+        fs, plain = resolve_filesystem(path)
+        return pq.read_table(plain, filesystem=fs, partitioning=None, use_threads=False)
+
+    ds = native_io._run_in_slots(
+        files, [sizes.get(f) for f in files], read, CHUNK_SCHEMA.empty_table()
+    )
+    ds.context.target_max_block_size = None
+    return ds

@@ -267,8 +267,8 @@ def _rg_bytes(rg: dict) -> int:
 def _fan_out(items: list[dict], sizes: list[int | None], task_cpus: int = 1) -> rd.Dataset:
     """THE fan-out of every Ray job over a listing (scans, footer passes,
     manifest admission, table reads, and through ``_run_in_slots`` the
-    sink's file pieces, the compaction bins and encode_partitioned's
-    row-range pieces):
+    sink's file pieces, the compaction bins, encode_partitioned's
+    row-range pieces and decode_partitions' chunk tables):
     `items` as a from_items dataset whose blocks the caller maps with
     ``batch_size=None`` and ``num_cpus=task_cpus``, one task per block.
 
@@ -289,12 +289,14 @@ def _fan_out(items: list[dict], sizes: list[int | None], task_cpus: int = 1) -> 
     to back.  This dataset's own copy of the context gets
     target_max_block_size = the largest item size (1 MB floor), so every
     slot starts at once; the global context and the caller's datasets are
-    left alone.  UDFs that return data stream one table per item (a typed
-    empty only when they yield nothing else), so a packed task holds one
-    item's table at a time.  Packing is what parallelizes: a chain of
-    one-task-per-block maps holds a single worker lease (1 of 2 CPUs free
-    while two tasks are in flight), and the block-size bound alone does not
-    parallelize such a chain (8 MB let only 2 of 8 sink tasks overlap)."""
+    left alone (decode_partitions clears the target on its copy, so no
+    part is re-sliced across blocks).  UDFs that return data stream one
+    table per item (a typed empty only when they yield nothing else), so a
+    packed task holds one item's table at a time.  Packing is what
+    parallelizes: a chain of one-task-per-block maps holds a single worker
+    lease (1 of 2 CPUs free while two tasks are in flight), and the
+    block-size bound alone does not parallelize such a chain (8 MB let only
+    2 of 8 sink tasks overlap)."""
     target = DEFAULT.target_chunk_bytes
     sized = [target if s is None else s for s in sizes]
     slots = max(1, cluster_cpus() // task_cpus)
@@ -1131,11 +1133,11 @@ def _run_in_slots(
     items: list, sizes: list[int | None], run_item, empty: pa.Table, task_cpus: int = 1
 ) -> rd.Dataset:
     """THE runner of per-item jobs whose items the caller holds (the sink's
-    file pieces, the compactors' bins, encode_partitioned's fragments; they
-    ride in the UDF's closure): ``run_item(i, items[i]) ->
-    table`` in ``_fan_out`` tasks sized by `sizes`, each reserving
-    `task_cpus` CPUs.  The tables stream through ``_stream`` with the typed
-    `empty`."""
+    file pieces, the compactors' bins, encode_partitioned's fragments,
+    decode_partitions' chunk tables; they ride in the UDF's closure):
+    ``run_item(i, items[i]) -> table`` in ``_fan_out`` tasks sized by
+    `sizes`, each reserving `task_cpus` CPUs.  The tables stream through
+    ``_stream`` with the typed `empty`."""
 
     def run(batch: pa.Table):
         return _stream((run_item(i, items[i]) for i in batch["i"].to_pylist()), empty)

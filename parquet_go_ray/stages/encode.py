@@ -13,6 +13,7 @@ Chunk ids are deterministic content hashes, so task retries are idempotent
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 
@@ -154,15 +155,24 @@ class ChunkDecoder:
 
 
 def reassemble_chunk(group: pa.Table) -> pa.Table:
-    """chunk-table rows of ONE chunk_id -> the original columns."""
+    """chunk-table rows of ONE chunk_id -> the original columns.
+
+    A chunk id hashes the column sha256s, so equal chunks (duplicate rows,
+    in one part or in several) share it: a group holding every column row
+    m times decodes each column once and repeats the chunk m times."""
+    names = group["column"].to_pylist()
+    copies = collections.Counter(names)
+    if len(set(copies.values())) > 1:
+        raise ValueError(
+            f"chunk rows not co-located within blocks (column row counts {copies}); "
+            "read chunk tables with one block per file"
+        )
     cols = {}
-    n = None
-    for i in range(group.num_rows):
-        name = group["column"][i].as_py()
-        arr = decode_column_chunk(group["blob"][i].as_py())
-        cols[name] = arr
-        n = len(arr)
-    return pa.table(cols)
+    for i, name in enumerate(names):
+        if name not in cols:
+            cols[name] = decode_column_chunk(group["blob"][i].as_py())
+    t = pa.table(cols)
+    return pa.concat_tables([t] * copies[names[0]]) if names else t
 
 
 def reassemble_blocks(batch: pa.Table) -> pa.Table:

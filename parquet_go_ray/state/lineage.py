@@ -55,10 +55,12 @@ def is_done(out_dir: str, part: int) -> bool:
 
 
 def done_parts(out_dir: str) -> set[int]:
+    """Ids of the parts whose marker is published, from one glob of
+    ``part=*/lineage.json`` (one request on an object store, not one per
+    part; a staged ``lineage.json.tmp.*`` does not match)."""
     return {
-        int(name.split("=")[1])
-        for name in uri.listdir(out_dir)
-        if name.startswith("part=") and uri.exists(_under(out_dir, name) + "/lineage.json")
+        int(path.rsplit("/", 2)[-2].split("=")[1])
+        for path in uri.glob(out_dir, "part=*/lineage.json")
     }
 
 

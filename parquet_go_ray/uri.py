@@ -62,15 +62,16 @@ def isdir(path: str) -> bool:
     return os.path.isdir(plain) if fs is None else fs.isdir(plain)
 
 
-def listdir(path: str) -> list[str]:
-    """Entry names directly under `path` ([] when it does not exist)."""
-    fs, plain, _ = split_uri(path)
+def glob(root: str, pattern: str) -> list[str]:
+    """Paths of the entries under `root` that the relative glob `pattern`
+    matches, as one listing (local glob, or the object store's glob), in
+    the form the backend lists them."""
+    fs, plain, _ = split_uri(root)
     if fs is None:
-        return os.listdir(plain) if os.path.isdir(plain) else []
-    try:
-        return [e.rstrip("/").rsplit("/", 1)[-1] for e in fs.ls(plain, detail=False)]
-    except FileNotFoundError:
-        return []
+        import glob as _glob
+
+        return _glob.glob(os.path.join(_glob.escape(plain), pattern))
+    return fs.glob(plain.rstrip("/") + "/" + pattern)
 
 
 def publish(path: str, write, keep_first: bool = False) -> bool:

@@ -492,6 +492,44 @@ def test_encode_writes_the_same_bytes_twice(ray_session, tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_decode_packs_parts_and_keeps_every_chunk_in_one_block(ray_session, two_slots, monkeypatch, tmp_path):
+    """decode_partitions reads two parts in each of two slot tasks, and no
+    chunk's column rows span two blocks.  The parts hold 0.8 and 1.3 MB of
+    incompressible PLAIN chunks, four chunks of two columns each: yielding
+    them under a block-size target of the largest file merges two parts and
+    re-slices them mid-chunk."""
+    from parquet_go_ray.config import EngineConfig
+    from parquet_go_ray.stages.encode import encode_table, reassemble_blocks
+    from parquet_go_ray.state import lineage as lin
+
+    cfg = EngineConfig(per_column_codec={c: ("plain", "none") for c in "ab"})
+    rng = np.random.default_rng(19)
+    out, inputs = str(tmp_path / "enc"), []
+    for part, mb in enumerate([0.8, 1.3, 0.8, 1.3]):
+        width = int(mb * MB / 32)  # 4 chunks x 2 columns x 4 values
+        chunks = []
+        for _ in range(4):
+            t = pa.table({c: pa.array([rng.bytes(width) for _ in range(4)], pa.binary()) for c in "ab"})
+            inputs.append(t)
+            chunks.append(encode_table(t, cfg, part=part))
+        assert set(pa.concat_tables(chunks)["codec"].to_pylist()) == {"plain"}
+        lin.write_partition(out, part, pa.concat_tables(chunks), {"rows": 16})
+    fanned = _spy_fan_out(monkeypatch)
+    ds = ep.decode_partitions(out).materialize()
+    monkeypatch.undo()
+    assert fanned == [(4, 2)]
+    blocks = [ray.get(ref) for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks]
+    where = {}
+    for k, block in enumerate(blocks):
+        for cid in block["chunk_id"].to_pylist():
+            where.setdefault(cid, []).append(k)
+    assert len(where) == 16
+    assert all(len(ks) == 2 and ks[0] == ks[1] for ks in where.values())
+    back = pa.concat_tables([reassemble_blocks(b) for b in blocks])
+    want = pa.concat_tables(inputs)
+    assert sorted(zip(*back.to_pydict().values())) == sorted(zip(*want.to_pydict().values()))
+
+
 def test_no_engine_module_imports_ray_internals():
     """Engine code reaches Ray through its public API only: no module under
     parquet_go_ray/ imports from ray.data._internal (a logger name is a

@@ -1355,3 +1355,39 @@ def test_resume_reuses_persisted_plan(ray_session, tmp_path):
     assert m.count() == 0
     assert len(lin.done_parts(out)) == 4
     assert lin.read_plan(out) == {"num_parts": 4}
+
+
+def test_decode_partitions_of_a_zero_row_encode(ray_session, tmp_path):
+    """A root with no finished part decodes to zero rows typed as the chunk
+    table, as a PAR1 read of an empty listing does."""
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines.encode_pipeline import decode_partitions, encode_partitioned
+    from parquet_go_ray.stages.encode import CHUNK_SCHEMA
+
+    out = str(tmp_path / "enc")
+    empty = make_code_table(10, seed=1).slice(0, 0)
+    assert encode_partitioned(rd.from_arrow(empty), out, EngineConfig(), num_parts=2).count() == 0
+    ds = decode_partitions(out)
+    assert ds.count() == 0
+    assert ds.schema().base_schema == CHUNK_SCHEMA
+
+
+def test_all_duplicate_corpus_reassembles_every_row(ray_session, tmp_path):
+    """Equal chunks share a chunk id (it hashes the column sha256s): a
+    table repeated eight times decodes and reassembles to all its rows, the
+    copies in one part and across parts alike."""
+    import ray.data as rd
+
+    from parquet_go_ray.pipelines.encode_pipeline import decode_partitions, encode_partitioned
+    from parquet_go_ray.stages.encode import reassemble_blocks
+
+    one = pa.table({"k": pa.array(range(25), pa.int64()), "s": [f"v{i}" for i in range(25)]})
+    t = pa.concat_tables([one] * 8)
+    out = str(tmp_path / "enc")
+    m = encode_partitioned(rd.from_arrow(t), out, EngineConfig(batch_size_rows=25), num_parts=2).to_pandas()
+    assert m["chunks"].sum() == 8
+    chunks = decode_partitions(out)
+    assert len({r["chunk_id"] for r in chunks.take_all()}) == 1
+    back = chunks.map_batches(reassemble_blocks, batch_format="pyarrow", batch_size=None).to_pandas()
+    assert sorted(zip(back["k"], back["s"])) == sorted(zip(*t.to_pydict().values()))

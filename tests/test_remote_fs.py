@@ -311,3 +311,60 @@ def test_read_parquet_any_strips_a_caller_schema_with_metadata(ray_session, tmp_
     assert sum(b.num_rows for b in blocks) == 30
     assert all(not b.schema.metadata for b in blocks)
     assert "MapBatches(_strip_schema_metadata)" in stats
+
+
+def test_encode_decode_roundtrip_mocks3(ray_session, mocks3_bucket):
+    """encode_partitioned into an object store, then decode_partitions'
+    slot tasks read the chunk tables back through the URI: every chunk
+    decodes to its sha256.  The read's block bound is set on the dataset it
+    returns only, never on the global context or a caller's dataset."""
+    import ray.data as rd
+
+    from parquet_go_ray.config import EngineConfig
+    from parquet_go_ray.pipelines.encode_pipeline import decode_partitions, encode_partitioned
+    from parquet_go_ray.sources.synth import make_code_table
+    from parquet_go_ray.stages.encode import ChunkDecoder
+
+    t = make_code_table(300, seed=8)
+    out = f"{mocks3_bucket}/enc"
+    caller = rd.from_arrow(t)
+    caller_before = caller.context.target_max_block_size
+    global_before = rd.DataContext.get_current().target_max_block_size
+    m = encode_partitioned(caller, out, EngineConfig(batch_size_rows=128), num_parts=3).to_pandas()
+    assert len(m) == 3 and m["rows"].sum() == 300
+    ds = decode_partitions(out)
+    assert ds.context.target_max_block_size is None
+    assert caller.context.target_max_block_size == caller_before
+    assert rd.DataContext.get_current().target_max_block_size == global_before
+    got = ds.map_batches(ChunkDecoder(recompute_sha=True), batch_format="pyarrow").to_pandas()
+    assert len(got) == m["chunks"].sum() * len(t.column_names)
+    assert got["ok"].all()
+
+
+@pytest.mark.parametrize("backend", ["local", "mocks3"])
+def test_done_parts_is_one_listing(backend, mocks3_bucket, tmp_path, monkeypatch):
+    """done_parts globs the markers once: no existence check per part, on a
+    local root or an object store.  A part without its marker, or with only
+    a staged marker, is not done."""
+    from parquet_go_ray import uri
+    from parquet_go_ray.state import lineage as lin
+
+    root = str(tmp_path / "ckpt") if backend == "local" else f"{mocks3_bucket}/ckpt"
+    tbl = pa.table({"a": pa.array([1, 2], pa.int64())})
+    for part in (3, 11, 40):
+        lin.write_partition(root, part, tbl, {"rows": 2})
+
+    def put(path: str) -> None:
+        def write(target):
+            with uri.open_any(target, "wb") as f:
+                f.write(b"{}")
+
+        uri.publish(path, write)
+
+    put(lin.part_dir(root, 7) + "/chunks.parquet")  # no marker
+    put(lin.part_dir(root, 9) + "/lineage.json.tmp.0123abcd")  # staged only
+    calls = []
+    real = uri.exists
+    monkeypatch.setattr(uri, "exists", lambda p: calls.append(p) or real(p))
+    assert lin.done_parts(root) == {3, 11, 40}
+    assert calls == []
