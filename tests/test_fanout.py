@@ -514,10 +514,13 @@ def test_decode_packs_parts_and_keeps_every_chunk_in_one_block(ray_session, two_
             chunks.append(encode_table(t, cfg, part=part))
         assert set(pa.concat_tables(chunks)["codec"].to_pylist()) == {"plain"}
         lin.write_partition(out, part, pa.concat_tables(chunks), {"rows": 16})
-    fanned = _spy_fan_out(monkeypatch)
+    fanned, sized = _spy_fan_out(monkeypatch), []
+    spy = nio._fan_out
+    monkeypatch.setattr(nio, "_fan_out", lambda items, sizes, **kw: sized.append(sizes) or spy(items, sizes, **kw))
     ds = ep.decode_partitions(out).materialize()
     monkeypatch.undo()
     assert fanned == [(4, 2)]
+    assert sized == [list(nio._ls_parquet(out).values())]
     blocks = [ray.get(ref) for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks]
     where = {}
     for k, block in enumerate(blocks):
